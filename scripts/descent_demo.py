@@ -47,9 +47,7 @@ def main():
         print(f"  end: support={sorted(trace.end.support)} "
               f"clique_order={trace.omega_end} phi={end_phi}")
 
-    report = check_minimizer_structure(
-        g, args.t, descend_to_clique_support(g, args.t, profile, uniform),
-        profile=profile)
+    report = check_minimizer_structure(g, args.t, profile=profile)
     if report.applicable:
         print(f"\nuniform point is a certified minimizer: "
               f"complete_multipartite={report.is_complete_multipartite} "

@@ -6,16 +6,15 @@ exact rational comparison, so equality cases are decided without tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
 from .cliques import (
     CliqueProfile,
     count_cliques,
-    enumerate_cliques,
-    max_clique_containing,
+    largest_clique_orders,
     vertex_clique_numbers,
 )
 from .graph import Graph, PartSpec
@@ -62,21 +61,16 @@ def turan_bound(n: int, r: int) -> Fraction:
     return Fraction(n * n * (r - 1), 2 * r)
 
 
-@dataclass(frozen=True)
-class EdgeCliqueWeight:
-    edge: tuple[int, int]
-    w: int  # order of the largest clique containing the edge, >= 2
-
-
-def edge_clique_weights(g: Graph, budget: int | None = None) -> Iterator[EdgeCliqueWeight]:
-    for u, v in g.edges():
-        yield EdgeCliqueWeight((u, v), max_clique_containing(g, (u, v), budget=budget))
+def _order_histogram(g: Graph, t: int, budget: int | None) -> Counter:
+    """Number of t-cliques per largest-containing-clique order."""
+    return Counter(largest_clique_orders(g, t, budget=budget).values())
 
 
 def edge_localized_turan_sum(g: Graph, budget: int | None = None) -> Fraction:
-    """sum_e w(e) / (w(e) - 1); always at most n^2 / 2."""
+    """sum_e w(e) / (w(e) - 1), w(e) the order of the largest clique
+    containing e; always at most n^2 / 2."""
     return sum(
-        (Fraction(ew.w, ew.w - 1) for ew in edge_clique_weights(g, budget=budget)),
+        (Fraction(k * w, w - 1) for w, k in _order_histogram(g, 2, budget).items()),
         Fraction(0),
     )
 
@@ -89,24 +83,15 @@ def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
     return value.numerator // value.denominator
 
 
-@dataclass(frozen=True)
-class KtCopyWeight:
-    copy: tuple[int, ...]
-    alpha: int
-    w: Fraction  # alpha^t / C(alpha, t), decreasing in alpha
-
-
-def kt_copy_weights(g: Graph, t: int, budget: int | None = None) -> Iterator[KtCopyWeight]:
+def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
+    """sum over t-cliques T of alpha(T)^t / C(alpha(T), t), alpha(T) the order
+    of the largest clique containing T; at most n^t."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    for copy in enumerate_cliques(g, t, budget=budget):
-        alpha = max_clique_containing(g, copy, budget=budget)
-        yield KtCopyWeight(copy, alpha, Fraction(alpha**t, comb(alpha, t)))
-
-
-def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
-    """sum over t-cliques T of alpha(T)^t / C(alpha(T), t); at most n^t."""
-    return sum((kw.w for kw in kt_copy_weights(g, t, budget=budget)), Fraction(0))
+    return sum(
+        (Fraction(k * a**t, comb(a, t)) for a, k in _order_histogram(g, t, budget).items()),
+        Fraction(0),
+    )
 
 
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
@@ -183,7 +168,7 @@ def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
             kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
         )
     profile = vertex_clique_numbers(g, budget=budget)
-    true_count = count_cliques(g, t, budget=budget).count
+    true_count = count_cliques(g, t, budget=budget)
     localized = localized_zykov_bound(g, t, profile)
     certificate = is_regular_complete_multipartite(g)
     tight = Fraction(true_count) == localized

@@ -23,22 +23,33 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import bound_report
-from .cliques import BudgetExceeded, count_cliques, vertex_clique_numbers
+from .cliques import (
+    BudgetExceeded,
+    count_cliques,
+    largest_clique_orders,
+    vertex_clique_numbers,
+)
 from .corpus import named_small_graphs, seeded_random_corpus
 from .graph import (
     Graph,
     GraphError,
     ParseError,
     PartSpec,
+    bits,
     generate_complete_multipartite,
     generate_random,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
-from .oracles import brute_count_cliques, brute_vertex_clique_numbers
+from .oracles import (
+    brute_count_cliques,
+    brute_kirsch_nir_alpha,
+    brute_vertex_clique_numbers,
+)
 from .simplex import (
     SimplexPoint,
+    _rat,
     descend_to_clique_support,
     eval_phi,
     verify_nonnegativity,
@@ -73,10 +84,6 @@ class RunConfig:
             raise ValueError("sample count must be >= 0")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _dec(v: Fraction) -> str:
@@ -294,7 +301,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
         yield (f"profile_oracle[{name}]", profile == oracle_profile,
                f"{profile} vs {oracle_profile}")
         for t in (2, 3, 4):
-            fast = count_cliques(g, t, budget=budget).count
+            fast = count_cliques(g, t, budget=budget)
             brute = brute_count_cliques(g, t)
             yield (f"count_oracle[{name},t={t}]", fast == brute, f"{fast} vs {brute}")
             rep = bound_report(g, t, budget=budget)
@@ -306,6 +313,13 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
                    rep.edge_localized_sum <= Fraction(g.n**2, 2)
                    and rep.kirsch_nir_sum <= g.n**t,
                    f"edge_sum={rep.edge_localized_sum}, kn={rep.kirsch_nir_sum}")
+        for t in (2, 3):
+            orders = largest_clique_orders(g, t, budget=budget)
+            wrong = {key: alpha for key, alpha in orders.items()
+                     if alpha != brute_kirsch_nir_alpha(g, tuple(bits(key)))}
+            yield (f"alpha_oracle[{name},t={t}]",
+                   not wrong and len(orders) == brute_count_cliques(g, t),
+                   f"{len(orders)} copies, mismatched {wrong}")
         rep2 = bound_report(g, 2, budget=budget)
         yield (f"t2_recovery[{name}]",
                Fraction(rep2.vertex_localized_turan) <= rep2.localized_zykov

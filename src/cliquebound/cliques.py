@@ -1,15 +1,20 @@
-"""Exact clique counting and per-vertex clique numbers over bitset adjacency.
+"""Exact clique counting and largest-containing-clique orders over bitset
+adjacency.
 
 Counting uses ordered recursive expansion (each clique enumerated once, in
 increasing vertex order). Maximal-clique enumeration uses Bron-Kerbosch with
-pivoting under a degeneracy vertex ordering. Both honor an optional work
-budget measured in recursion nodes.
+pivoting under a degeneracy vertex ordering; one pass gives the order of the
+largest clique containing each t-clique, hence c(v), w(e) and alpha(T). Both
+honor an optional work budget measured in recursion nodes (plus t-subset
+visits for the orders).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from .graph import Graph, bits
@@ -37,12 +42,6 @@ class CliqueProfile:
             raise ValueError("omega must equal max of the per-vertex profile")
 
 
-@dataclass(frozen=True)
-class CliqueCount:
-    t: int
-    count: int
-
-
 class _Work:
     __slots__ = ("nodes", "budget")
 
@@ -50,8 +49,8 @@ class _Work:
         self.nodes = 0
         self.budget = DEFAULT_BUDGET if budget is None else budget
 
-    def tick(self):
-        self.nodes += 1
+    def tick(self, k: int = 1):
+        self.nodes += k
         if self.nodes > self.budget:
             raise BudgetExceeded(self.budget)
 
@@ -73,56 +72,16 @@ def _count_rec(adj: Sequence[int], cand: int, r: int, work: _Work) -> int:
     return total
 
 
-def count_cliques(g: Graph, t: int, budget: int | None = None) -> CliqueCount:
+def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
     """Exact number of t-vertex cliques in g."""
     if t < 1:
         raise ValueError(f"clique order must be >= 1, got {t}")
     if t == 1:
-        return CliqueCount(1, g.n)
+        return g.n
     if t > g.n:
-        return CliqueCount(t, 0)
+        return 0
     work = _Work(budget)
-    return CliqueCount(t, _count_rec(g.adjacency, g.full_mask, t, work))
-
-
-def count_cliques_in_neighborhood(g: Graph, v: int, t: int, budget: int | None = None) -> int:
-    """Number of t-cliques inside the induced subgraph on N(v)."""
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    cand = g.adjacency[v]
-    if t == 1:
-        return cand.bit_count()
-    work = _Work(budget)
-    return _count_rec(g.adjacency, cand, t, work)
-
-
-def enumerate_cliques(g: Graph, t: int, mask: int | None = None,
-                      budget: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every t-clique within ``mask`` as a sorted vertex tuple."""
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    if mask is None:
-        mask = g.full_mask
-    adj = g.adjacency
-    work = _Work(budget)
-    stack: list[int] = []
-
-    def rec(cand: int, r: int) -> Iterator[tuple[int, ...]]:
-        work.tick()
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            stack.append(v)
-            if r == 1:
-                yield tuple(stack)
-            else:
-                sub = cand & adj[v]
-                if sub.bit_count() >= r - 1:
-                    yield from rec(sub, r - 1)
-            stack.pop()
-
-    yield from rec(mask, t)
+    return _count_rec(g.adjacency, g.full_mask, t, work)
 
 
 def clique_weight_sum(g: Graph, mask: int, t: int, weights: Sequence[Fraction],
@@ -151,17 +110,35 @@ def clique_weight_sum(g: Graph, mask: int, t: int, weights: Sequence[Fraction],
 
 
 def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
-    """Vertices of ``mask`` ordered by repeated minimum-degree removal."""
+    """Vertices of ``mask`` ordered by repeated minimum-degree removal, ties
+    going to the lowest index.
+
+    Each vertex sits in a bitmask bucket for its degree among the remaining
+    vertices; the next vertex is the lowest set bit of the lowest nonempty
+    bucket. A removal lowers the minimum degree by at most one.
+    """
+    deg = [0] * len(adj)
+    buckets = [0] * mask.bit_count()
+    for v in bits(mask):
+        deg[v] = (adj[v] & mask).bit_count()
+        buckets[deg[v]] |= 1 << v
     remaining = mask
     order = []
+    d = 0
     while remaining:
-        best, best_deg = -1, -1
-        for v in bits(remaining):
-            d = (adj[v] & remaining).bit_count()
-            if best < 0 or d < best_deg:
-                best, best_deg = v, d
-        order.append(best)
-        remaining &= ~(1 << best)
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        v = low.bit_length() - 1
+        order.append(v)
+        buckets[d] ^= low
+        remaining ^= low
+        for u in bits(adj[v] & remaining):
+            bit = 1 << u
+            buckets[deg[u]] ^= bit
+            deg[u] -= 1
+            buckets[deg[u]] |= bit
+        d = max(d - 1, 0)
     return order
 
 
@@ -184,18 +161,42 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> Iterator[int
                 pivot, best = u, d
         for v in bits(p & ~adj[pivot]):
             bit = 1 << v
-            yield from bk(r | bit, p & adj[v] & mask, x & adj[v] & mask)
+            yield from bk(r | bit, p & adj[v], x & adj[v])
             p &= ~bit
             x |= bit
 
-    order = _degeneracy_order(adj, mask)
     p = mask
     x = 0
-    for v in order:
+    for v in _degeneracy_order(adj, mask):
         bit = 1 << v
-        yield from bk(bit, p & adj[v] & mask, x & adj[v] & mask)
+        yield from bk(bit, p & adj[v], x & adj[v])
         p &= ~bit
         x |= bit
+
+
+def largest_clique_orders(g: Graph, t: int, budget: int | None = None) -> dict[int, int]:
+    """Order of the largest clique containing T, for every t-clique T of g.
+
+    Keys are the vertex bitmasks of the t-cliques. One Bron-Kerbosch pass
+    lists the maximal cliques, and each maximal clique Q raises every t-subset
+    of Q to |Q|. With t = 1 the values are c(v), with t = 2 the edge weights
+    w(e), and in general alpha(T). The budget counts recursion nodes plus
+    t-subset visits.
+    """
+    if t < 1:
+        raise ValueError(f"clique order must be >= 1, got {t}")
+    work = _Work(budget)
+    orders: dict[int, int] = {}
+    for clique in _maximal_cliques(g.adjacency, g.full_mask, work):
+        size = clique.bit_count()
+        if size < t:
+            continue
+        work.tick(comb(size, t))
+        # The bits of a subset are disjoint, so their sum is its mask.
+        for sub in map(sum, combinations([1 << v for v in bits(clique)], t)):
+            if orders.get(sub, 0) < size:
+                orders[sub] = size
+    return orders
 
 
 def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
@@ -205,46 +206,6 @@ def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
     """
     if g.n == 0:
         return CliqueProfile((), 0)
-    work = _Work(budget)
-    c = [0] * g.n
-    for clique in _maximal_cliques(g.adjacency, g.full_mask, work):
-        size = clique.bit_count()
-        for v in bits(clique):
-            if size > c[v]:
-                c[v] = size
-    return CliqueProfile(tuple(c), max(c))
-
-
-def _max_clique_order(adj: Sequence[int], mask: int, work: _Work) -> int:
-    best = 0
-    for clique in _maximal_cliques(adj, mask, work):
-        size = clique.bit_count()
-        if size > best:
-            best = size
-    return best
-
-
-def max_clique_containing(g: Graph, s, budget: int | None = None) -> int:
-    """Maximum order of a clique of g containing the clique ``s``.
-
-    Equals |s| plus the clique number of the induced subgraph on the common
-    neighborhood of s. Raises ValueError if s is not a clique.
-    """
-    s_list = list(s)
-    verts = sorted(set(s_list))
-    if len(verts) != len(s_list):
-        raise ValueError("vertex set contains duplicates")
-    s_mask = 0
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        s_mask |= 1 << v
-    if not g.induces_clique(s_mask):
-        raise ValueError(f"vertex set {verts} does not induce a clique")
-    common = g.full_mask
-    for v in verts:
-        common &= g.adjacency[v]
-    if common == 0:
-        return len(verts)
-    work = _Work(budget)
-    return len(verts) + _max_clique_order(g.adjacency, common, work)
+    orders = largest_clique_orders(g, 1, budget=budget)
+    c = tuple(orders[1 << v] for v in range(g.n))
+    return CliqueProfile(c, max(c))

@@ -270,7 +270,7 @@ class MinimizerStructureReport:
         return self.applicable and self.is_complete_multipartite and self.part_masses_equal
 
 
-def check_minimizer_structure(g: Graph, t: int, trace: DescentTrace,
+def check_minimizer_structure(g: Graph, t: int,
                               profile: CliqueProfile | None = None) -> MinimizerStructureReport:
     """Check minimizer-support structure when the uniform point is certified.
 

@@ -25,7 +25,7 @@ class TestLocalizedZykov:
     def test_octahedron_tight_t3(self, octa):
         p = vertex_clique_numbers(octa)
         assert localized_zykov_bound(octa, 3, p) == 8
-        assert count_cliques(octa, 3).count == 8
+        assert count_cliques(octa, 3) == 8
 
     def test_c5_t2(self, c5):
         p = vertex_clique_numbers(c5)

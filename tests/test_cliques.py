@@ -4,34 +4,38 @@ import hypothesis.strategies as st
 
 from cliquebound.cliques import (
     BudgetExceeded,
+    _degeneracy_order,
+    clique_weight_sum,
     count_cliques,
-    count_cliques_in_neighborhood,
-    enumerate_cliques,
-    max_clique_containing,
+    largest_clique_orders,
     vertex_clique_numbers,
 )
-from cliquebound.graph import Graph
-from cliquebound.oracles import brute_count_cliques, brute_vertex_clique_numbers
+from cliquebound.graph import Graph, bits
+from cliquebound.oracles import (
+    brute_count_cliques,
+    brute_kirsch_nir_alpha,
+    brute_vertex_clique_numbers,
+)
 from strategies import graphs
 
 
 class TestCountCliques:
     def test_k4_edges(self, k4):
-        assert count_cliques(k4, 2).count == 6
+        assert count_cliques(k4, 2) == 6
 
     def test_octahedron_triangles(self, octa):
         # value frozen from the brute-force subset oracle
-        assert count_cliques(octa, 3).count == 8
+        assert count_cliques(octa, 3) == 8
         assert brute_count_cliques(octa, 3) == 8
 
     def test_c5_triangle_free(self, c5):
-        assert count_cliques(c5, 3).count == 0
+        assert count_cliques(c5, 3) == 0
 
     def test_t_one_counts_vertices(self, c5):
-        assert count_cliques(c5, 1).count == 5
+        assert count_cliques(c5, 1) == 5
 
     def test_t_above_n(self, k4):
-        assert count_cliques(k4, 5).count == 0
+        assert count_cliques(k4, 5) == 0
 
     def test_t_below_one_rejected(self, k4):
         with pytest.raises(ValueError):
@@ -39,7 +43,7 @@ class TestCountCliques:
 
     @given(graphs(), st.integers(min_value=1, max_value=8))
     def test_matches_oracle(self, g, t):
-        assert count_cliques(g, t).count == brute_count_cliques(g, t)
+        assert count_cliques(g, t) == brute_count_cliques(g, t)
 
 
 class TestVertexCliqueNumbers:
@@ -75,12 +79,6 @@ class TestVertexCliqueNumbers:
             assert 1 <= c <= p.omega
             assert (c == 1) == (g.degree(v) == 0)
 
-    @given(graphs(min_n=1))
-    def test_equals_max_clique_containing_singleton(self, g):
-        p = vertex_clique_numbers(g)
-        for v in range(g.n):
-            assert p.c[v] == max_clique_containing(g, (v,))
-
     @given(graphs(min_n=2))
     def test_edge_deletion_never_increases(self, g):
         edges = list(g.edges())
@@ -94,43 +92,76 @@ class TestVertexCliqueNumbers:
 
 
 class TestMaxCliqueContaining:
+    """largest_clique_orders maps each t-clique's bitmask to the order of the
+    largest clique containing it."""
+
     def test_k4_edge(self, k4):
-        assert max_clique_containing(k4, (0, 1)) == 4
+        assert largest_clique_orders(k4, 2)[0b0011] == 4
 
     def test_paw_pendant(self, paw):
-        assert max_clique_containing(paw, (3,)) == 2
+        assert largest_clique_orders(paw, 1)[1 << 3] == 2
 
     def test_c5_edge(self, c5):
-        assert max_clique_containing(c5, (0, 1)) == 2
+        assert largest_clique_orders(c5, 2)[0b00011] == 2
 
     def test_non_clique_rejected(self, c5):
+        assert 0b00101 not in largest_clique_orders(c5, 2)
         with pytest.raises(ValueError):
-            max_clique_containing(c5, (0, 2))
+            largest_clique_orders(c5, 0)
+
+    @given(graphs(), st.integers(min_value=1, max_value=4))
+    def test_matches_oracle(self, g, t):
+        orders = largest_clique_orders(g, t)
+        assert len(orders) == brute_count_cliques(g, t)
+        for key, alpha in orders.items():
+            assert alpha == brute_kirsch_nir_alpha(g, tuple(bits(key)))
+
+
+def _neighborhood_count(g, v, t):
+    """Number of t-cliques inside N(v), as a unit-weight clique sum."""
+    return clique_weight_sum(g, g.adjacency[v], t, (1,) * g.n)
 
 
 class TestNeighborhoodCounts:
     def test_k4(self, k4):
-        assert count_cliques_in_neighborhood(k4, 0, 2) == 3
+        assert _neighborhood_count(k4, 0, 2) == 3
 
     def test_c5(self, c5):
-        assert count_cliques_in_neighborhood(c5, 0, 2) == 0
+        assert _neighborhood_count(c5, 0, 2) == 0
 
     def test_octahedron(self, octa):
         # N(0) induces a 4-cycle; frozen from brute force over its 6 pairs
-        assert count_cliques_in_neighborhood(octa, 0, 2) == 4
+        assert _neighborhood_count(octa, 0, 2) == 4
 
     @given(graphs(min_n=1), st.integers(min_value=2, max_value=6))
     def test_handshake_identity(self, g, t):
-        total = sum(count_cliques_in_neighborhood(g, v, t - 1) for v in range(g.n))
-        assert total == t * count_cliques(g, t).count
+        total = sum(_neighborhood_count(g, v, t - 1) for v in range(g.n))
+        assert total == t * count_cliques(g, t)
+
+
+def _scan_degeneracy_order(adj, mask):
+    """Reference: repeatedly remove a minimum-degree vertex, lowest index first."""
+    order = []
+    while mask:
+        v = min(bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), u))
+        order.append(v)
+        mask &= ~(1 << v)
+    return order
+
+
+class TestDegeneracyOrder:
+    @given(graphs(max_n=14), st.integers(min_value=0))
+    def test_matches_scan(self, g, sub):
+        mask = sub & g.full_mask
+        for m in (g.full_mask, mask):
+            assert _degeneracy_order(g.adjacency, m) == _scan_degeneracy_order(g.adjacency, m)
 
 
 class TestEnumerationAndBudget:
     def test_enumerate_matches_count(self, octa):
-        cliques = list(enumerate_cliques(octa, 3))
-        assert len(cliques) == 8
-        assert all(len(c) == 3 for c in cliques)
-        assert len(set(cliques)) == 8
+        orders = largest_clique_orders(octa, 3)
+        assert len(orders) == 8
+        assert all(key.bit_count() == 3 and alpha == 3 for key, alpha in orders.items())
 
     def test_budget_exceeded(self):
         g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])

@@ -227,21 +227,18 @@ class TestNonnegativity:
 class TestMinimizerStructure:
     def test_octahedron_passes(self, octa):
         p = vertex_clique_numbers(octa)
-        trace = descend_to_clique_support(octa, 3, p, SimplexPoint.uniform(6))
-        rep = check_minimizer_structure(octa, 3, trace, profile=p)
+        rep = check_minimizer_structure(octa, 3, profile=p)
         assert rep.passed
         assert rep.parts.sizes == (2, 2, 2)
 
     def test_c5_inapplicable(self, c5):
         p = vertex_clique_numbers(c5)
-        trace = descend_to_clique_support(c5, 2, p, SimplexPoint.uniform(5))
-        rep = check_minimizer_structure(c5, 2, trace, profile=p)
+        rep = check_minimizer_structure(c5, 2, profile=p)
         assert not rep.applicable
         assert rep.phi_uniform == Fraction(1, 20)
 
     def test_k4_singleton_parts(self, k4):
         p = vertex_clique_numbers(k4)
-        trace = descend_to_clique_support(k4, 2, p, SimplexPoint.uniform(4))
-        rep = check_minimizer_structure(k4, 2, trace, profile=p)
+        rep = check_minimizer_structure(k4, 2, profile=p)
         assert rep.passed
         assert rep.parts.sizes == (1, 1, 1, 1)
