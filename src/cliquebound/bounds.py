@@ -97,37 +97,29 @@ def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
     """Part sizes if g is complete multipartite with equal parts, else None.
 
-    The complement must be a disjoint union of equal-order cliques. K_n
-    qualifies (n parts of size 1); an edgeless graph on n >= 1 vertices
+    K_n qualifies (n parts of size 1); an edgeless graph on n >= 1 vertices
     qualifies as a single part.
     """
     parts = complete_multipartite_parts(g)
-    if parts is None or len(set(parts.sizes)) != 1:
-        return None
-    return parts
+    return parts if parts is not None and parts.is_regular else None
 
 
 def complete_multipartite_parts(g: Graph) -> PartSpec | None:
-    """Part sizes if g is complete multipartite (parts need not be equal)."""
+    """Part sizes if g is complete multipartite (parts need not be equal).
+
+    The parts are the classes of vertices with equal adjacency rows, in
+    order of their lowest vertex; g is complete multipartite exactly when
+    each class's row is the complement of the class.
+    """
     if g.n == 0:
         return None
-    comp = g.complement()
-    seen = 0
-    sizes = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        component = 1 << v
-        frontier = comp.adjacency[v]
-        while frontier & ~component:
-            u = (frontier & ~component).bit_length() - 1
-            component |= 1 << u
-            frontier |= comp.adjacency[u]
-        if not comp.induces_clique(component):
-            return None
-        sizes.append(component.bit_count())
-        seen |= component
-    return PartSpec(tuple(sizes))
+    classes: dict[int, int] = {}
+    for v, row in enumerate(g.adjacency):
+        classes[row] = classes.get(row, 0) | 1 << v
+    full = g.full_mask
+    if any(row != full & ~part for row, part in classes.items()):
+        return None
+    return PartSpec(tuple(part.bit_count() for part in classes.values()))
 
 
 @dataclass(frozen=True)

@@ -123,12 +123,12 @@ def collect_inputs(paths) -> list[Path]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _report_record(path: Path, g: Graph, t: int, budget: int | None) -> dict:
+def _report_record(path: Path, g: Graph, g_hash: str, t: int, budget: int | None) -> dict:
     rep = bound_report(g, t, budget=budget)
     cert = list(rep.extremal_certificate.sizes) if rep.extremal_certificate else None
     return {
         "file": str(path),
-        "graph_hash": graph_hash(g),
+        "graph_hash": g_hash,
         "version": __version__,
         "n": rep.n,
         "m": rep.m,
@@ -162,9 +162,10 @@ def cmd_analyze(config: RunConfig) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failures += 1
             continue
+        g_hash = graph_hash(g)
         for t in range(config.t_min, config.t_max + 1):
             try:
-                records.append(_report_record(path, g, t, config.budget))
+                records.append(_report_record(path, g, g_hash, t, config.budget))
             except BudgetExceeded as exc:
                 records.append({"file": str(path), "t": t, "error": str(exc)})
                 budget_hit = True
@@ -359,20 +360,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=True):
+    options = {
+        "--t": dict(type=int, default=2, help="clique order (default 2)"),
+        "--t-max": dict(type=int, default=None, help="analyze a range t..t_max"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+        "--seed": dict(type=int, default=0),
+        "--samples": dict(type=int, default=100),
+        "--budget": dict(type=int, default=None, help="max clique-recursion nodes"),
+        "--out": dict(type=Path, default=None),
+    }
+
+    def command(name, help, *flags, inputs=True):
+        p = sub.add_parser(name, help=help)
         if inputs:
             p.add_argument("inputs", nargs="*", help="graph files or directories")
-        p.add_argument("--t", type=int, default=2, help="clique order (default 2)")
-        p.add_argument("--t-max", type=int, default=None,
-                       help="analyze a range t..t_max")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--budget", type=int, default=None,
-                       help="max clique-recursion nodes")
-        p.add_argument("--out", type=Path, default=None)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
-    common(sub.add_parser("analyze", help="evaluate all bounds per graph"))
+    command("analyze", "evaluate all bounds per graph",
+            "--t", "--t-max", "--format", "--budget", "--out")
     gen = sub.add_parser("generate", help="write graph6 corpus files")
     gen.add_argument("kind", choices=["multipartite", "random"])
     gen.add_argument("--parts", default=None, help="comma-separated part sizes")
@@ -381,23 +387,26 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", required=True)
-    common(sub.add_parser("phi", help="potential evaluation and descent trace"))
-    common(sub.add_parser("selfcheck", help="run built-in invariant checks"),
-           inputs=False)
+    command("phi", "potential evaluation and descent trace",
+            "--t", "--seed", "--samples", "--budget", "--out")
+    command("selfcheck", "run built-in invariant checks", "--seed", "--budget",
+            inputs=False)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    t_max = args.t_max if args.t_max is not None else args.t
+    """Options the subcommand does not take keep their RunConfig defaults."""
+    t_min = getattr(args, "t", RunConfig.t_min)
+    t_max = getattr(args, "t_max", None)
     return RunConfig(
         inputs=tuple(Path(p) for p in getattr(args, "inputs", ())),
-        t_min=args.t,
-        t_max=t_max,
-        fmt=args.format,
-        seed=args.seed,
-        samples=args.samples,
+        t_min=t_min,
+        t_max=t_min if t_max is None else t_max,
+        fmt=getattr(args, "format", RunConfig.fmt),
+        seed=getattr(args, "seed", RunConfig.seed),
+        samples=getattr(args, "samples", RunConfig.samples),
         budget=args.budget,
-        out=args.out,
+        out=getattr(args, "out", None),
     )
 
 

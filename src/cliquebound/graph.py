@@ -106,11 +106,6 @@ class Graph:
             for v in bits(self.adjacency[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def complement(self) -> "Graph":
-        full = self.full_mask
-        rows = tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adjacency))
-        return Graph(self.n, rows)
-
     def induces_clique(self, vertex_mask: int) -> bool:
         """True if the vertices in ``vertex_mask`` are pairwise adjacent."""
         for v in bits(vertex_mask):
@@ -182,6 +177,7 @@ def to_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 MAX_GRAPH6_N = 1 << 18
+_GRAPH6_BITS = {63 + k: f"{k:06b}" for k in range(64)}
 
 
 def to_graph6(g: Graph) -> str:
@@ -194,20 +190,13 @@ def to_graph6(g: Graph) -> str:
     else:
         head = chr(126) + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
 
-    bitstream = []
-    for col in range(1, n):
-        column = g.adjacency[col]
-        for row in range(col):
-            bitstream.append(column >> row & 1)
-    while len(bitstream) % 6:
-        bitstream.append(0)
-    body = []
-    for k in range(0, len(bitstream), 6):
-        group = 0
-        for b in bitstream[k : k + 6]:
-            group = group << 1 | b
-        body.append(chr(group + 63))
-    return head + "".join(body)
+    # Column col holds rows 0..col-1, lowest row first.
+    bitstring = "".join(
+        format(g.adjacency[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)
+    )
+    bitstring += "0" * (-len(bitstring) % 6)
+    body = "".join(chr(int(bitstring[k : k + 6], 2) + 63) for k in range(0, len(bitstring), 6))
+    return head + body
 
 
 def parse_graph6(text: str) -> Graph:
@@ -247,19 +236,15 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 bit stream length mismatch: need {need} bits, got {have}"
         )
-    stream = 0
-    for ch in s[pos:]:
-        stream = stream << 6 | (ord(ch) - 63)
-    stream >>= have - need  # drop padding
-
+    bitstring = s[pos:].translate(_GRAPH6_BITS)
     rows = [0] * n
-    bit = need - 1
+    start = 0
     for col in range(1, n):
-        for row in range(col):
-            if stream >> bit & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            bit -= 1
+        lower = int(bitstring[start : start + col][::-1], 2)
+        start += col
+        rows[col] = lower
+        for row in bits(lower):
+            rows[row] |= 1 << col
     return Graph(n, tuple(rows))
 
 

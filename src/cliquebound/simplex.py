@@ -292,12 +292,12 @@ def check_minimizer_structure(g: Graph, t: int,
         return MinimizerStructureReport(
             applicable=True, phi_uniform=phi_uniform, is_complete_multipartite=False
         )
-    omega = len(parts.sizes)
-    masses_ok = all(Fraction(size, g.n) == Fraction(1, omega) for size in parts.sizes)
+    # At the uniform point a part of size s has mass s/n, which is 1/omega
+    # for every part exactly when the parts are equal.
     return MinimizerStructureReport(
         applicable=True,
         phi_uniform=phi_uniform,
         is_complete_multipartite=True,
         parts=parts,
-        part_masses_equal=masses_ok,
+        part_masses_equal=parts.is_regular,
     )

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,41 @@ from cliquebound.cliques import count_cliques, vertex_clique_numbers
 from cliquebound.corpus import complete_graph, empty_graph, star_graph
 from cliquebound.graph import Graph, generate_complete_multipartite
 from strategies import graphs
+
+
+def brute_multipartite_sizes(g: Graph) -> tuple[int, ...] | None:
+    """Class sizes of "u = v or u, v non-adjacent", ordered by lowest vertex,
+    when that relation is transitive (G complete multipartite); else None."""
+    def related(u, v):
+        return u == v or not g.has_edge(u, v)
+
+    for u, v, w in product(range(g.n), repeat=3):
+        if related(u, v) and related(v, w) and not related(u, w):
+            return None
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for cls in classes:
+            if related(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(len(cls) for cls in classes)
+
+
+@st.composite
+def relabelled_multipartite(draw):
+    """A complete multipartite graph under a random vertex permutation,
+    sometimes with one vertex pair flipped."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
+    g = generate_complete_multipartite(sizes)
+    perm = draw(st.permutations(range(g.n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    if g.n >= 2 and draw(st.booleans()):
+        pair = draw(st.lists(st.integers(min_value=0, max_value=g.n - 1),
+                             min_size=2, max_size=2, unique=True))
+        edges ^= {tuple(sorted(pair))}
+    return Graph.from_edges(g.n, edges)
 
 
 class TestLocalizedZykov:
@@ -121,6 +157,16 @@ class TestMultipartiteRecognition:
 
     def test_n_zero(self):
         assert is_regular_complete_multipartite(Graph(0, ())) is None
+
+    @given(st.one_of(graphs(), relabelled_multipartite()))
+    def test_matches_definition(self, g):
+        expected = brute_multipartite_sizes(g) or None  # n = 0 has no parts
+        parts = complete_multipartite_parts(g)
+        assert (parts and parts.sizes) == expected
+        regular = is_regular_complete_multipartite(g)
+        assert (regular and regular.sizes) == (
+            expected if expected and len(set(expected)) == 1 else None
+        )
 
 
 class TestBoundReport:

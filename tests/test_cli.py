@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cliquebound.cli import main
 from cliquebound.graph import parse_graph6
 
@@ -161,3 +163,21 @@ def test_selfcheck_detects_corrupted_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert any(line.startswith("FAIL soundness[") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "g.g6", "--seed", "1"],
+    ["analyze", "g.g6", "--samples", "5"],
+    ["phi", "g.g6", "--t-max", "5"],
+    ["phi", "g.g6", "--format", "csv"],
+    ["selfcheck", "--t", "3"],
+    ["selfcheck", "--t-max", "3"],
+    ["selfcheck", "--format", "csv"],
+    ["selfcheck", "--samples", "5"],
+    ["selfcheck", "--out", "x.txt"],
+], ids=" ".join)
+def test_option_not_read_by_subcommand_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -23,13 +23,17 @@ from strategies import graphs
 
 def reference_graph6(g: Graph) -> str:
     """Independent string-based graph6 encoder used only as a test oracle."""
-    assert g.n <= 62
+    assert g.n < 1 << 18
+    if g.n <= 62:
+        out = chr(g.n + 63)
+    else:
+        size = f"{g.n:018b}"
+        out = chr(126) + "".join(chr(int(size[k : k + 6], 2) + 63) for k in (0, 6, 12))
     bitstring = ""
     for col in range(1, g.n):
         for row in range(col):
             bitstring += "1" if g.has_edge(row, col) else "0"
     bitstring += "0" * (-len(bitstring) % 6)
-    out = chr(g.n + 63)
     for k in range(0, len(bitstring), 6):
         out += chr(int(bitstring[k : k + 6], 2) + 63)
     return out
@@ -131,6 +135,13 @@ class TestGraph6:
             n = rng.randrange(0, 65)
             g = generate_random(n, Fraction(1, 3), rng.randrange(1 << 32))
             assert parse_graph6(to_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [63, 64, 300, 500])
+    def test_size_form_matches_reference(self, n):
+        g = generate_random(n, Fraction(6, n), n)
+        text = reference_graph6(g)
+        assert to_graph6(g) == text
+        assert parse_graph6(text) == g
 
     def test_long_size_form(self):
         g = generate_random(70, Fraction(1, 10), 3)

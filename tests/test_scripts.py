@@ -1,0 +1,27 @@
+"""The experiment scripts run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args,expected", [
+    ("descent_demo.py", ["--graph", "octahedron", "--t", "3", "--starts", "2"],
+     "uniform point is a certified minimizer: complete_multipartite=True "
+     "parts=(2, 2, 2) equal_part_masses=True"),
+    ("sweep_random_corpus.py", ["--count", "3", "--t", "2", "--t-max", "3"],
+     "6 records, 1 tight, 5 strict"),
+])
+def test_script_runs(script, args, expected):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout.splitlines()
