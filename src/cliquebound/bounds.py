@@ -9,7 +9,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from typing import Iterable, Sequence
 
 from .cliques import (
     CliqueProfile,
@@ -35,13 +37,31 @@ def clique_density_term(c: int, t: int) -> Fraction:
     return Fraction(comb(c, t), c**t)
 
 
+def density_terms(orders: Iterable[int], t: int) -> dict[int, Fraction]:
+    """clique_density_term(c, t) for each distinct order c."""
+    return {c: clique_density_term(c, t) for c in set(orders)}
+
+
+def density_sum(terms: dict[int, Fraction], orders: Sequence[int],
+                weights: Iterable[int]) -> Fraction:
+    """sum_v weights[v] * terms[orders[v]] for integer weights.
+
+    The weights are added up per distinct order first, so the sum makes one
+    Fraction product per order instead of one per vertex.
+    """
+    mass = dict.fromkeys(terms, 0)
+    for c, w in zip(orders, weights):
+        mass[c] += w
+    return sum((terms[c] * k for c, k in mass.items() if k), Fraction(0))
+
+
 def localized_zykov_bound(g: Graph, t: int, profile: CliqueProfile) -> Fraction:
     """n^(t-1) * sum_v C(c(v), t) / c(v)^t, exactly."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if len(profile.c) != g.n:
         raise ValueError("profile length does not match graph order")
-    total = sum((clique_density_term(c, t) for c in profile.c), Fraction(0))
+    total = density_sum(density_terms(profile.c, t), profile.c, repeat(1))
     return Fraction(g.n) ** (t - 1) * total
 
 
@@ -77,9 +97,8 @@ def edge_localized_turan_sum(g: Graph, budget: int | None = None) -> Fraction:
 
 def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
     """floor((n/2) * sum_v (c(v)-1)/c(v)); the pre-floor value equals the
-    localized bound at t = 2."""
-    total = sum((Fraction(c - 1, c) for c in profile.c), Fraction(0))
-    value = Fraction(g.n, 2) * total
+    localized bound at t = 2, since (c-1)/(2c) = C(c, 2)/c^2."""
+    value = g.n * density_sum(density_terms(profile.c, 2), profile.c, repeat(1))
     return value.numerator // value.denominator
 
 

@@ -12,7 +12,6 @@ visits for the orders).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
@@ -84,29 +83,28 @@ def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
     return _count_rec(g.adjacency, g.full_mask, t, work)
 
 
-def clique_weight_sum(g: Graph, mask: int, t: int, weights: Sequence[Fraction],
-                      budget: int | None = None) -> Fraction:
-    """Sum over t-cliques within ``mask`` of the product of vertex weights."""
+def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
+                work: _Work) -> int:
+    work.tick()
+    if r == 1:
+        return sum(weights[v] for v in bits(cand))
+    total = 0
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        sub = cand & adj[v]
+        if sub.bit_count() >= r - 1:
+            total += weights[v] * _weight_rec(adj, sub, r - 1, weights, work)
+    return total
+
+
+def clique_weight_sum(g: Graph, mask: int, t: int, weights: Sequence[int],
+                      budget: int | None = None) -> int:
+    """Sum over t-cliques within ``mask`` of the product of integer vertex weights."""
     if t < 1:
         raise ValueError(f"clique order must be >= 1, got {t}")
-    adj = g.adjacency
-    work = _Work(budget)
-
-    def rec(cand: int, r: int) -> Fraction:
-        work.tick()
-        if r == 1:
-            return sum((weights[v] for v in bits(cand)), Fraction(0))
-        total = Fraction(0)
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            sub = cand & adj[v]
-            if sub.bit_count() >= r - 1:
-                total += weights[v] * rec(sub, r - 1)
-        return total
-
-    return rec(mask, t)
+    return _weight_rec(g.adjacency, mask, t, weights, _Work(budget))
 
 
 def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
@@ -142,34 +140,37 @@ def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
     return order
 
 
+def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int,
+                   work: _Work) -> Iterator[int]:
+    work.tick()
+    if p == 0 and x == 0:
+        yield r
+        return
+    pivot, best = -1, -1
+    for u in bits(p | x):
+        d = (adj[u] & p).bit_count()
+        if d > best:
+            pivot, best = u, d
+    for v in bits(p & ~adj[pivot]):
+        bit = 1 << v
+        yield from _bron_kerbosch(adj, r | bit, p & adj[v], x & adj[v], work)
+        p &= ~bit
+        x |= bit
+
+
 def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> Iterator[int]:
     """Bron-Kerbosch with pivoting over the induced subgraph on ``mask``.
 
     Yields each maximal clique as a bitmask. The outer level follows a
     degeneracy ordering for output-sensitive behavior on sparse inputs.
+    The recursion is a module-level function rather than a closure, so a
+    call leaves no reference cycle behind for the cyclic garbage collector.
     """
-
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
-        work.tick()
-        if p == 0 and x == 0:
-            yield r
-            return
-        pivot, best = -1, -1
-        for u in bits(p | x):
-            d = (adj[u] & p).bit_count()
-            if d > best:
-                pivot, best = u, d
-        for v in bits(p & ~adj[pivot]):
-            bit = 1 << v
-            yield from bk(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
     p = mask
     x = 0
     for v in _degeneracy_order(adj, mask):
         bit = 1 << v
-        yield from bk(bit, p & adj[v], x & adj[v])
+        yield from _bron_kerbosch(adj, bit, p & adj[v], x & adj[v], work)
         p &= ~bit
         x |= bit
 
@@ -207,5 +208,5 @@ def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
     if g.n == 0:
         return CliqueProfile((), 0)
     orders = largest_clique_orders(g, 1, budget=budget)
-    c = tuple(orders[1 << v] for v in range(g.n))
+    c = tuple([orders[1 << v] for v in range(g.n)])
     return CliqueProfile(c, max(c))

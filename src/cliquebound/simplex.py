@@ -5,6 +5,11 @@ per-vertex clique-density terms, B is the clique polynomial of order t
 evaluated at the point. Mass transfer between non-adjacent vertices changes
 phi linearly, which drives a support-shrinking descent that terminates on a
 clique support.
+
+A point is held as integer numerators over one common denominator D, so the
+clique polynomial runs on integers: B is one integer clique sum over D^t, and
+A adds one Fraction per distinct c(v). Fractions appear only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -12,69 +17,121 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from math import gcd, lcm
 
-from .bounds import clique_density_term, complete_multipartite_parts
-from .cliques import CliqueProfile, clique_weight_sum, vertex_clique_numbers
-from .graph import Graph, PartSpec, bits
+from .bounds import (
+    clique_density_term,
+    complete_multipartite_parts,
+    density_sum,
+    density_terms,
+)
+from .cliques import CliqueProfile, _weight_rec, _Work, vertex_clique_numbers
+from .graph import Graph, PartSpec
 
 
 class SimplexError(ValueError):
     """Invalid simplex point or transfer."""
 
 
-@dataclass(frozen=True)
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rational ``values`` over their least common
+    denominator, and that denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = reduce(lcm, [f.denominator for f in fracs], 1)
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+@dataclass(frozen=True, init=False)
 class SimplexPoint:
-    """Exact-rational point on the standard simplex, with explicit support."""
+    """Exact-rational point on the standard simplex, x_v = nums[v] / den.
 
-    x: tuple[Fraction, ...]
+    The representation is canonical, gcd(den, *nums) == 1, so points with
+    equal coordinates compare and hash equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        if any(v < 0 for v in self.x):
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, x):
+        """The point with rational coordinates ``x``."""
+        self._set(*_common_denominator(x))
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "SimplexPoint":
+        point = cls.__new__(cls)
+        point._set(nums, den)
+        return point
+
+    def _set(self, nums, den: int) -> None:
+        if any(a < 0 for a in nums):
             raise SimplexError("simplex coordinates must be nonnegative")
-        if self.x and sum(self.x) != 1:
-            raise SimplexError(f"coordinates must sum to 1, got {sum(self.x)}")
+        total = sum(nums)
+        if nums and total != den:
+            raise SimplexError(f"coordinates must sum to 1, got {Fraction(total, den)}")
+        # No tuple is built from a generator or a star-argument list here:
+        # CPython allocates those outside its tuple free list but frees them
+        # into it, so over many calls the free list fills with n-tuples.
+        k = reduce(gcd, nums, den)
+        object.__setattr__(self, "nums", tuple([a // k for a in nums]))
+        object.__setattr__(self, "den", den // k)
+
+    @cached_property
+    def x(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(a, self.den) for a in self.nums])
 
     @property
     def n(self) -> int:
-        return len(self.x)
+        return len(self.nums)
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(v for v, val in enumerate(self.x) if val > 0)
+        return frozenset(v for v, a in enumerate(self.nums) if a)
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for v, val in enumerate(self.x):
-            if val > 0:
-                mask |= 1 << v
-        return mask
+        return _support_mask(self.nums)
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexPoint":
         if n < 1:
             raise SimplexError("uniform point needs n >= 1")
-        return cls((Fraction(1, n),) * n)
+        return cls._from_ints([1] * n, n)
 
     @classmethod
     def concentrated(cls, n: int, v: int) -> "SimplexPoint":
         if not 0 <= v < n:
             raise SimplexError(f"vertex {v} out of range for n={n}")
-        return cls(tuple(Fraction(1) if u == v else Fraction(0) for u in range(n)))
+        return cls._from_ints([int(u == v) for u in range(n)], 1)
 
     @classmethod
     def from_weights(cls, weights) -> "SimplexPoint":
-        weights = [Fraction(w) for w in weights]
-        total = sum(weights)
+        """The point proportional to nonnegative rational ``weights``."""
+        nums, _ = _common_denominator(weights)
+        total = sum(nums)
         if total <= 0:
             raise SimplexError("weights must have positive sum")
-        return cls(tuple(w / total for w in weights))
+        return cls._from_ints(nums, total)
 
     @classmethod
     def random_point(cls, n: int, rng: random.Random) -> "SimplexPoint":
         """Random interior point: positive integer weights, normalized."""
-        return cls.from_weights([rng.randrange(1, 1000) for _ in range(n)])
+        if n < 1:
+            raise SimplexError("random point needs n >= 1")
+        weights = _random_weights(n, rng)
+        return cls._from_ints(weights, sum(weights))
+
+
+def _support_mask(nums) -> int:
+    mask = 0
+    for v, a in enumerate(nums):
+        if a:
+            mask |= 1 << v
+    return mask
+
+
+def _random_weights(n: int, rng: random.Random) -> list[int]:
+    return [rng.randrange(1, 1000) for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -84,22 +141,32 @@ class PhiEvaluation:
     phi: Fraction
 
 
-def eval_phi(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint) -> PhiEvaluation:
-    """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
+def _check(g: Graph, t: int, profile: CliqueProfile, n: int) -> None:
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    if x.n != g.n:
-        raise SimplexError(f"point dimension {x.n} does not match graph order {g.n}")
-    a = sum(
-        (x.x[v] * clique_density_term(profile.c[v], t) for v in range(g.n)),
-        Fraction(0),
-    )
-    b = clique_weight_sum(g, x.support_mask, t, x.x)
+    if len(profile.c) != g.n:
+        raise ValueError("profile length does not match graph order")
+    if n != g.n:
+        raise SimplexError(f"point dimension {n} does not match graph order {g.n}")
+
+
+def _phi(g: Graph, t: int, profile: CliqueProfile, terms: dict[int, Fraction],
+         nums, den: int, work: _Work) -> PhiEvaluation:
+    """(A, B, phi) at the point nums / den."""
+    a = density_sum(terms, profile.c, nums) / den
+    b = Fraction(_weight_rec(g.adjacency, _support_mask(nums), t, nums, work), den**t)
     return PhiEvaluation(a, b, a - b)
 
 
+def eval_phi(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
+             budget: int | None = None) -> PhiEvaluation:
+    """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
+    _check(g, t, profile, x.n)
+    return _phi(g, t, profile, density_terms(profile.c, t), x.nums, x.den, _Work(budget))
+
+
 def delta_ij(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
-             i: int, j: int) -> Fraction:
+             i: int, j: int, budget: int | None = None) -> Fraction:
     """Exact rate of change of phi per unit mass moved from j to i.
 
     Antisymmetric in (i, j). Equals the phi difference of a transfer only
@@ -107,11 +174,12 @@ def delta_ij(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
     """
     if i == j:
         raise ValueError("delta requires two distinct vertices")
+    _check(g, t, profile, x.n)
     a_part = clique_density_term(profile.c[i], t) - clique_density_term(profile.c[j], t)
-    support = x.support_mask
-    b_i = clique_weight_sum(g, g.adjacency[i] & support, t - 1, x.x)
-    b_j = clique_weight_sum(g, g.adjacency[j] & support, t - 1, x.x)
-    return a_part - (b_i - b_j)
+    adj, support, work = g.adjacency, x.support_mask, _Work(budget)
+    s_i = _weight_rec(adj, adj[i] & support, t - 1, x.nums, work)
+    s_j = _weight_rec(adj, adj[j] & support, t - 1, x.nums, work)
+    return a_part - Fraction(s_i - s_j, x.den ** (t - 1))
 
 
 def transfer(x: SimplexPoint, i: int, j: int, epsilon: Fraction) -> SimplexPoint:
@@ -119,14 +187,17 @@ def transfer(x: SimplexPoint, i: int, j: int, epsilon: Fraction) -> SimplexPoint
     epsilon = Fraction(epsilon)
     if i == j:
         raise SimplexError("transfer requires two distinct coordinates")
-    if not 0 <= epsilon <= x.x[j]:
+    p, q = epsilon.numerator, epsilon.denominator
+    if not 0 <= p * x.den <= x.nums[j] * q:
         raise SimplexError(
             f"transfer amount {epsilon} outside [0, x_j] = [0, {x.x[j]}]"
         )
-    coords = list(x.x)
-    coords[i] += epsilon
-    coords[j] -= epsilon
-    return SimplexPoint(tuple(coords))
+    den = lcm(x.den, q)
+    nums = [a * (den // x.den) for a in x.nums]
+    moved = p * (den // q)
+    nums[i] += moved
+    nums[j] -= moved
+    return SimplexPoint._from_ints(nums, den)
 
 
 @dataclass(frozen=True)
@@ -161,50 +232,72 @@ def _rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _first_nonadjacent_pair(g: Graph, support_mask: int):
-    verts = list(bits(support_mask))
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if not g.has_edge(verts[a], verts[b]):
-                return verts[a], verts[b]
+def _first_nonadjacent_pair(adj, support: int, a: int, b: int):
+    """First non-adjacent pair (u, w), u < w, of ``support`` at or after
+    (a, b) in lexicographic order, or None."""
+    rest = support >> a << a
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        rest ^= low
+        far = rest & ~adj[u]
+        if u == a:
+            far &= -1 << b
+        if far:
+            return u, (far & -far).bit_length() - 1
     return None
 
 
 def descend_to_clique_support(g: Graph, t: int, profile: CliqueProfile,
-                              x0: SimplexPoint) -> DescentTrace:
+                              x0: SimplexPoint, budget: int | None = None) -> DescentTrace:
     """Shrink the support by full transfers until it induces a clique.
 
-    Each round scans support pairs lexicographically, takes the first
-    non-adjacent pair (i, j), and moves the donor's entire mass in the
-    orientation whose delta is <= 0, so phi never increases and the support
-    loses exactly one vertex per step. Ties (delta = 0) send mass to the
-    lower-indexed vertex.
+    Each round takes the lexicographically first non-adjacent support pair
+    (i, j) and moves the donor's entire mass in the orientation whose delta
+    is <= 0, so phi never increases and the support loses exactly one vertex
+    per step. Ties (delta = 0) send mass to the lower-indexed vertex.
+
+    A transfer only removes pairs, so every support pair before (i, j) stays
+    adjacent and the scan resumes after (i, j). The (t-1)-clique sum s_v over
+    N(v) changes only for v in N(i) | N(j), so only those are recomputed, and
+    only when a later pair needs them.
     """
-    if t < 2:
-        raise ValueError(f"clique order t must be >= 2, got {t}")
-    x = x0
-    phi = eval_phi(g, t, profile, x).phi
+    _check(g, t, profile, x0.n)
+    work = _Work(budget)
+    terms = density_terms(profile.c, t)
+    adj, c = g.adjacency, profile.c
+    nums, den = list(x0.nums), x0.den
+    scale = den ** (t - 1)
+    support = x0.support_mask
+    phi = _phi(g, t, profile, terms, nums, den, work).phi
+    s = [0] * g.n
+    fresh = 0  # vertices whose s_v is current
     steps = []
-    while True:
-        pair = _first_nonadjacent_pair(g, x.support_mask)
-        if pair is None:
-            break
+    pair = _first_nonadjacent_pair(adj, support, 0, 0)
+    while pair is not None:
         i, j = pair
-        d = delta_ij(g, t, profile, x, i, j)
+        for v in pair:
+            if not fresh >> v & 1:
+                s[v] = _weight_rec(adj, adj[v] & support, t - 1, nums, work)
+                fresh |= 1 << v
+        d = terms[c[i]] - terms[c[j]] - Fraction(s[i] - s[j], scale)
         if d <= 0:
             recv, donor, rate = i, j, d
         else:
             recv, donor, rate = j, i, -d
-        eps = x.x[donor]
-        x = transfer(x, recv, donor, eps)
+        eps = Fraction(nums[donor], den)
+        nums[recv] += nums[donor]
+        nums[donor] = 0
+        support ^= 1 << donor
+        fresh &= ~(adj[recv] | adj[donor])
         phi = phi + eps * rate
         steps.append(TransferStep(i=recv, j=donor, epsilon=eps,
                                   delta_ij=rate, phi_after=phi))
-    support = x.support_mask
+        pair = _first_nonadjacent_pair(adj, support, i, j + 1)
     return DescentTrace(
         start=x0,
         steps=tuple(steps),
-        end=x,
+        end=SimplexPoint._from_ints(nums, den),
         end_support_is_clique=g.induces_clique(support),
         omega_end=support.bit_count(),
     )
@@ -222,35 +315,53 @@ class NonnegativityReport:
     points_checked: int
 
 
+def _sample_weights(n: int, samples: int, rng: random.Random):
+    """Integer weights and their sum for the uniform point, each
+    vertex-concentrated point and ``samples`` random interior points."""
+    yield [1] * n, n
+    for v in range(n):
+        weights = [0] * n
+        weights[v] = 1
+        yield weights, 1
+    for _ in range(samples):
+        weights = _random_weights(n, rng)
+        yield weights, sum(weights)
+
+
 def verify_nonnegativity(g: Graph, t: int, profile: CliqueProfile,
-                         samples: int, seed: int) -> NonnegativityReport:
+                         samples: int, seed: int,
+                         budget: int | None = None) -> NonnegativityReport:
     """Minimum of phi over the uniform point, all vertex-concentrated points,
     and ``samples`` seeded random interior points. Raises if any value is
-    negative (that would falsify the inequality, i.e. expose a bug)."""
+    negative (that would falsify the inequality, i.e. expose a bug). The
+    budget caps the clique work of the whole call.
+
+    The samples stay integer weights; only the minimizer becomes a
+    SimplexPoint."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if g.n == 0:
         raise ValueError("nonnegativity check needs n >= 1")
-    rng = random.Random(seed)
-    points = [SimplexPoint.uniform(g.n)]
-    points.extend(SimplexPoint.concentrated(g.n, v) for v in range(g.n))
-    points.extend(SimplexPoint.random_point(g.n, rng) for _ in range(samples))
+    _check(g, t, profile, g.n)
+    work = _Work(budget)
+    terms = density_terms(profile.c, t)
     phi_uniform = None
     best = None
-    argmin = None
-    for p in points:
-        phi = eval_phi(g, t, profile, p).phi
+    best_weights = None
+    for nums, den in _sample_weights(g.n, samples, random.Random(seed)):
+        phi = _phi(g, t, profile, terms, nums, den, work).phi
         if phi_uniform is None:
             phi_uniform = phi
         if best is None or phi < best:
-            best, argmin = phi, p
+            best, best_weights = phi, (nums, den)
+    argmin = SimplexPoint._from_ints(*best_weights)
     if best < 0:
         raise PhiNegativityError(
             f"phi({argmin.x}) = {best} < 0 on a graph where it must be >= 0"
         )
     return NonnegativityReport(
         min_phi=best, argmin=argmin, phi_uniform=phi_uniform,
-        points_checked=len(points),
+        points_checked=1 + g.n + samples,
     )
 
 

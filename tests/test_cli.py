@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,42 @@ def test_phi_strict_exit(tmp_path, capsys):
     assert "phi_uniform = 1/20" in out
     assert "step=" in out
     assert "strict" in err
+
+
+def test_phi_budget_reaches_sampling(tmp_path, capsys):
+    # 100 nodes cover the c(v) pass (43) but not the sampled phi values (195).
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
+                         "--t", "3", "--samples", "20", "--budget", "100")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_analyze_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
+    import cliquebound.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "is_regular_complete_multipartite", lambda g: None)
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tightness flag True contradicts certificate None" in err
+
+
+def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
+    import cliquebound.simplex as simplex_mod
+
+    # Zero A-terms leave phi = -B, negative wherever the support holds a triangle.
+    monkeypatch.setattr(simplex_mod, "density_terms",
+                        lambda orders, t: dict.fromkeys(orders, Fraction(0)))
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"), "--t", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "< 0 on a graph where it must be >= 0" in err
 
 
 def test_phi_single_vertex(tmp_path, capsys):

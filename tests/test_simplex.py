@@ -1,14 +1,16 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from cliquebound.bounds import clique_density_term
-from cliquebound.cliques import vertex_clique_numbers
+from cliquebound.cliques import BudgetExceeded, vertex_clique_numbers
 from cliquebound.corpus import empty_graph
+from cliquebound.graph import Graph
 from cliquebound.simplex import (
     SimplexPoint,
     SimplexError,
@@ -19,7 +21,7 @@ from cliquebound.simplex import (
     transfer,
     verify_nonnegativity,
 )
-from strategies import graph_and_point
+from strategies import graph_and_point, graphs
 
 
 def reference_phi(g, t, profile, x):
@@ -34,6 +36,44 @@ def reference_phi(g, t, profile, x):
                 prod *= x.x[v]
             b += prod
     return a, b
+
+
+def naive_descent(g, t, profile, x0):
+    """Reference descent: rescan every support pair each round and take phi,
+    and delta from the phi difference of a full transfer, from reference_phi."""
+
+    def phi(coords):
+        a, b = reference_phi(g, t, profile, SimpleNamespace(x=tuple(coords)))
+        return a - b
+
+    coords = list(x0.x)
+    steps = []
+    while True:
+        support = [v for v in range(g.n) if coords[v] > 0]
+        pairs = [(i, j) for i, j in combinations(support, 2) if not g.has_edge(i, j)]
+        if not pairs:
+            return steps, tuple(coords)
+        i, j = pairs[0]
+        moved = list(coords)
+        moved[i] += moved[j]
+        moved[j] = 0
+        d = (phi(moved) - phi(coords)) / coords[j]
+        recv, donor, rate = (i, j, d) if d <= 0 else (j, i, -d)
+        eps = coords[donor]
+        coords[recv] += eps
+        coords[donor] = 0
+        steps.append((recv, donor, eps, rate, phi(coords)))
+
+
+@st.composite
+def graph_and_sparse_point(draw):
+    """A graph and a point with many zero coordinates."""
+    g = draw(graphs(min_n=1))
+    weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 7, 50]),
+                            min_size=g.n, max_size=g.n))
+    if not any(weights):
+        weights[draw(st.integers(min_value=0, max_value=g.n - 1))] = 1
+    return g, SimplexPoint.from_weights(weights)
 
 
 class TestSimplexPoint:
@@ -53,6 +93,32 @@ class TestSimplexPoint:
     def test_uniform_and_concentrated(self):
         assert SimplexPoint.uniform(4).x == (Fraction(1, 4),) * 4
         assert SimplexPoint.concentrated(3, 1).support == {1}
+
+    @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12),
+                    min_size=2, max_size=6),
+           st.data())
+    def test_equal_coordinates_equal_points(self, weights, data):
+        assume(sum(weights) > 0)
+        coords = tuple(w / sum(weights) for w in weights)
+        p = SimplexPoint(coords)
+        q = SimplexPoint.from_weights(weights)
+        assert p == q and hash(p) == hash(q) and p.x == q.x == coords
+        assert gcd(p.den, *p.nums) == 1
+        n = len(coords)
+        for _ in range(3):
+            i = data.draw(st.integers(min_value=0, max_value=n - 1))
+            j = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda v: v != i))
+            eps = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=30)) * coords[j]
+            moved = list(coords)
+            moved[i] += eps
+            moved[j] -= eps
+            p2 = transfer(p, i, j, eps)
+            fresh = SimplexPoint(tuple(moved))
+            assert p2 == fresh and hash(p2) == hash(fresh) and p2.x == tuple(moved)
+            assert gcd(p2.den, *p2.nums) == 1
+            back = transfer(p2, j, i, eps)
+            assert back == p and hash(back) == hash(p)
+            p, coords = p2, tuple(moved)
 
 
 class TestEvalPhi:
@@ -185,6 +251,21 @@ class TestDescent:
             phi = fresh
         assert x == trace.end
 
+    @given(graph_and_sparse_point(), st.integers(min_value=2, max_value=5))
+    @settings(max_examples=100)
+    # Vertex 3's (t-1)-clique sum is read at steps 0 and 1, changes at step 2
+    # when its neighbour 2 donates, and is read again at step 3.
+    @example((Graph.from_edges(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3),
+                                   (2, 5), (2, 6), (3, 5), (3, 6), (5, 6)]),
+              SimplexPoint.from_weights([1, 1, 50, 3, 2, 2, 7])), 3)
+    def test_matches_naive_descent(self, gp, t):
+        g, x0 = gp
+        profile = vertex_clique_numbers(g)
+        trace = descend_to_clique_support(g, t, profile, x0)
+        steps, end = naive_descent(g, t, profile, x0)
+        assert [(s.i, s.j, s.epsilon, s.delta_ij, s.phi_after) for s in trace.steps] == steps
+        assert trace.end == SimplexPoint(end) and trace.end.x == end
+
     @given(graph_and_point(min_n=1), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60)
     def test_clique_support_floor(self, gp, t):
@@ -222,6 +303,26 @@ class TestNonnegativity:
     def test_rejects_zero_samples(self, c5):
         with pytest.raises(ValueError):
             verify_nonnegativity(c5, 2, vertex_clique_numbers(c5), samples=0, seed=1)
+
+    def test_budget_caps_whole_call(self, octa):
+        # No single evaluation needs 100 nodes, but the 27 of the call do.
+        p = vertex_clique_numbers(octa)
+        for v in range(octa.n):
+            eval_phi(octa, 3, p, SimplexPoint.concentrated(octa.n, v), budget=100)
+        eval_phi(octa, 3, p, SimplexPoint.uniform(octa.n), budget=100)
+        with pytest.raises(BudgetExceeded):
+            verify_nonnegativity(octa, 3, p, samples=20, seed=1, budget=100)
+
+
+def test_budget_reaches_simplex_work(c5):
+    p = vertex_clique_numbers(c5)
+    x = SimplexPoint.uniform(5)
+    with pytest.raises(BudgetExceeded):
+        eval_phi(c5, 2, p, x, budget=1)
+    with pytest.raises(BudgetExceeded):
+        delta_ij(c5, 2, p, x, 0, 2, budget=1)
+    with pytest.raises(BudgetExceeded):
+        descend_to_clique_support(c5, 2, p, x, budget=1)
 
 
 class TestMinimizerStructure:
