@@ -8,7 +8,7 @@ Example:
 import argparse
 from fractions import Fraction
 
-from cliquebound.bounds import bound_report
+from cliquebound.bounds import bound_reports
 from cliquebound.corpus import seeded_random_corpus
 
 
@@ -30,8 +30,7 @@ def main():
     tight = 0
     records = 0
     for name, g in corpus:
-        for t in range(args.t, args.t_max + 1):
-            rep = bound_report(g, t)
+        for rep in bound_reports(g, range(args.t, args.t_max + 1)):
             records += 1
             tight += rep.is_tight
             if rep.localized_zykov > 0:
@@ -39,7 +38,7 @@ def main():
                 gap_s = f"{float(gap):7.2f}"
             else:
                 gap_s = "      -"
-            print(f"{name:38s} {t:2d} {rep.true_count:6d} "
+            print(f"{name:38s} {rep.t:2d} {rep.true_count:6d} "
                   f"{float(rep.localized_zykov):12.3f} "
                   f"{float(rep.zykov_classical):12.3f} {gap_s}")
     print(f"\n{records} records, {tight} tight, {records - tight} strict")

@@ -13,17 +13,16 @@ from itertools import repeat
 from math import comb
 from typing import Iterable, Sequence
 
-from .cliques import (
-    CliqueProfile,
-    count_cliques,
-    largest_clique_orders,
-    vertex_clique_numbers,
-)
+from .cliques import CliqueIndex, CliqueProfile
 from .graph import Graph, PartSpec
 
 
 class TightnessInvariantError(AssertionError):
-    """Tightness flag disagrees with the structural certificate."""
+    """Tightness flag disagrees with the structural certificate at order t."""
+
+    def __init__(self, message: str, t: int):
+        super().__init__(message)
+        self.t = t
 
 
 def clique_density_term(c: int, t: int) -> Fraction:
@@ -81,18 +80,23 @@ def turan_bound(n: int, r: int) -> Fraction:
     return Fraction(n * n * (r - 1), 2 * r)
 
 
-def _order_histogram(g: Graph, t: int, budget: int | None) -> Counter:
+def _order_histogram(index: CliqueIndex, t: int) -> Counter:
     """Number of t-cliques per largest-containing-clique order."""
-    return Counter(largest_clique_orders(g, t, budget=budget).values())
+    return Counter(index.orders(t).values())
+
+
+def _edge_sum(histogram: Counter) -> Fraction:
+    return sum((Fraction(k * w, w - 1) for w, k in histogram.items()), Fraction(0))
+
+
+def _kirsch_nir_sum(histogram: Counter, t: int) -> Fraction:
+    return sum((Fraction(k * a**t, comb(a, t)) for a, k in histogram.items()), Fraction(0))
 
 
 def edge_localized_turan_sum(g: Graph, budget: int | None = None) -> Fraction:
     """sum_e w(e) / (w(e) - 1), w(e) the order of the largest clique
     containing e; always at most n^2 / 2."""
-    return sum(
-        (Fraction(k * w, w - 1) for w, k in _order_histogram(g, 2, budget).items()),
-        Fraction(0),
-    )
+    return _edge_sum(_order_histogram(CliqueIndex(g, budget), 2))
 
 
 def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
@@ -107,10 +111,7 @@ def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
     of the largest clique containing T; at most n^t."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    return sum(
-        (Fraction(k * a**t, comb(a, t)) for a, k in _order_histogram(g, t, budget).items()),
-        Fraction(0),
-    )
+    return _kirsch_nir_sum(_order_histogram(CliqueIndex(g, budget), t), t)
 
 
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
@@ -160,6 +161,61 @@ class BoundReport:
     extremal_certificate: PartSpec | None
 
 
+def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> list[BoundReport]:
+    """``bound_report`` for each t of ``ts``, in order, from one clique index.
+
+    One maximal-clique pass serves every t. The profile, the certificate,
+    the edge sum and the floored vertex bound do not depend on t and are
+    computed once; each t adds its clique count and one order histogram. The
+    budget caps the total work of all of them together.
+    """
+    ts = list(ts)
+    for t in ts:
+        if t < 2:
+            raise ValueError(f"clique order t must be >= 2, got {t}")
+    if g.n == 0:
+        return [BoundReport(
+            t=t, n=0, m=0, omega=0, true_count=0,
+            localized_zykov=Fraction(0), zykov_classical=Fraction(0),
+            turan=Fraction(0) if t == 2 else None,
+            edge_localized_sum=Fraction(0), vertex_localized_turan=0,
+            kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
+        ) for t in ts]
+    index = CliqueIndex(g, budget)
+    profile = index.profile()
+    certificate = is_regular_complete_multipartite(g)
+    edge_histogram = _order_histogram(index, 2)
+    edge_sum = _edge_sum(edge_histogram)
+    vertex_turan = vertex_localized_turan_bound(g, profile)
+    reports = []
+    for t in ts:
+        true_count = index.count(t)
+        localized = localized_zykov_bound(g, t, profile)
+        tight = Fraction(true_count) == localized
+        if t <= profile.omega and tight != (certificate is not None):
+            raise TightnessInvariantError(
+                f"tightness flag {tight} contradicts certificate {certificate} "
+                f"for t={t}, omega={profile.omega}", t
+            )
+        histogram = edge_histogram if t == 2 else _order_histogram(index, t)
+        reports.append(BoundReport(
+            t=t,
+            n=g.n,
+            m=g.m,
+            omega=profile.omega,
+            true_count=true_count,
+            localized_zykov=localized,
+            zykov_classical=zykov_bound(g.n, profile.omega, t),
+            turan=turan_bound(g.n, profile.omega) if t == 2 else None,
+            edge_localized_sum=edge_sum,
+            vertex_localized_turan=vertex_turan,
+            kirsch_nir_sum=_kirsch_nir_sum(histogram, t),
+            is_tight=tight,
+            extremal_certificate=certificate,
+        ))
+    return reports
+
+
 def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
     """Evaluate every bound exactly and certify the equality case.
 
@@ -168,38 +224,4 @@ def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
     the localized bound can vanish, so tightness there is vacuous and not
     cross-checked.
     """
-    if t < 2:
-        raise ValueError(f"clique order t must be >= 2, got {t}")
-    if g.n == 0:
-        return BoundReport(
-            t=t, n=0, m=0, omega=0, true_count=0,
-            localized_zykov=Fraction(0), zykov_classical=Fraction(0),
-            turan=Fraction(0) if t == 2 else None,
-            edge_localized_sum=Fraction(0), vertex_localized_turan=0,
-            kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
-        )
-    profile = vertex_clique_numbers(g, budget=budget)
-    true_count = count_cliques(g, t, budget=budget)
-    localized = localized_zykov_bound(g, t, profile)
-    certificate = is_regular_complete_multipartite(g)
-    tight = Fraction(true_count) == localized
-    if t <= profile.omega and tight != (certificate is not None):
-        raise TightnessInvariantError(
-            f"tightness flag {tight} contradicts certificate {certificate} "
-            f"for t={t}, omega={profile.omega}"
-        )
-    return BoundReport(
-        t=t,
-        n=g.n,
-        m=g.m,
-        omega=profile.omega,
-        true_count=true_count,
-        localized_zykov=localized,
-        zykov_classical=zykov_bound(g.n, profile.omega, t),
-        turan=turan_bound(g.n, profile.omega) if t == 2 else None,
-        edge_localized_sum=edge_localized_turan_sum(g, budget=budget),
-        vertex_localized_turan=vertex_localized_turan_bound(g, profile),
-        kirsch_nir_sum=kirsch_nir_sum(g, t, budget=budget),
-        is_tight=tight,
-        extremal_certificate=certificate,
-    )
+    return bound_reports(g, [t], budget=budget)[0]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import TightnessInvariantError, bound_report
+from .bounds import BoundReport, TightnessInvariantError, bound_report, bound_reports
 from .cliques import (
     BudgetExceeded,
     count_cliques,
@@ -125,8 +125,7 @@ def collect_inputs(paths) -> list[Path]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _report_record(path: Path, g: Graph, g_hash: str, t: int, budget: int | None) -> dict:
-    rep = bound_report(g, t, budget=budget)
+def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
     cert = list(rep.extremal_certificate.sizes) if rep.extremal_certificate else None
     return {
         "file": str(path),
@@ -154,6 +153,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if not paths:
         print("no inputs", file=sys.stderr)
         return EXIT_USAGE
+    ts = range(config.t_min, config.t_max + 1)
     records = []
     failures = 0
     budget_hit = False
@@ -165,15 +165,16 @@ def cmd_analyze(config: RunConfig) -> int:
             failures += 1
             continue
         g_hash = graph_hash(g)
-        for t in range(config.t_min, config.t_max + 1):
-            try:
-                records.append(_report_record(path, g, g_hash, t, config.budget))
-            except BudgetExceeded as exc:
-                records.append({"file": str(path), "t": t, "error": str(exc)})
-                budget_hit = True
-            except TightnessInvariantError as exc:
-                print(f"error: {path}: t={t}: {exc}", file=sys.stderr)
-                return EXIT_FAILURE
+        try:
+            reports = bound_reports(g, ts, budget=config.budget)
+        except BudgetExceeded as exc:
+            records.extend({"file": str(path), "t": t, "error": str(exc)} for t in ts)
+            budget_hit = True
+            continue
+        except TightnessInvariantError as exc:
+            print(f"error: {path}: t={exc.t}: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
+        records.extend(_report_record(path, g_hash, rep) for rep in reports)
     if failures == len(paths):
         return EXIT_USAGE
 
@@ -186,6 +187,8 @@ def cmd_analyze(config: RunConfig) -> int:
     tight = sum(1 for r in ok if r["tight"])
     print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, "
           f"{tight} tight, {len(ok) - tight} strict", file=sys.stderr)
+    if failures:
+        return EXIT_USAGE
     if budget_hit:
         return EXIT_BUDGET
     return EXIT_OK
@@ -310,11 +313,11 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
         oracle_profile = brute_vertex_clique_numbers(g)
         yield (f"profile_oracle[{name}]", profile == oracle_profile,
                f"{profile} vs {oracle_profile}")
-        for t in (2, 3, 4):
+        reports = {t: bound_report(g, t, budget=budget) for t in (2, 3, 4)}
+        for t, rep in reports.items():
             fast = count_cliques(g, t, budget=budget)
             brute = brute_count_cliques(g, t)
             yield (f"count_oracle[{name},t={t}]", fast == brute, f"{fast} vs {brute}")
-            rep = bound_report(g, t, budget=budget)
             yield (f"soundness[{name},t={t}]",
                    Fraction(rep.true_count) <= rep.localized_zykov <= rep.zykov_classical,
                    f"N={rep.true_count}, local={rep.localized_zykov}, "
@@ -330,7 +333,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
             yield (f"alpha_oracle[{name},t={t}]",
                    not wrong and len(orders) == brute_count_cliques(g, t),
                    f"{len(orders)} copies, mismatched {wrong}")
-        rep2 = bound_report(g, 2, budget=budget)
+        rep2 = reports[2]
         yield (f"t2_recovery[{name}]",
                Fraction(rep2.vertex_localized_turan) <= rep2.localized_zykov
                and rep2.localized_zykov - rep2.vertex_localized_turan < 1,
@@ -380,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format": dict(choices=["json", "csv"], default="json"),
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=100),
-        "--budget": dict(type=int, default=None, help="max clique-recursion nodes"),
+        "--budget": dict(type=int, default=None,
+                         help="max clique work, in recursion nodes plus t-subset "
+                              "visits: per graph for analyze, per call otherwise"),
         "--out": dict(type=Path, default=None),
     }
 

@@ -3,10 +3,11 @@ adjacency.
 
 Counting uses ordered recursive expansion (each clique enumerated once, in
 increasing vertex order). Maximal-clique enumeration uses Bron-Kerbosch with
-pivoting under a degeneracy vertex ordering; one pass gives the order of the
-largest clique containing each t-clique, hence c(v), w(e) and alpha(T). Both
-honor an optional work budget measured in recursion nodes (plus t-subset
-visits for the orders).
+pivoting under a degeneracy vertex ordering. A ``CliqueIndex`` keeps the list
+of one pass, and reads off it the order of the largest clique containing each
+t-clique, for any t: c(v), w(e) and alpha(T). Both honor an optional work
+budget measured in recursion nodes (plus t-subset visits for the orders); an
+index's one budget covers everything read off it.
 """
 
 from __future__ import annotations
@@ -73,13 +74,16 @@ def _count_rec(adj: Sequence[int], cand: int, r: int, work: _Work) -> int:
 
 def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
     """Exact number of t-vertex cliques in g."""
+    return _count(g, t, _Work(budget))
+
+
+def _count(g: Graph, t: int, work: _Work) -> int:
     if t < 1:
         raise ValueError(f"clique order must be >= 1, got {t}")
     if t == 1:
         return g.n
     if t > g.n:
         return 0
-    work = _Work(budget)
     return _count_rec(g.adjacency, g.full_mask, t, work)
 
 
@@ -175,29 +179,77 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> Iterator[int
         x |= bit
 
 
+class CliqueIndex:
+    """The maximal cliques of one graph, largest first, and one work meter
+    shared by everything read off this index.
+
+    One Bron-Kerbosch pass builds the list; each clique is kept as the list
+    of its vertices' one-bit masks, which all cliques share, so a clique
+    costs one list and no new integers. The c(v) profile, the
+    largest-containing-clique order of every t-clique for any t, and the
+    clique counts are then read without a second pass. The budget caps the
+    total work of the index: the pass's recursion nodes, the t-subset visits
+    of every ``orders`` call and the recursion nodes of every ``count`` call.
+    """
+
+    __slots__ = ("graph", "work", "cliques")
+
+    def __init__(self, g: Graph, budget: int | None = None):
+        self.graph = g
+        self.work = _Work(budget)
+        vertex_bits = [1 << v for v in range(g.n)]
+        self.cliques = sorted(
+            ([vertex_bits[v] for v in bits(clique)]
+             for clique in _maximal_cliques(g.adjacency, g.full_mask, self.work)),
+            key=len, reverse=True)
+
+    def profile(self) -> CliqueProfile:
+        """c(v) for every vertex: the first clique of the list that holds v is
+        a largest one. Isolated vertices are maximal 1-cliques, so c(v) = 1."""
+        c = [0] * self.graph.n
+        unseen = self.graph.full_mask
+        for clique in self.cliques:
+            for bit in clique:
+                if unseen & bit:
+                    unseen ^= bit
+                    c[bit.bit_length() - 1] = len(clique)
+            if not unseen:
+                break
+        return CliqueProfile(tuple(c), len(self.cliques[0]) if self.cliques else 0)
+
+    def orders(self, t: int) -> dict[int, int]:
+        """Order of the largest clique containing T, for every t-clique T.
+
+        Keys are the vertex bitmasks of the t-cliques. The first maximal
+        clique of the list that holds T is a largest one, so it sets the value.
+        """
+        if t < 1:
+            raise ValueError(f"clique order must be >= 1, got {t}")
+        orders: dict[int, int] = {}
+        for clique in self.cliques:
+            size = len(clique)
+            if size < t:
+                break
+            self.work.tick(comb(size, t))
+            # The bits of a subset are disjoint, so their sum is its mask.
+            for sub in map(sum, combinations(clique, t)):
+                orders.setdefault(sub, size)
+        return orders
+
+    def count(self, t: int) -> int:
+        """Exact number of t-vertex cliques, by ordered expansion (independent
+        of the maximal-clique list)."""
+        return _count(self.graph, t, self.work)
+
+
 def largest_clique_orders(g: Graph, t: int, budget: int | None = None) -> dict[int, int]:
     """Order of the largest clique containing T, for every t-clique T of g.
 
-    Keys are the vertex bitmasks of the t-cliques. One Bron-Kerbosch pass
-    lists the maximal cliques, and each maximal clique Q raises every t-subset
-    of Q to |Q|. With t = 1 the values are c(v), with t = 2 the edge weights
-    w(e), and in general alpha(T). The budget counts recursion nodes plus
-    t-subset visits.
+    Keys are the vertex bitmasks of the t-cliques. With t = 1 the values are
+    c(v), with t = 2 the edge weights w(e), and in general alpha(T). The
+    budget counts recursion nodes plus t-subset visits.
     """
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    work = _Work(budget)
-    orders: dict[int, int] = {}
-    for clique in _maximal_cliques(g.adjacency, g.full_mask, work):
-        size = clique.bit_count()
-        if size < t:
-            continue
-        work.tick(comb(size, t))
-        # The bits of a subset are disjoint, so their sum is its mask.
-        for sub in map(sum, combinations([1 << v for v in bits(clique)], t)):
-            if orders.get(sub, 0) < size:
-                orders[sub] = size
-    return orders
+    return CliqueIndex(g, budget).orders(t)
 
 
 def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
@@ -205,8 +257,4 @@ def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
 
     Isolated vertices get c(v) = 1 (their only clique is the singleton).
     """
-    if g.n == 0:
-        return CliqueProfile((), 0)
-    orders = largest_clique_orders(g, 1, budget=budget)
-    c = tuple([orders[1 << v] for v in range(g.n)])
-    return CliqueProfile(c, max(c))
+    return CliqueIndex(g, budget).profile()

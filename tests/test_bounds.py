@@ -1,12 +1,15 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from cliquebound.bounds import (
+    BoundReport,
     bound_report,
+    bound_reports,
     complete_multipartite_parts,
     edge_localized_turan_sum,
     is_regular_complete_multipartite,
@@ -19,6 +22,11 @@ from cliquebound.bounds import (
 from cliquebound.cliques import count_cliques, vertex_clique_numbers
 from cliquebound.corpus import complete_graph, empty_graph, star_graph
 from cliquebound.graph import Graph, generate_complete_multipartite
+from cliquebound.oracles import (
+    brute_count_cliques,
+    brute_kirsch_nir_alpha,
+    brute_vertex_clique_numbers,
+)
 from strategies import graphs
 
 
@@ -218,6 +226,51 @@ class TestBoundReport:
     def test_edge_localized_equality_on_regular_multipartite(self, sizes):
         g = generate_complete_multipartite(sizes)
         assert edge_localized_turan_sum(g) == Fraction(g.n**2, 2)
+
+
+def brute_reports(g: Graph, ts) -> list[BoundReport]:
+    """Every report value from the brute-force oracles and the formulas."""
+    n, profile = g.n, brute_vertex_clique_numbers(g)
+    omega = profile.omega
+
+    def alphas(t):
+        return [brute_kirsch_nir_alpha(g, copy) for copy in combinations(range(n), t)
+                if all(g.has_edge(u, v) for u, v in combinations(copy, 2))]
+
+    edge_sum = sum((Fraction(w, w - 1) for w in alphas(2)), Fraction(0))
+    vertex_turan = Fraction(n, 2) * sum((Fraction(c - 1, c) for c in profile.c), Fraction(0))
+    turan = Fraction(n * n * (omega - 1), 2 * omega) if n else Fraction(0)
+    reports = []
+    for t in ts:
+        count = brute_count_cliques(g, t)
+        localized = n ** (t - 1) * sum((Fraction(comb(c, t), c**t) for c in profile.c),
+                                       Fraction(0))
+        reports.append(BoundReport(
+            t=t, n=n, m=g.m, omega=omega, true_count=count,
+            localized_zykov=localized,
+            zykov_classical=comb(omega, t) * Fraction(n, omega) ** t if n else Fraction(0),
+            turan=turan if t == 2 else None,
+            edge_localized_sum=edge_sum,
+            vertex_localized_turan=vertex_turan.numerator // vertex_turan.denominator,
+            kirsch_nir_sum=sum((Fraction(a**t, comb(a, t)) for a in alphas(t)), Fraction(0)),
+            is_tight=count == localized,
+            extremal_certificate=is_regular_complete_multipartite(g),
+        ))
+    return reports
+
+
+class TestBoundReports:
+    @given(graphs())
+    @example(Graph(0, ()))
+    @example(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)]))  # isolated vertices, t > omega
+    @example(generate_complete_multipartite([2, 2, 2]))
+    @settings(max_examples=60)
+    def test_matches_oracles(self, g):
+        assert bound_reports(g, range(2, 6)) == brute_reports(g, range(2, 6))
+
+    def test_t_below_two_rejected(self, c5):
+        with pytest.raises(ValueError):
+            bound_reports(c5, [2, 1])
 
 
 def test_localizations_are_independent_fixture():

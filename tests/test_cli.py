@@ -97,6 +97,53 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
     assert "error" in json.loads(out.splitlines()[0])
 
 
+def test_analyze_budget_caps_graph_total(tmp_path, capsys):
+    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 19 nodes, the edge
+    # orders 24 t-subset visits, the triangle orders 8, and the counts at
+    # t = 2 and 3 take 5 and 9 nodes. Each part fits in 50; the 65 together do not.
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
+                       "--budget", "50")
+    assert code == 3
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["t"] for r in recs] == [2, 3]
+    assert all("work budget of 50" in r["error"] for r in recs)
+    code, _, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
+                     "--budget", "65")
+    assert code == 0
+
+
+def test_analyze_range_matches_single_t_runs(tmp_path, capsys):
+    run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
+        "--count", "3", "--out", str(tmp_path))
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    for path in sorted(tmp_path.iterdir()):
+        code, out, _ = run(capsys, "analyze", str(path), "--t", "2", "--t-max", "5")
+        singles = [run(capsys, "analyze", str(path), "--t", str(t)) for t in range(2, 6)]
+        assert [code] + [c for c, _, _ in singles] == [0] * 5
+        assert len(out.splitlines()) == 4
+        assert out == "".join(o for _, o, _ in singles)
+
+
+def test_analyze_one_maximal_clique_pass_per_graph(tmp_path, capsys, monkeypatch):
+    import cliquebound.cliques as cliques_mod
+
+    real = cliques_mod._maximal_cliques
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cliques_mod, "_maximal_cliques", counting)
+    run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
+        "--count", "3", "--out", str(tmp_path))
+    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 12
+    assert len(calls) == 3
+
+
 def test_analyze_bad_t_range(tmp_path, capsys):
     (tmp_path / "x.el").write_text("0 1\n")
     code, _, _ = run(capsys, "analyze", str(tmp_path / "x.el"), "--t", "17")
@@ -108,6 +155,19 @@ def test_analyze_unparsable_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "bad.el"), "--t", "2")
     assert code == 2
     assert "bad.el" in err
+
+
+def test_analyze_partial_parse_failure_exits_2(tmp_path, capsys):
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    (tmp_path / "bad.el").write_text("0 1 2 3\n")
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3")
+    assert code == 2
+    assert [json.loads(line)["true_count"] for line in out.splitlines()] == [8]
+    assert "bad.el" in err
+    # A parse failure outranks a budget hit.
+    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_phi_tight_exit(tmp_path, capsys):
