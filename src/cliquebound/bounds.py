@@ -80,11 +80,6 @@ def turan_bound(n: int, r: int) -> Fraction:
     return Fraction(n * n * (r - 1), 2 * r)
 
 
-def _order_histogram(index: CliqueIndex, t: int) -> Counter:
-    """Number of t-cliques per largest-containing-clique order."""
-    return Counter(index.orders(t).values())
-
-
 def _edge_sum(histogram: Counter) -> Fraction:
     return sum((Fraction(k * w, w - 1) for w, k in histogram.items()), Fraction(0))
 
@@ -96,7 +91,7 @@ def _kirsch_nir_sum(histogram: Counter, t: int) -> Fraction:
 def edge_localized_turan_sum(g: Graph, budget: int | None = None) -> Fraction:
     """sum_e w(e) / (w(e) - 1), w(e) the order of the largest clique
     containing e; always at most n^2 / 2."""
-    return _edge_sum(_order_histogram(CliqueIndex(g, budget), 2))
+    return _edge_sum(CliqueIndex(g, budget).histogram(2))
 
 
 def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
@@ -111,7 +106,7 @@ def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
     of the largest clique containing T; at most n^t."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    return _kirsch_nir_sum(_order_histogram(CliqueIndex(g, budget), t), t)
+    return _kirsch_nir_sum(CliqueIndex(g, budget).histogram(t), t)
 
 
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
@@ -166,8 +161,9 @@ def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> lis
 
     One maximal-clique pass serves every t. The profile, the certificate,
     the edge sum and the floored vertex bound do not depend on t and are
-    computed once; each t adds its clique count and one order histogram. The
-    budget caps the total work of all of them together.
+    computed once; each t adds one walk over its t-cliques, whose histogram
+    of largest-containing-clique orders gives both the clique count and the
+    Kirsch-Nir sum. The budget caps the total work of all of them together.
     """
     ts = list(ts)
     for t in ts:
@@ -184,12 +180,13 @@ def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> lis
     index = CliqueIndex(g, budget)
     profile = index.profile()
     certificate = is_regular_complete_multipartite(g)
-    edge_histogram = _order_histogram(index, 2)
+    edge_histogram = index.histogram(2)
     edge_sum = _edge_sum(edge_histogram)
     vertex_turan = vertex_localized_turan_bound(g, profile)
     reports = []
     for t in ts:
-        true_count = index.count(t)
+        histogram = edge_histogram if t == 2 else index.histogram(t)
+        true_count = histogram.total()
         localized = localized_zykov_bound(g, t, profile)
         tight = Fraction(true_count) == localized
         if t <= profile.omega and tight != (certificate is not None):
@@ -197,7 +194,6 @@ def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> lis
                 f"tightness flag {tight} contradicts certificate {certificate} "
                 f"for t={t}, omega={profile.omega}", t
             )
-        histogram = edge_histogram if t == 2 else _order_histogram(index, t)
         reports.append(BoundReport(
             t=t,
             n=g.n,

@@ -99,13 +99,13 @@ def graph_hash(g: Graph) -> str:
 def load_graph_file(path: Path) -> Graph:
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".g6":
-        for line in text.splitlines():
-            if line.strip():
-                return parse_graph6(line)
-        raise ParseError(f"{path}: no graph6 line found")
+        lines = [line for line in text.splitlines() if line.strip()]
+        if len(lines) != 1:
+            raise ParseError(f"expected one graph6 line, found {len(lines)}")
+        return parse_graph6(lines[0])
     if path.suffix == ".el":
         return parse_edge_list(text)
-    raise ParseError(f"{path}: unknown extension (expected .g6 or .el)")
+    raise ParseError("unknown extension (expected .g6 or .el)")
 
 
 def collect_inputs(paths) -> list[Path]:
@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=100),
         "--budget": dict(type=int, default=None,
-                         help="max clique work, in recursion nodes plus t-subset "
-                              "visits: per graph for analyze, per call otherwise"),
+                         help="max clique work, in recursion nodes: per graph "
+                              "for analyze, per call otherwise"),
         "--out": dict(type=Path, default=None),
     }
 

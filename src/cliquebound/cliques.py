@@ -1,20 +1,20 @@
 """Exact clique counting and largest-containing-clique orders over bitset
 adjacency.
 
-Counting uses ordered recursive expansion (each clique enumerated once, in
-increasing vertex order). Maximal-clique enumeration uses Bron-Kerbosch with
-pivoting under a degeneracy vertex ordering. A ``CliqueIndex`` keeps the list
-of one pass, and reads off it the order of the largest clique containing each
-t-clique, for any t: c(v), w(e) and alpha(T). Both honor an optional work
-budget measured in recursion nodes (plus t-subset visits for the orders); an
-index's one budget covers everything read off it.
+Maximal-clique enumeration uses Bron-Kerbosch with pivoting under a
+degeneracy vertex ordering. A ``CliqueIndex`` keeps the orders of one pass's
+maximal cliques and, per vertex, the bitset of the cliques that hold it. One
+walk by ordered recursive expansion (each t-clique enumerated once, in
+increasing vertex order) reads off it the order of the largest clique
+containing each t-clique, for any t: c(v), w(e) and alpha(T), and so the
+count N(G, K_t). Both honor an optional work budget measured in recursion
+nodes; an index's one budget covers everything read off it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Iterator, Sequence
 
 from .graph import Graph, bits
@@ -49,42 +49,10 @@ class _Work:
         self.nodes = 0
         self.budget = DEFAULT_BUDGET if budget is None else budget
 
-    def tick(self, k: int = 1):
-        self.nodes += k
+    def tick(self):
+        self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(self.budget)
-
-
-def _count_rec(adj: Sequence[int], cand: int, r: int, work: _Work) -> int:
-    work.tick()
-    if r == 1:
-        return cand.bit_count()
-    total = 0
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if cand.bit_count() < r - 1:
-            break
-        sub = cand & adj[v]
-        if sub.bit_count() >= r - 1:
-            total += _count_rec(adj, sub, r - 1, work)
-    return total
-
-
-def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
-    """Exact number of t-vertex cliques in g."""
-    return _count(g, t, _Work(budget))
-
-
-def _count(g: Graph, t: int, work: _Work) -> int:
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    if t == 1:
-        return g.n
-    if t > g.n:
-        return 0
-    return _count_rec(g.adjacency, g.full_mask, t, work)
 
 
 def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
@@ -179,67 +147,93 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> Iterator[int
         x |= bit
 
 
+def _walk(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
+          cand: int, r: int, clique: int, shared: int,
+          work: _Work) -> Iterator[tuple[int, int]]:
+    """Yield (mask, alpha) for every clique made of ``clique`` and r vertices
+    of ``cand``, by ordered expansion.
+
+    ``shared`` is the AND of ``member`` over ``clique`` and the ids the walk
+    started with: the ids of the maximal cliques that hold it. Ids run
+    largest first, so at a leaf the lowest set bit names a largest clique
+    holding T, and ``sizes`` gives its order alpha(T).
+    """
+    work.tick()
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if r == 1:
+            ids = shared & member[v]
+            yield clique | low, sizes[(ids & -ids).bit_length() - 1]
+            continue
+        if cand.bit_count() < r - 1:
+            break
+        sub = cand & adj[v]
+        if sub.bit_count() >= r - 1:
+            yield from _walk(adj, member, sizes, sub, r - 1, clique | low,
+                             shared & member[v], work)
+
+
 class CliqueIndex:
     """The maximal cliques of one graph, largest first, and one work meter
     shared by everything read off this index.
 
-    One Bron-Kerbosch pass builds the list; each clique is kept as the list
-    of its vertices' one-bit masks, which all cliques share, so a clique
-    costs one list and no new integers. The c(v) profile, the
+    One Bron-Kerbosch pass numbers the maximal cliques largest first:
+    ``sizes[i]`` is the order of clique i, and ``member[v]`` is the bitset of
+    the ids of the cliques that hold v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
     clique counts are then read without a second pass. The budget caps the
-    total work of the index: the pass's recursion nodes, the t-subset visits
-    of every ``orders`` call and the recursion nodes of every ``count`` call.
+    total work of the index, in recursion nodes: those of the pass and those
+    of every walk over the t-cliques.
     """
 
-    __slots__ = ("graph", "work", "cliques")
+    __slots__ = ("graph", "work", "sizes", "member")
 
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
         self.work = _Work(budget)
-        vertex_bits = [1 << v for v in range(g.n)]
-        self.cliques = sorted(
-            ([vertex_bits[v] for v in bits(clique)]
-             for clique in _maximal_cliques(g.adjacency, g.full_mask, self.work)),
-            key=len, reverse=True)
+        cliques = sorted(_maximal_cliques(g.adjacency, g.full_mask, self.work),
+                         key=int.bit_count, reverse=True)
+        self.sizes = [clique.bit_count() for clique in cliques]
+        member = [0] * g.n
+        bit = 1
+        for clique in cliques:
+            while clique:
+                low = clique & -clique
+                member[low.bit_length() - 1] |= bit
+                clique ^= low
+            bit <<= 1
+        self.member = member
 
     def profile(self) -> CliqueProfile:
-        """c(v) for every vertex: the first clique of the list that holds v is
-        a largest one. Isolated vertices are maximal 1-cliques, so c(v) = 1."""
-        c = [0] * self.graph.n
-        unseen = self.graph.full_mask
-        for clique in self.cliques:
-            for bit in clique:
-                if unseen & bit:
-                    unseen ^= bit
-                    c[bit.bit_length() - 1] = len(clique)
-            if not unseen:
-                break
-        return CliqueProfile(tuple(c), len(self.cliques[0]) if self.cliques else 0)
+        """c(v) for every vertex: the lowest id that holds v names a largest
+        clique. Isolated vertices are maximal 1-cliques, so c(v) = 1."""
+        c = tuple(self.sizes[(ids & -ids).bit_length() - 1] for ids in self.member)
+        return CliqueProfile(c, self.sizes[0] if self.sizes else 0)
 
-    def orders(self, t: int) -> dict[int, int]:
-        """Order of the largest clique containing T, for every t-clique T.
-
-        Keys are the vertex bitmasks of the t-cliques. The first maximal
-        clique of the list that holds T is a largest one, so it sets the value.
-        """
+    def walk(self, t: int) -> Iterator[tuple[int, int]]:
+        """Yield (mask, alpha(T)) for every t-clique T, in increasing vertex
+        order: its vertex bitmask and the order of the largest clique
+        containing it."""
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
-        orders: dict[int, int] = {}
-        for clique in self.cliques:
-            size = len(clique)
-            if size < t:
-                break
-            self.work.tick(comb(size, t))
-            # The bits of a subset are disjoint, so their sum is its mask.
-            for sub in map(sum, combinations(clique, t)):
-                orders.setdefault(sub, size)
-        return orders
+        # Only the cliques of order >= t, ids 0..k-1, hold a t-clique, so the
+        # walk starts from them and from the vertices they cover.
+        large = (1 << sum(1 for size in self.sizes if size >= t)) - 1
+        cand = sum(1 << v for v, ids in enumerate(self.member) if ids & large)
+        return _walk(self.graph.adjacency, self.member, self.sizes, cand, t, 0, large,
+                     self.work)
 
-    def count(self, t: int) -> int:
-        """Exact number of t-vertex cliques, by ordered expansion (independent
-        of the maximal-clique list)."""
-        return _count(self.graph, t, self.work)
+    def histogram(self, t: int) -> Counter:
+        """Number of t-cliques per largest-containing-clique order; the total
+        is N(G, K_t)."""
+        return Counter(alpha for _, alpha in self.walk(t))
+
+
+def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
+    """Exact number of t-vertex cliques in g."""
+    return CliqueIndex(g, budget).histogram(t).total()
 
 
 def largest_clique_orders(g: Graph, t: int, budget: int | None = None) -> dict[int, int]:
@@ -247,9 +241,9 @@ def largest_clique_orders(g: Graph, t: int, budget: int | None = None) -> dict[i
 
     Keys are the vertex bitmasks of the t-cliques. With t = 1 the values are
     c(v), with t = 2 the edge weights w(e), and in general alpha(T). The
-    budget counts recursion nodes plus t-subset visits.
+    budget counts recursion nodes.
     """
-    return CliqueIndex(g, budget).orders(t)
+    return dict(CliqueIndex(g, budget).walk(t))
 
 
 def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:

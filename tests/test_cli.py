@@ -98,18 +98,18 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
 
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
-    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 19 nodes, the edge
-    # orders 24 t-subset visits, the triangle orders 8, and the counts at
-    # t = 2 and 3 take 5 and 9 nodes. Each part fits in 50; the 65 together do not.
+    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 19 recursion nodes,
+    # and the walks over the edges and the triangles 5 and 9. Each part fits
+    # in 30; the 33 together do not.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                       "--budget", "50")
+                       "--budget", "30")
     assert code == 3
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["t"] for r in recs] == [2, 3]
-    assert all("work budget of 50" in r["error"] for r in recs)
+    assert all("work budget of 30" in r["error"] for r in recs)
     code, _, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                     "--budget", "65")
+                     "--budget", "33")
     assert code == 0
 
 
@@ -155,6 +155,15 @@ def test_analyze_unparsable_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "bad.el"), "--t", "2")
     assert code == 2
     assert "bad.el" in err
+
+
+def test_analyze_rejects_multi_graph_g6(tmp_path, capsys):
+    (tmp_path / "two.g6").write_text("Bw\nDQc\n")
+    code, out, err = run(capsys, "analyze", str(tmp_path / "two.g6"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "two.g6" in err and "found 2" in err
 
 
 def test_analyze_partial_parse_failure_exits_2(tmp_path, capsys):

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from cliquebound.cliques import (
     BudgetExceeded,
+    CliqueIndex,
     _degeneracy_order,
     clique_weight_sum,
     count_cliques,
@@ -109,12 +112,17 @@ class TestMaxCliqueContaining:
         with pytest.raises(ValueError):
             largest_clique_orders(c5, 0)
 
-    @given(graphs(), st.integers(min_value=1, max_value=4))
+    @given(graphs(), st.integers(min_value=1, max_value=6))
+    @example(Graph(0, ()), 1)
+    @example(Graph.from_edges(4, [(0, 1)]), 3)
     def test_matches_oracle(self, g, t):
         orders = largest_clique_orders(g, t)
         assert len(orders) == brute_count_cliques(g, t)
+        if t == 1:
+            assert tuple(orders.values()) == brute_vertex_clique_numbers(g).c
         for key, alpha in orders.items():
             assert alpha == brute_kirsch_nir_alpha(g, tuple(bits(key)))
+        assert Counter(orders.values()) == CliqueIndex(g).histogram(t)
 
 
 def _neighborhood_count(g, v, t):
