@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run transfer descents from random simplex starts and print the traces.
 
+The closing verdict reads the bound report of (graph, t): tight with its
+regular-complete-multipartite certificate, strict, or vacuous when t > omega
+(both sides of the bound are 0, so phi(uniform) = 0 says nothing).
+
 Example:
     python3 scripts/descent_demo.py --graph petersen --t 2 --starts 3 --seed 1
 """
@@ -8,14 +12,23 @@ Example:
 import argparse
 import random
 
-from cliquebound.cliques import vertex_clique_numbers
+from cliquebound.bounds import bound_reports
+from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import named_small_graphs
-from cliquebound.simplex import (
-    SimplexPoint,
-    check_minimizer_structure,
-    descend_to_clique_support,
-    eval_phi,
-)
+from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi
+
+
+def verdict(rep) -> tuple[str, str]:
+    """The verdict of the bound report ``rep`` and its reason."""
+    if rep.t > rep.omega:
+        return (f"vacuous, t = {rep.t} > omega = {rep.omega}",
+                "N = localized bound = 0, so phi(uniform) = 0 certifies nothing")
+    if rep.is_tight:
+        return (f"tight, certificate {rep.extremal_certificate.sizes}",
+                f"N = localized bound = {rep.localized_zykov}, "
+                "so phi(uniform) = 0 is the minimum of phi")
+    return (f"strict, N = {rep.true_count} < localized bound {rep.localized_zykov}",
+            "phi(uniform) = (localized bound - N) / n^t > 0")
 
 
 def main():
@@ -27,35 +40,29 @@ def main():
     args = ap.parse_args()
 
     g = named_small_graphs()[args.graph]
-    profile = vertex_clique_numbers(g)
+    index = CliqueIndex(g)
+    report = bound_reports(index, [args.t])[0]
     rng = random.Random(args.seed)
 
     uniform = SimplexPoint.uniform(g.n)
-    phi_u = eval_phi(g, args.t, profile, uniform).phi
-    print(f"{args.graph}: n={g.n} m={g.m} omega={profile.omega} "
+    phi_u = eval_phi(index, args.t, uniform).phi
+    print(f"{args.graph}: n={g.n} m={g.m} omega={report.omega} "
           f"phi(uniform)={phi_u}")
 
     starts = [uniform] + [SimplexPoint.random_point(g.n, rng)
                           for _ in range(args.starts - 1)]
     for k, x0 in enumerate(starts):
-        trace = descend_to_clique_support(g, args.t, profile, x0)
+        trace = descend_to_clique_support(index, args.t, x0)
         label = "uniform" if k == 0 else f"random#{k}"
-        print(f"\nstart {label}: phi={eval_phi(g, args.t, profile, x0).phi}")
+        print(f"\nstart {label}: phi={eval_phi(index, args.t, x0).phi}")
         for line in trace.to_lines():
             print("  " + line)
-        end_phi = eval_phi(g, args.t, profile, trace.end).phi
+        end_phi = eval_phi(index, args.t, trace.end).phi
         print(f"  end: support={sorted(trace.end.support)} "
               f"clique_order={trace.omega_end} phi={end_phi}")
 
-    report = check_minimizer_structure(g, args.t, profile=profile)
-    if report.applicable:
-        print(f"\nuniform point is a certified minimizer: "
-              f"complete_multipartite={report.is_complete_multipartite} "
-              f"parts={report.parts.sizes if report.parts else None} "
-              f"equal_part_masses={report.part_masses_equal}")
-    else:
-        print(f"\nuniform point not a certified minimizer "
-              f"(phi(uniform)={report.phi_uniform} > 0)")
+    outcome, reason = verdict(report)
+    print(f"\nverdict: {outcome}\n  {reason}")
 
 
 if __name__ == "__main__":

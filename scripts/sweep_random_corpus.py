@@ -9,6 +9,7 @@ import argparse
 from fractions import Fraction
 
 from cliquebound.bounds import bound_reports
+from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import seeded_random_corpus
 
 
@@ -30,7 +31,7 @@ def main():
     tight = 0
     records = 0
     for name, g in corpus:
-        for rep in bound_reports(g, range(args.t, args.t_max + 1)):
+        for rep in bound_reports(CliqueIndex(g), range(args.t, args.t_max + 1)):
             records += 1
             tight += rep.is_tight
             if rep.localized_zykov > 0:

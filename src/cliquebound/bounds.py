@@ -156,19 +156,21 @@ class BoundReport:
     extremal_certificate: PartSpec | None
 
 
-def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> list[BoundReport]:
-    """``bound_report`` for each t of ``ts``, in order, from one clique index.
+def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
+    """``bound_report`` for each t of ``ts``, in order, from the graph's
+    clique index.
 
-    One maximal-clique pass serves every t. The profile, the certificate,
-    the edge sum and the floored vertex bound do not depend on t and are
-    computed once; each t adds one walk over its t-cliques, whose histogram
-    of largest-containing-clique orders gives both the clique count and the
-    Kirsch-Nir sum. The budget caps the total work of all of them together.
+    The index's one maximal-clique pass serves every t. The profile, the
+    certificate, the edge sum and the floored vertex bound do not depend on t
+    and are computed once; each t adds one walk over its t-cliques, whose
+    histogram of largest-containing-clique orders gives both the clique count
+    and the Kirsch-Nir sum. The index's budget caps the total work.
     """
     ts = list(ts)
     for t in ts:
         if t < 2:
             raise ValueError(f"clique order t must be >= 2, got {t}")
+    g = index.graph
     if g.n == 0:
         return [BoundReport(
             t=t, n=0, m=0, omega=0, true_count=0,
@@ -177,7 +179,6 @@ def bound_reports(g: Graph, ts: Iterable[int], budget: int | None = None) -> lis
             edge_localized_sum=Fraction(0), vertex_localized_turan=0,
             kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
         ) for t in ts]
-    index = CliqueIndex(g, budget)
     profile = index.profile()
     certificate = is_regular_complete_multipartite(g)
     edge_histogram = index.histogram(2)
@@ -220,4 +221,4 @@ def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
     the localized bound can vanish, so tightness there is vacuous and not
     cross-checked.
     """
-    return bound_reports(g, [t], budget=budget)[0]
+    return bound_reports(CliqueIndex(g, budget), [t])[0]

@@ -23,13 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundReport, TightnessInvariantError, bound_report, bound_reports
-from .cliques import (
-    BudgetExceeded,
-    count_cliques,
-    largest_clique_orders,
-    vertex_clique_numbers,
-)
+from .bounds import BoundReport, TightnessInvariantError, bound_reports
+from .cliques import BudgetExceeded, CliqueIndex
 from .corpus import named_small_graphs, seeded_random_corpus
 from .graph import (
     Graph,
@@ -82,8 +77,8 @@ class RunConfig:
         if not (2 <= self.t_min <= self.t_max <= 16):
             raise ValueError(f"t range must satisfy 2 <= t <= t_max <= 16, "
                              f"got [{self.t_min}, {self.t_max}]")
-        if self.samples < 0:
-            raise ValueError("sample count must be >= 0")
+        if self.samples < 1:
+            raise ValueError(f"sample count must be >= 1, got {self.samples}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
@@ -166,7 +161,7 @@ def cmd_analyze(config: RunConfig) -> int:
             continue
         g_hash = graph_hash(g)
         try:
-            reports = bound_reports(g, ts, budget=config.budget)
+            reports = bound_reports(CliqueIndex(g, config.budget), ts)
         except BudgetExceeded as exc:
             records.extend({"file": str(path), "t": t, "error": str(exc)} for t in ts)
             budget_hit = True
@@ -264,19 +259,17 @@ def cmd_phi(config: RunConfig) -> int:
             lines.append("min_sampled_phi = 0/1 (0)")
             tight = True
         else:
-            profile = vertex_clique_numbers(g, budget=config.budget)
-            report = verify_nonnegativity(g, t, profile, max(config.samples, 1),
-                                          config.seed, budget=config.budget)
+            index = CliqueIndex(g, config.budget)
+            report = verify_nonnegativity(index, t, config.samples, config.seed)
             tight = report.phi_uniform == 0
             lines.append(f"phi_uniform = {_rat(report.phi_uniform)} "
                          f"({_dec(report.phi_uniform)})")
             lines.append(f"min_sampled_phi = {_rat(report.min_phi)} "
                          f"({_dec(report.min_phi)}) over "
                          f"{report.points_checked} points")
-            trace = descend_to_clique_support(g, t, profile, SimplexPoint.uniform(g.n),
-                                              budget=config.budget)
+            trace = descend_to_clique_support(index, t, SimplexPoint.uniform(g.n))
             lines.extend(trace.to_lines())
-            end_phi = eval_phi(g, t, profile, trace.end, budget=config.budget).phi
+            end_phi = eval_phi(index, t, trace.end).phi
             lines.append(f"descent_end_phi = {_rat(end_phi)} ({_dec(end_phi)}) "
                          f"support_clique_order={trace.omega_end}")
     except BudgetExceeded as exc:
@@ -305,19 +298,23 @@ def _selfcheck_graphs():
 
 
 def run_selfcheck(budget: int | None = None, seed: int = 0):
-    """Yield (name, ok, detail) for every built-in invariant check."""
+    """Yield (name, ok, detail) for every built-in invariant check.
+
+    Each graph gets one clique index, so the budget caps the work of all the
+    checks on one graph."""
     graphs = _selfcheck_graphs()
     rng = random.Random(seed)
     for name, g in graphs:
-        profile = vertex_clique_numbers(g, budget=budget)
+        index = CliqueIndex(g, budget)
+        profile = index.profile()
         oracle_profile = brute_vertex_clique_numbers(g)
         yield (f"profile_oracle[{name}]", profile == oracle_profile,
                f"{profile} vs {oracle_profile}")
-        reports = {t: bound_report(g, t, budget=budget) for t in (2, 3, 4)}
+        reports = {rep.t: rep for rep in bound_reports(index, (2, 3, 4))}
         for t, rep in reports.items():
-            fast = count_cliques(g, t, budget=budget)
             brute = brute_count_cliques(g, t)
-            yield (f"count_oracle[{name},t={t}]", fast == brute, f"{fast} vs {brute}")
+            yield (f"count_oracle[{name},t={t}]", rep.true_count == brute,
+                   f"{rep.true_count} vs {brute}")
             yield (f"soundness[{name},t={t}]",
                    Fraction(rep.true_count) <= rep.localized_zykov <= rep.zykov_classical,
                    f"N={rep.true_count}, local={rep.localized_zykov}, "
@@ -327,7 +324,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
                    and rep.kirsch_nir_sum <= g.n**t,
                    f"edge_sum={rep.edge_localized_sum}, kn={rep.kirsch_nir_sum}")
         for t in (2, 3):
-            orders = largest_clique_orders(g, t, budget=budget)
+            orders = dict(index.walk(t))
             wrong = {key: alpha for key, alpha in orders.items()
                      if alpha != brute_kirsch_nir_alpha(g, tuple(bits(key)))}
             yield (f"alpha_oracle[{name},t={t}]",
@@ -340,7 +337,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
                f"floor={rep2.vertex_localized_turan}, pre={rep2.localized_zykov}")
         if g.n >= 1:
             for t in (2, 3):
-                report = verify_nonnegativity(g, t, profile, samples=20,
+                report = verify_nonnegativity(index, t, samples=20,
                                               seed=rng.randrange(1 << 30))
                 yield (f"phi_nonneg[{name},t={t}]", report.min_phi >= 0,
                        f"min={report.min_phi}")
@@ -384,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=100),
         "--budget": dict(type=int, default=None,
-                         help="max clique work, in recursion nodes: per graph "
-                              "for analyze, per call otherwise"),
+                         help="max clique work per graph, in recursion nodes"),
         "--out": dict(type=Path, default=None),
     }
 

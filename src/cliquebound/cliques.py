@@ -8,7 +8,8 @@ walk by ordered recursive expansion (each t-clique enumerated once, in
 increasing vertex order) reads off it the order of the largest clique
 containing each t-clique, for any t: c(v), w(e) and alpha(T), and so the
 count N(G, K_t). Both honor an optional work budget measured in recursion
-nodes; an index's one budget covers everything read off it.
+nodes; an index's one budget covers everything read off it and every
+simplex clique sum charged to it, so it caps the work done on one graph.
 """
 
 from __future__ import annotations
@@ -176,16 +177,19 @@ def _walk(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
 
 
 class CliqueIndex:
-    """The maximal cliques of one graph, largest first, and one work meter
-    shared by everything read off this index.
+    """The maximal cliques of one graph, largest first, and one work meter:
+    the one object passed to every function that does clique work on the
+    graph.
 
     One Bron-Kerbosch pass numbers the maximal cliques largest first:
     ``sizes[i]`` is the order of clique i, and ``member[v]`` is the bitset of
     the ids of the cliques that hold v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
-    clique counts are then read without a second pass. The budget caps the
-    total work of the index, in recursion nodes: those of the pass and those
-    of every walk over the t-cliques.
+    clique counts are then read without a second pass. ``bound_reports`` and
+    the simplex functions read the graph and c(v) from the index and charge
+    their work to ``work``, so the budget caps the total work done on the
+    graph, in recursion nodes: those of the pass, of every walk over the
+    t-cliques and of every simplex clique sum.
     """
 
     __slots__ = ("graph", "work", "sizes", "member")

@@ -6,6 +6,11 @@ evaluated at the point. Mass transfer between non-adjacent vertices changes
 phi linearly, which drives a support-shrinking descent that terminates on a
 clique support.
 
+Every function that does clique work takes the graph's ``CliqueIndex``: it
+reads the graph, c(v) from the index's profile, and charges its clique sums
+to the index's one work meter, so one budget caps all the work done on one
+graph.
+
 A point is held as integer numerators over one common denominator D, so the
 clique polynomial runs on integers: B is one integer clique sum over D^t, and
 A adds one Fraction per distinct c(v). Fractions appear only at the API
@@ -20,14 +25,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 
-from .bounds import (
-    clique_density_term,
-    complete_multipartite_parts,
-    density_sum,
-    density_terms,
-)
-from .cliques import CliqueProfile, _weight_rec, _Work, vertex_clique_numbers
-from .graph import Graph, PartSpec
+from .bounds import clique_density_term, density_sum, density_terms
+from .cliques import CliqueIndex, _weight_rec
 
 
 class SimplexError(ValueError):
@@ -141,32 +140,31 @@ class PhiEvaluation:
     phi: Fraction
 
 
-def _check(g: Graph, t: int, profile: CliqueProfile, n: int) -> None:
+def _check(index: CliqueIndex, t: int, n: int) -> tuple[int, ...]:
+    """c(v) of the index's graph, once t and the point dimension n fit it."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    if len(profile.c) != g.n:
-        raise ValueError("profile length does not match graph order")
-    if n != g.n:
-        raise SimplexError(f"point dimension {n} does not match graph order {g.n}")
+    if n != index.graph.n:
+        raise SimplexError(f"point dimension {n} does not match graph order {index.graph.n}")
+    return index.profile().c
 
 
-def _phi(g: Graph, t: int, profile: CliqueProfile, terms: dict[int, Fraction],
-         nums, den: int, work: _Work) -> PhiEvaluation:
+def _phi(index: CliqueIndex, t: int, c, terms: dict[int, Fraction],
+         nums, den: int) -> PhiEvaluation:
     """(A, B, phi) at the point nums / den."""
-    a = density_sum(terms, profile.c, nums) / den
-    b = Fraction(_weight_rec(g.adjacency, _support_mask(nums), t, nums, work), den**t)
+    a = density_sum(terms, c, nums) / den
+    adj, work = index.graph.adjacency, index.work
+    b = Fraction(_weight_rec(adj, _support_mask(nums), t, nums, work), den**t)
     return PhiEvaluation(a, b, a - b)
 
 
-def eval_phi(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
-             budget: int | None = None) -> PhiEvaluation:
+def eval_phi(index: CliqueIndex, t: int, x: SimplexPoint) -> PhiEvaluation:
     """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
-    _check(g, t, profile, x.n)
-    return _phi(g, t, profile, density_terms(profile.c, t), x.nums, x.den, _Work(budget))
+    c = _check(index, t, x.n)
+    return _phi(index, t, c, density_terms(c, t), x.nums, x.den)
 
 
-def delta_ij(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
-             i: int, j: int, budget: int | None = None) -> Fraction:
+def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fraction:
     """Exact rate of change of phi per unit mass moved from j to i.
 
     Antisymmetric in (i, j). Equals the phi difference of a transfer only
@@ -174,11 +172,11 @@ def delta_ij(g: Graph, t: int, profile: CliqueProfile, x: SimplexPoint,
     """
     if i == j:
         raise ValueError("delta requires two distinct vertices")
-    _check(g, t, profile, x.n)
-    a_part = clique_density_term(profile.c[i], t) - clique_density_term(profile.c[j], t)
-    adj, support, work = g.adjacency, x.support_mask, _Work(budget)
-    s_i = _weight_rec(adj, adj[i] & support, t - 1, x.nums, work)
-    s_j = _weight_rec(adj, adj[j] & support, t - 1, x.nums, work)
+    c = _check(index, t, x.n)
+    a_part = clique_density_term(c[i], t) - clique_density_term(c[j], t)
+    adj, support = index.graph.adjacency, x.support_mask
+    s_i = _weight_rec(adj, adj[i] & support, t - 1, x.nums, index.work)
+    s_j = _weight_rec(adj, adj[j] & support, t - 1, x.nums, index.work)
     return a_part - Fraction(s_i - s_j, x.den ** (t - 1))
 
 
@@ -248,8 +246,7 @@ def _first_nonadjacent_pair(adj, support: int, a: int, b: int):
     return None
 
 
-def descend_to_clique_support(g: Graph, t: int, profile: CliqueProfile,
-                              x0: SimplexPoint, budget: int | None = None) -> DescentTrace:
+def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> DescentTrace:
     """Shrink the support by full transfers until it induces a clique.
 
     Each round takes the lexicographically first non-adjacent support pair
@@ -262,14 +259,14 @@ def descend_to_clique_support(g: Graph, t: int, profile: CliqueProfile,
     N(v) changes only for v in N(i) | N(j), so only those are recomputed, and
     only when a later pair needs them.
     """
-    _check(g, t, profile, x0.n)
-    work = _Work(budget)
-    terms = density_terms(profile.c, t)
-    adj, c = g.adjacency, profile.c
+    c = _check(index, t, x0.n)
+    terms = density_terms(c, t)
+    g, work = index.graph, index.work
+    adj = g.adjacency
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
-    phi = _phi(g, t, profile, terms, nums, den, work).phi
+    phi = _phi(index, t, c, terms, nums, den).phi
     s = [0] * g.n
     fresh = 0  # vertices whose s_v is current
     steps = []
@@ -328,28 +325,26 @@ def _sample_weights(n: int, samples: int, rng: random.Random):
         yield weights, sum(weights)
 
 
-def verify_nonnegativity(g: Graph, t: int, profile: CliqueProfile,
-                         samples: int, seed: int,
-                         budget: int | None = None) -> NonnegativityReport:
+def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
+                         seed: int) -> NonnegativityReport:
     """Minimum of phi over the uniform point, all vertex-concentrated points,
     and ``samples`` seeded random interior points. Raises if any value is
-    negative (that would falsify the inequality, i.e. expose a bug). The
-    budget caps the clique work of the whole call.
+    negative (that would falsify the inequality, i.e. expose a bug).
 
     The samples stay integer weights; only the minimizer becomes a
     SimplexPoint."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if g.n == 0:
+    n = index.graph.n
+    if n == 0:
         raise ValueError("nonnegativity check needs n >= 1")
-    _check(g, t, profile, g.n)
-    work = _Work(budget)
-    terms = density_terms(profile.c, t)
+    c = _check(index, t, n)
+    terms = density_terms(c, t)
     phi_uniform = None
     best = None
     best_weights = None
-    for nums, den in _sample_weights(g.n, samples, random.Random(seed)):
-        phi = _phi(g, t, profile, terms, nums, den, work).phi
+    for nums, den in _sample_weights(n, samples, random.Random(seed)):
+        phi = _phi(index, t, c, terms, nums, den).phi
         if phi_uniform is None:
             phi_uniform = phi
         if best is None or phi < best:
@@ -361,54 +356,5 @@ def verify_nonnegativity(g: Graph, t: int, profile: CliqueProfile,
         )
     return NonnegativityReport(
         min_phi=best, argmin=argmin, phi_uniform=phi_uniform,
-        points_checked=1 + g.n + samples,
-    )
-
-
-@dataclass(frozen=True)
-class MinimizerStructureReport:
-    """Outcome of the complete-multipartite / equal-part-mass predicates
-    checked on the uniform point when it is a certified minimizer."""
-
-    applicable: bool
-    phi_uniform: Fraction
-    is_complete_multipartite: bool = False
-    parts: PartSpec | None = None
-    part_masses_equal: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and self.is_complete_multipartite and self.part_masses_equal
-
-
-def check_minimizer_structure(g: Graph, t: int,
-                              profile: CliqueProfile | None = None) -> MinimizerStructureReport:
-    """Check minimizer-support structure when the uniform point is certified.
-
-    Certification: phi(uniform) = 0 makes the uniform point a global
-    minimizer (phi is nonnegative everywhere), at which point the support
-    must induce a complete multipartite graph whose parts each carry total
-    mass 1/omega. Other endpoints are reported as not certified.
-    """
-    if profile is None:
-        profile = vertex_clique_numbers(g)
-    if g.n == 0:
-        return MinimizerStructureReport(applicable=False, phi_uniform=Fraction(0))
-    uniform = SimplexPoint.uniform(g.n)
-    phi_uniform = eval_phi(g, t, profile, uniform).phi
-    if phi_uniform != 0:
-        return MinimizerStructureReport(applicable=False, phi_uniform=phi_uniform)
-    parts = complete_multipartite_parts(g)
-    if parts is None:
-        return MinimizerStructureReport(
-            applicable=True, phi_uniform=phi_uniform, is_complete_multipartite=False
-        )
-    # At the uniform point a part of size s has mass s/n, which is 1/omega
-    # for every part exactly when the parts are equal.
-    return MinimizerStructureReport(
-        applicable=True,
-        phi_uniform=phi_uniform,
-        is_complete_multipartite=True,
-        parts=parts,
-        part_masses_equal=parts.is_regular,
+        points_checked=1 + n + samples,
     )

@@ -19,6 +19,7 @@ from cliquebound.bounds import (
     zykov_bound,
 )
 from cliquebound.cliques import (
+    CliqueIndex,
     count_cliques,
     largest_clique_orders,
     vertex_clique_numbers,
@@ -152,7 +153,7 @@ def test_criterion_5_phi_nonnegativity(corpus, profiles):
     for name, g in corpus:
         profile = profiles[name]
         for t in range(2, 6):
-            report = verify_nonnegativity(g, t, profile, samples=500, seed=42)
+            report = verify_nonnegativity(CliqueIndex(g), t, samples=500, seed=42)
             assert report.min_phi >= 0, (name, t)
             local = localized_zykov_bound(g, t, profile)
             true_count = count_cliques(g, t)
@@ -170,7 +171,7 @@ def test_criterion_5_phi_nonnegativity(corpus, profiles):
     _report(5, "phi nonnegativity")
 
 
-def test_criterion_6_linear_response(corpus, profiles):
+def test_criterion_6_linear_response(corpus):
     rng = random.Random(99)
     checked = 0
     pool = [(name, g) for name, g in corpus if g.n >= 2]
@@ -186,35 +187,35 @@ def test_criterion_6_linear_response(corpus, profiles):
         if rng.random() < 0.5:
             i, j = j, i
         eps = x.x[j] * Fraction(rng.randrange(0, 101), 100)
-        profile = profiles[name]
-        before = eval_phi(g, t, profile, x).phi
-        after = eval_phi(g, t, profile, transfer(x, i, j, eps)).phi
-        assert after - before == eps * delta_ij(g, t, profile, x, i, j), (name, t)
+        index = CliqueIndex(g)
+        before = eval_phi(index, t, x).phi
+        after = eval_phi(index, t, transfer(x, i, j, eps)).phi
+        assert after - before == eps * delta_ij(index, t, x, i, j), (name, t)
         checked += 1
     _report(6, "linear-response identity")
 
 
-def test_criterion_7_descent_contract(corpus, profiles):
+def test_criterion_7_descent_contract(corpus):
     rng = random.Random(7)
     for name, g in corpus:
         if g.n == 0:
             continue
-        profile = profiles[name]
         for k in range(50):
             t = 2 + k % 4
             x0 = SimplexPoint.random_point(g.n, rng)
-            trace = descend_to_clique_support(g, t, profile, x0)
+            index = CliqueIndex(g)
+            trace = descend_to_clique_support(index, t, x0)
             assert len(trace.steps) <= len(x0.support) - 1, name
             assert trace.end_support_is_clique
             assert g.induces_clique(trace.end.support_mask)
-            phi = eval_phi(g, t, profile, x0).phi
+            phi = eval_phi(index, t, x0).phi
             supp = len(x0.support)
             for step in trace.steps:
                 assert step.phi_after <= phi
                 phi = step.phi_after
                 supp -= 1
             assert supp == len(trace.end.support)
-            assert eval_phi(g, t, profile, trace.end).phi == phi
+            assert eval_phi(index, t, trace.end).phi == phi
     _report(7, "descent contract")
 
 

@@ -19,7 +19,7 @@ from cliquebound.bounds import (
     vertex_localized_turan_bound,
     zykov_bound,
 )
-from cliquebound.cliques import count_cliques, vertex_clique_numbers
+from cliquebound.cliques import CliqueIndex, count_cliques, vertex_clique_numbers
 from cliquebound.corpus import complete_graph, empty_graph, star_graph
 from cliquebound.graph import Graph, generate_complete_multipartite
 from cliquebound.oracles import (
@@ -266,11 +266,11 @@ class TestBoundReports:
     @example(generate_complete_multipartite([2, 2, 2]))
     @settings(max_examples=60)
     def test_matches_oracles(self, g):
-        assert bound_reports(g, range(2, 6)) == brute_reports(g, range(2, 6))
+        assert bound_reports(CliqueIndex(g), range(2, 6)) == brute_reports(g, range(2, 6))
 
     def test_t_below_two_rejected(self, c5):
         with pytest.raises(ValueError):
-            bound_reports(c5, [2, 1])
+            bound_reports(CliqueIndex(c5), [2, 1])
 
 
 def test_localizations_are_independent_fixture():

@@ -125,7 +125,9 @@ def test_analyze_range_matches_single_t_runs(tmp_path, capsys):
         assert out == "".join(o for _, o, _ in singles)
 
 
-def test_analyze_one_maximal_clique_pass_per_graph(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def maximal_clique_passes(monkeypatch):
+    """The arguments of every maximal-clique pass made while the test runs."""
     import cliquebound.cliques as cliques_mod
 
     real = cliques_mod._maximal_cliques
@@ -136,12 +138,16 @@ def test_analyze_one_maximal_clique_pass_per_graph(tmp_path, capsys, monkeypatch
         return real(*args)
 
     monkeypatch.setattr(cliques_mod, "_maximal_cliques", counting)
+    return calls
+
+
+def test_analyze_one_maximal_clique_pass_per_graph(tmp_path, capsys, maximal_clique_passes):
     run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
         "--count", "3", "--out", str(tmp_path))
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "5")
     assert code == 0
     assert len(out.splitlines()) == 12
-    assert len(calls) == 3
+    assert len(maximal_clique_passes) == 3
 
 
 def test_analyze_bad_t_range(tmp_path, capsys):
@@ -199,13 +205,37 @@ def test_phi_strict_exit(tmp_path, capsys):
 
 
 def test_phi_budget_reaches_sampling(tmp_path, capsys):
-    # 100 nodes cover the c(v) pass (43) but not the sampled phi values (195).
+    # 100 nodes cover the c(v) pass (19) but not the sampled phi values (195).
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
                          "--t", "3", "--samples", "20", "--budget", "100")
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+def test_phi_budget_caps_run_total(tmp_path, capsys):
+    # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 19
+    # nodes, the sampled phi values 195, the descent 23 and the phi at its end
+    # 3. The one budget of the run caps their 240 together.
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    path = str(tmp_path / "multipartite_2-2-2.g6")
+    code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
+                         "--budget", "239")
+    assert code == 3
+    assert out == ""
+    assert "work budget of 239" in err
+    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "240")
+    assert code == 0
+
+
+def test_phi_rejects_zero_samples(tmp_path, capsys):
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "sample count must be >= 1" in err
 
 
 def test_analyze_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
@@ -254,18 +284,27 @@ def test_selfcheck_budget_exceeded(capsys):
     assert "BUDGET" in out
 
 
+def test_selfcheck_one_maximal_clique_pass_per_graph(capsys, maximal_clique_passes):
+    import cliquebound.cli as cli_mod
+
+    code, _, _ = run(capsys, "selfcheck")
+    assert code == 0
+    assert len(maximal_clique_passes) == len(cli_mod._selfcheck_graphs()) == 15
+
+
 def test_selfcheck_detects_corrupted_bound(capsys, monkeypatch):
     # deliberately break the bound evaluation; the named invariant must FAIL
     import cliquebound.cli as cli_mod
 
-    real = cli_mod.bound_report
+    real = cli_mod.bound_reports
 
-    def corrupted(g, t, budget=None):
-        rep = real(g, t, budget=budget)
-        object.__setattr__(rep, "localized_zykov", rep.localized_zykov - 1)
-        return rep
+    def corrupted(index, ts):
+        reports = real(index, ts)
+        for rep in reports:
+            object.__setattr__(rep, "localized_zykov", rep.localized_zykov - 1)
+        return reports
 
-    monkeypatch.setattr(cli_mod, "bound_report", corrupted)
+    monkeypatch.setattr(cli_mod, "bound_reports", corrupted)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert any(line.startswith("FAIL soundness[") for line in out.splitlines())

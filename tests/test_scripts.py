@@ -12,10 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script,args,expected", [
     ("descent_demo.py", ["--graph", "octahedron", "--t", "3", "--starts", "2"],
-     "uniform point is a certified minimizer: complete_multipartite=True "
-     "parts=(2, 2, 2) equal_part_masses=True"),
+     "verdict: tight, certificate (2, 2, 2)"),
     ("sweep_random_corpus.py", ["--count", "3", "--t", "2", "--t-max", "3"],
      "6 records, 1 tight, 5 strict"),
+    # t > omega: both sides of the bound are 0, which is no counterexample.
+    ("descent_demo.py", ["--graph", "C5", "--t", "3", "--starts", "2"],
+     "verdict: vacuous, t = 3 > omega = 2"),
 ])
 def test_script_runs(script, args, expected):
     result = subprocess.run(

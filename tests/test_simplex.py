@@ -8,13 +8,12 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from cliquebound.bounds import clique_density_term
-from cliquebound.cliques import BudgetExceeded, vertex_clique_numbers
+from cliquebound.cliques import BudgetExceeded, CliqueIndex
 from cliquebound.corpus import empty_graph
 from cliquebound.graph import Graph
 from cliquebound.simplex import (
     SimplexPoint,
     SimplexError,
-    check_minimizer_structure,
     delta_ij,
     descend_to_clique_support,
     eval_phi,
@@ -123,54 +122,50 @@ class TestSimplexPoint:
 
 class TestEvalPhi:
     def test_k4_uniform(self, k4):
-        p = vertex_clique_numbers(k4)
-        ev = eval_phi(k4, 2, p, SimplexPoint.uniform(4))
+        ev = eval_phi(CliqueIndex(k4), 2, SimplexPoint.uniform(4))
         assert (ev.a, ev.b, ev.phi) == (Fraction(3, 8), Fraction(3, 8), 0)
 
     def test_c5_uniform(self, c5):
-        p = vertex_clique_numbers(c5)
-        ev = eval_phi(c5, 2, p, SimplexPoint.uniform(5))
+        ev = eval_phi(CliqueIndex(c5), 2, SimplexPoint.uniform(5))
         assert (ev.a, ev.b, ev.phi) == (Fraction(1, 4), Fraction(1, 5), Fraction(1, 20))
 
     def test_concentrated_point(self, paw):
-        p = vertex_clique_numbers(paw)
+        index = CliqueIndex(paw)
         for v in range(4):
-            ev = eval_phi(paw, 2, p, SimplexPoint.concentrated(4, v))
+            ev = eval_phi(index, 2, SimplexPoint.concentrated(4, v))
             assert ev.b == 0
-            assert ev.phi == clique_density_term(p.c[v], 2)
+            assert ev.phi == clique_density_term(index.profile().c[v], 2)
 
     def test_dimension_mismatch(self, k4):
-        p = vertex_clique_numbers(k4)
         with pytest.raises(SimplexError):
-            eval_phi(k4, 2, p, SimplexPoint.uniform(5))
+            eval_phi(CliqueIndex(k4), 2, SimplexPoint.uniform(5))
 
     @given(graph_and_point(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=80)
     def test_matches_reference(self, gp, t):
         g, x = gp
-        profile = vertex_clique_numbers(g)
-        ev = eval_phi(g, t, profile, x)
-        a, b = reference_phi(g, t, profile, x)
+        index = CliqueIndex(g)
+        ev = eval_phi(index, t, x)
+        a, b = reference_phi(g, t, index.profile(), x)
         assert (ev.a, ev.b) == (a, b)
         assert ev.phi == ev.a - ev.b
 
 
 class TestDelta:
     def test_c5_symmetric_pair(self, c5):
-        p = vertex_clique_numbers(c5)
-        assert delta_ij(c5, 2, p, SimplexPoint.uniform(5), 0, 2) == 0
+        assert delta_ij(CliqueIndex(c5), 2, SimplexPoint.uniform(5), 0, 2) == 0
 
     def test_same_vertex_rejected(self, c5):
         with pytest.raises(ValueError):
-            delta_ij(c5, 2, vertex_clique_numbers(c5), SimplexPoint.uniform(5), 1, 1)
+            delta_ij(CliqueIndex(c5), 2, SimplexPoint.uniform(5), 1, 1)
 
     @given(graph_and_point(min_n=2), st.integers(min_value=2, max_value=4))
     @settings(max_examples=80)
     def test_antisymmetry(self, gp, t):
         g, x = gp
-        p = vertex_clique_numbers(g)
+        index = CliqueIndex(g)
         for i, j in combinations(range(min(g.n, 4)), 2):
-            assert delta_ij(g, t, p, x, i, j) == -delta_ij(g, t, p, x, j, i)
+            assert delta_ij(index, t, x, i, j) == -delta_ij(index, t, x, j, i)
 
 
 class TestTransfer:
@@ -203,50 +198,48 @@ class TestTransfer:
             return
         i, j = pairs[0]
         eps = frac * x.x[j]
-        profile = vertex_clique_numbers(g)
-        before = eval_phi(g, t, profile, x).phi
-        after = eval_phi(g, t, profile, transfer(x, i, j, eps)).phi
-        assert after - before == eps * delta_ij(g, t, profile, x, i, j)
+        index = CliqueIndex(g)
+        before = eval_phi(index, t, x).phi
+        after = eval_phi(index, t, transfer(x, i, j, eps)).phi
+        assert after - before == eps * delta_ij(index, t, x, i, j)
 
 
 class TestDescent:
     def test_c5_uniform(self, c5):
-        p = vertex_clique_numbers(c5)
-        trace = descend_to_clique_support(c5, 2, p, SimplexPoint.uniform(5))
+        index = CliqueIndex(c5)
+        trace = descend_to_clique_support(index, 2, SimplexPoint.uniform(5))
         assert trace.end_support_is_clique
         assert trace.omega_end == 2  # ends on an edge
-        end_phi = eval_phi(c5, 2, p, trace.end).phi
+        end_phi = eval_phi(index, 2, trace.end).phi
         assert 0 <= end_phi <= Fraction(1, 20)
         # exhaustive reference: the minimum over edge-supported points is 0
         # (A = 1/4 fixed, B = a(1-a) maxes at 1/4), so any endpoint phi >= 0
 
     def test_clique_support_start_is_fixed_point(self, k4):
-        p = vertex_clique_numbers(k4)
         x = SimplexPoint.uniform(4)
-        trace = descend_to_clique_support(k4, 2, p, x)
+        trace = descend_to_clique_support(CliqueIndex(k4), 2, x)
         assert trace.steps == () and trace.end == x
 
     def test_concentrated_start_is_fixed_point(self, c5):
-        p = vertex_clique_numbers(c5)
         x = SimplexPoint.concentrated(5, 2)
-        trace = descend_to_clique_support(c5, 2, p, x)
+        trace = descend_to_clique_support(CliqueIndex(c5), 2, x)
         assert trace.steps == () and trace.end == x
 
     @given(graph_and_point(min_n=1), st.integers(min_value=2, max_value=4))
     @settings(max_examples=80)
     def test_descent_contract(self, gp, t):
         g, x0 = gp
-        profile = vertex_clique_numbers(g)
-        trace = descend_to_clique_support(g, t, profile, x0)
+        index = CliqueIndex(g)
+        trace = descend_to_clique_support(index, t, x0)
         assert len(trace.steps) <= max(len(x0.support) - 1, 0)
         assert trace.end_support_is_clique
         assert g.induces_clique(trace.end.support_mask)
         # phi matches a fresh evaluation at every step and never increases
-        phi = eval_phi(g, t, profile, x0).phi
+        phi = eval_phi(index, t, x0).phi
         x = x0
         for step in trace.steps:
             x = transfer(x, step.i, step.j, step.epsilon)
-            fresh = eval_phi(g, t, profile, x).phi
+            fresh = eval_phi(index, t, x).phi
             assert fresh == step.phi_after <= phi
             phi = fresh
         assert x == trace.end
@@ -260,9 +253,9 @@ class TestDescent:
               SimplexPoint.from_weights([1, 1, 50, 3, 2, 2, 7])), 3)
     def test_matches_naive_descent(self, gp, t):
         g, x0 = gp
-        profile = vertex_clique_numbers(g)
-        trace = descend_to_clique_support(g, t, profile, x0)
-        steps, end = naive_descent(g, t, profile, x0)
+        index = CliqueIndex(g)
+        trace = descend_to_clique_support(index, t, x0)
+        steps, end = naive_descent(g, t, index.profile(), x0)
         assert [(s.i, s.j, s.epsilon, s.delta_ij, s.phi_after) for s in trace.steps] == steps
         assert trace.end == SimplexPoint(end) and trace.end.x == end
 
@@ -271,10 +264,10 @@ class TestDescent:
     def test_clique_support_floor(self, gp, t):
         # Maclaurin cap: on a k-clique support, B <= C(k,t)/k^t
         g, x0 = gp
-        profile = vertex_clique_numbers(g)
-        trace = descend_to_clique_support(g, t, profile, x0)
+        index = CliqueIndex(g)
+        trace = descend_to_clique_support(index, t, x0)
         k = trace.omega_end
-        ev = eval_phi(g, t, profile, trace.end)
+        ev = eval_phi(index, t, trace.end)
         cap = Fraction(comb(k, t), k**t)
         assert ev.b <= cap
         if all(trace.end.x[v] == Fraction(1, k) for v in trace.end.support):
@@ -283,63 +276,43 @@ class TestDescent:
 
 class TestNonnegativity:
     def test_octahedron_tight(self, octa):
-        p = vertex_clique_numbers(octa)
-        rep = verify_nonnegativity(octa, 3, p, samples=100, seed=1)
+        rep = verify_nonnegativity(CliqueIndex(octa), 3, samples=100, seed=1)
         assert rep.min_phi == 0
         assert rep.phi_uniform == 0
 
     def test_c5_strict(self, c5):
-        p = vertex_clique_numbers(c5)
-        rep = verify_nonnegativity(c5, 2, p, samples=100, seed=1)
+        rep = verify_nonnegativity(CliqueIndex(c5), 2, samples=100, seed=1)
         assert rep.min_phi >= 0
         assert rep.phi_uniform == Fraction(1, 20)
 
     def test_empty_graph_phi_identically_zero(self):
-        g = empty_graph(4)
-        p = vertex_clique_numbers(g)
-        rep = verify_nonnegativity(g, 3, p, samples=50, seed=2)
+        rep = verify_nonnegativity(CliqueIndex(empty_graph(4)), 3, samples=50, seed=2)
         assert rep.min_phi == 0 and rep.phi_uniform == 0
 
     def test_rejects_zero_samples(self, c5):
         with pytest.raises(ValueError):
-            verify_nonnegativity(c5, 2, vertex_clique_numbers(c5), samples=0, seed=1)
+            verify_nonnegativity(CliqueIndex(c5), 2, samples=0, seed=1)
 
     def test_budget_caps_whole_call(self, octa):
-        # No single evaluation needs 100 nodes, but the 27 of the call do.
-        p = vertex_clique_numbers(octa)
+        # The index's pass takes 19 nodes. No single evaluation needs the 81
+        # left of a 100-node budget, but the 27 evaluations of the call do.
+        assert CliqueIndex(octa).work.nodes == 19
         for v in range(octa.n):
-            eval_phi(octa, 3, p, SimplexPoint.concentrated(octa.n, v), budget=100)
-        eval_phi(octa, 3, p, SimplexPoint.uniform(octa.n), budget=100)
+            eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.concentrated(octa.n, v))
+        eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.uniform(octa.n))
         with pytest.raises(BudgetExceeded):
-            verify_nonnegativity(octa, 3, p, samples=20, seed=1, budget=100)
+            verify_nonnegativity(CliqueIndex(octa, 100), 3, samples=20, seed=1)
 
 
 def test_budget_reaches_simplex_work(c5):
-    p = vertex_clique_numbers(c5)
+    # An index whose budget its own pass uses up has no node left for
+    # simplex work.
+    pass_nodes = CliqueIndex(c5).work.nodes
     x = SimplexPoint.uniform(5)
     with pytest.raises(BudgetExceeded):
-        eval_phi(c5, 2, p, x, budget=1)
+        eval_phi(CliqueIndex(c5, pass_nodes), 2, x)
     with pytest.raises(BudgetExceeded):
-        delta_ij(c5, 2, p, x, 0, 2, budget=1)
+        delta_ij(CliqueIndex(c5, pass_nodes), 2, x, 0, 2)
     with pytest.raises(BudgetExceeded):
-        descend_to_clique_support(c5, 2, p, x, budget=1)
+        descend_to_clique_support(CliqueIndex(c5, pass_nodes), 2, x)
 
-
-class TestMinimizerStructure:
-    def test_octahedron_passes(self, octa):
-        p = vertex_clique_numbers(octa)
-        rep = check_minimizer_structure(octa, 3, profile=p)
-        assert rep.passed
-        assert rep.parts.sizes == (2, 2, 2)
-
-    def test_c5_inapplicable(self, c5):
-        p = vertex_clique_numbers(c5)
-        rep = check_minimizer_structure(c5, 2, profile=p)
-        assert not rep.applicable
-        assert rep.phi_uniform == Fraction(1, 20)
-
-    def test_k4_singleton_parts(self, k4):
-        p = vertex_clique_numbers(k4)
-        rep = check_minimizer_structure(k4, 2, profile=p)
-        assert rep.passed
-        assert rep.parts.sizes == (1, 1, 1, 1)
