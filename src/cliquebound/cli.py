@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 usage/input error,
 3 work budget exceeded. The ``phi`` subcommand additionally uses exit code 4
-for the strict (non-tight) outcome so scripts can branch on tightness.
+for the strict (non-tight) outcome so scripts can branch on tightness; 0
+covers both the tight and the vacuous (t > omega) outcome.
 
 Rationals serialize as "p/q" strings; a display-only decimal column with 10
 significant digits rides along for human scanning.
@@ -255,11 +256,13 @@ def cmd_phi(config: RunConfig) -> int:
     lines = []
     try:
         if g.n == 0:
+            omega = 0
             lines.append("phi_uniform = 0/1 (0)")
             lines.append("min_sampled_phi = 0/1 (0)")
             tight = True
         else:
             index = CliqueIndex(g, config.budget)
+            omega = index.sizes[0]
             report = verify_nonnegativity(index, t, config.samples, config.seed)
             tight = report.phi_uniform == 0
             lines.append(f"phi_uniform = {_rat(report.phi_uniform)} "
@@ -283,7 +286,12 @@ def cmd_phi(config: RunConfig) -> int:
         config.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    print("tight" if tight else "strict", file=sys.stderr)
+    # For t > omega both sides of the bound are 0, so phi(uniform) = 0 is
+    # vacuous rather than tight; the exit code stays 0.
+    if t > omega:
+        print(f"vacuous, t = {t} > omega = {omega}", file=sys.stderr)
+    else:
+        print("tight" if tight else "strict", file=sys.stderr)
     return EXIT_OK if tight else EXIT_STRICT
 
 

@@ -6,7 +6,9 @@ as a bitset over [n], so neighborhood intersection is a single ``&``.
 
 from __future__ import annotations
 
+import base64
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -177,7 +179,14 @@ def to_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 MAX_GRAPH6_N = 1 << 18
-_GRAPH6_BITS = {63 + k: f"{k:06b}" for k in range(64)}
+# A graph6 character is 63 + a 6-bit value; base64 writes the same value as
+# the value-th letter of its alphabet. So one byte translation turns base64
+# text into graph6 text and back, and the C base64 codec packs the groups.
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_ALPHABET = bytes(range(63, 127))
+_B64_TO_GRAPH6 = bytes.maketrans(_B64_ALPHABET, _GRAPH6_ALPHABET)
+_GRAPH6_TO_B64 = bytes.maketrans(_GRAPH6_ALPHABET, _B64_ALPHABET)
+_GRAPH6_INVALID = re.compile(r"[^?-~]")
 
 
 def to_graph6(g: Graph) -> str:
@@ -190,13 +199,18 @@ def to_graph6(g: Graph) -> str:
     else:
         head = chr(126) + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
 
-    # Column col holds rows 0..col-1, lowest row first.
-    bitstring = "".join(
-        format(g.adjacency[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)
-    )
-    bitstring += "0" * (-len(bitstring) % 6)
-    body = "".join(chr(int(bitstring[k : k + 6], 2) + 63) for k in range(0, len(bitstring), 6))
-    return head + body
+    # Column col holds rows 0..col-1, lowest row first: written last column
+    # first, highest row first, then reversed once.
+    bitstring = "".join([
+        format(g.adjacency[col] & ((1 << col) - 1), f"0{col}b") for col in range(n - 1, 0, -1)
+    ])[::-1]
+    if not bitstring:
+        return head
+    # Zero-padded to whole 24-bit base64 quanta; the surplus groups are cut.
+    width = len(bitstring) + (-len(bitstring) % 24)
+    packed = (int(bitstring, 2) << (width - len(bitstring))).to_bytes(width // 8, "big")
+    body = base64.b64encode(packed).translate(_B64_TO_GRAPH6)
+    return head + body[: -(-len(bitstring) // 6)].decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -206,9 +220,11 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ParseError("empty graph6 input")
-    for offset, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 character at byte offset {offset}: {ch!r}")
+    bad = _GRAPH6_INVALID.search(s)
+    if bad:
+        raise ParseError(
+            f"invalid graph6 character at byte offset {bad.start()}: {bad.group()!r}"
+        )
 
     if s[0] != chr(126):
         n = ord(s[0]) - 63
@@ -236,7 +252,10 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 bit stream length mismatch: need {need} bits, got {have}"
         )
-    bitstring = s[pos:].translate(_GRAPH6_BITS)
+    # "A" (0) pads the base64 text to whole 4-character quanta.
+    body = s[pos:].encode("ascii").translate(_GRAPH6_TO_B64)
+    packed = base64.b64decode(body + b"A" * (-len(body) % 4))
+    bitstring = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
     rows = [0] * n
     start = 0
     for col in range(1, n):

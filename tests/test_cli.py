@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -51,6 +52,18 @@ def test_analyze_octahedron(tmp_path, capsys):
     assert rec["certificate"] == [2, 2, 2]
     assert "graph_hash" in rec and "version" in rec
     assert "1 tight" in err
+
+
+def test_graph_hash_is_sha256_of_canonical_graph6(tmp_path, capsys):
+    # C5 in three spellings: an edge list, its canonical graph6 line "Dhc",
+    # and "Dhf", which differs from it only in the two padding bits.
+    (tmp_path / "c5.el").write_text("0 1\n1 2\n2 3\n3 4\n0 4\n")
+    (tmp_path / "c5.g6").write_text("Dhc\n")
+    (tmp_path / "c5_padded.g6").write_text("Dhf\n")
+    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2")
+    assert code == 0
+    hashes = [json.loads(line)["graph_hash"] for line in out.splitlines()]
+    assert hashes == [hashlib.sha256(b"Dhc").hexdigest()[:16]] * 3
 
 
 def test_analyze_c5_range(tmp_path, capsys):
@@ -202,6 +215,26 @@ def test_phi_strict_exit(tmp_path, capsys):
     assert "phi_uniform = 1/20" in out
     assert "step=" in out
     assert "strict" in err
+
+
+def test_phi_vacuous_when_t_exceeds_omega(tmp_path, capsys):
+    # Both sides of the bound are 0 for t > omega, so phi(uniform) = 0 is not
+    # tightness; the exit code stays 0.
+    (tmp_path / "c5.el").write_text("0 1\n1 2\n2 3\n3 4\n0 4\n")
+    code, out, err = run(capsys, "phi", str(tmp_path / "c5.el"),
+                         "--t", "3", "--samples", "20")
+    assert code == 0
+    assert out.startswith("phi_uniform = 0/1 (0)\n")
+    assert "descent_end_phi = 0/1" in out
+    assert err == "vacuous, t = 3 > omega = 2\n"
+
+
+def test_phi_vacuous_on_empty_graph(tmp_path, capsys):
+    (tmp_path / "empty.el").write_text("")
+    code, out, err = run(capsys, "phi", str(tmp_path / "empty.el"), "--t", "2")
+    assert code == 0
+    assert out == "phi_uniform = 0/1 (0)\nmin_sampled_phi = 0/1 (0)\n"
+    assert err == "vacuous, t = 2 > omega = 0\n"
 
 
 def test_phi_budget_reaches_sampling(tmp_path, capsys):

@@ -112,10 +112,31 @@ class TestGraph6:
 
     def test_header_prefix_accepted(self):
         assert parse_graph6(">>graph6<<A_").m == 1
+        g = generate_random(70, Fraction(1, 2), 1)
+        assert parse_graph6(">>graph6<<" + to_graph6(g)) == g
 
     def test_invalid_character_offset(self):
         with pytest.raises(ParseError, match="offset 1"):
             parse_graph6("A\x20_")
+        with pytest.raises(ParseError, match="offset 2: 'é'"):
+            parse_graph6("D?é?")
+        # The offset counts from the end of the header.
+        with pytest.raises(ParseError, match="offset 1: ' '"):
+            parse_graph6(">>graph6<<A _")
+
+    def test_eight_character_size_form_for_small_n(self):
+        # "~~" then n = 2 in 36 bits, then the K2 body.
+        assert parse_graph6("~~?????A_") == parse_graph6("A_")
+        # n = 70 in 36 bits: three zero groups, then its 18-bit form.
+        g = generate_random(70, Fraction(1, 2), 2)
+        assert parse_graph6("~~???" + to_graph6(g)[1:]) == g
+
+    def test_nonzero_padding_bits_ignored(self):
+        # C5 has 10 pair bits; "c" and "f" differ only in the 2 padding bits.
+        assert parse_graph6("Dhf") == parse_graph6("Dhc")
+        assert to_graph6(parse_graph6("Dhf")) == "Dhc"
+        # K2: one pair bit, five padding bits.
+        assert parse_graph6("A~") == parse_graph6("A_")
 
     def test_truncated_stream(self):
         with pytest.raises(ParseError, match="mismatch"):
@@ -128,6 +149,16 @@ class TestGraph6:
     @given(graphs(max_n=8))
     def test_matches_reference_encoder(self, g):
         assert to_graph6(g) == reference_graph6(g)
+
+    def test_matches_reference_up_to_80(self):
+        # n = 0..80 meets every residue of C(n, 2) mod 24 that occurs at all
+        # (the encoder pads to 24-bit base64 quanta), and n >= 63 uses the
+        # four-character size form.
+        for n in range(81):
+            g = generate_random(n, Fraction(1, 2), 1000 + n)
+            text = to_graph6(g)
+            assert text == reference_graph6(g), n
+            assert parse_graph6(text) == g, n
 
     def test_round_trip_random_up_to_64(self):
         rng = random.Random(0)
