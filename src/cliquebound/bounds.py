@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb
+from math import comb, floor
 from typing import Iterable, Sequence
 
 from .cliques import CliqueIndex, CliqueProfile
@@ -65,48 +65,44 @@ def localized_zykov_bound(g: Graph, t: int, profile: CliqueProfile) -> Fraction:
 
 
 def zykov_bound(n: int, r: int, t: int) -> Fraction:
-    """C(r, t) * (n / r)^t, the classical clique-count bound."""
+    """C(r, t) * (n / r)^t, the classical clique-count bound: the localized
+    bound with c(v) = r for every vertex."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if r < 1:
         raise ValueError(f"clique bound r must be >= 1, got {r}")
-    return comb(r, t) * Fraction(n, r) ** t
+    return n**t * clique_density_term(r, t)
 
 
 def turan_bound(n: int, r: int) -> Fraction:
-    """n^2 (r-1) / (2r), the classical edge bound; equals zykov_bound(n, r, 2)."""
-    if r < 1:
-        raise ValueError(f"clique bound r must be >= 1, got {r}")
-    return Fraction(n * n * (r - 1), 2 * r)
-
-
-def _edge_sum(histogram: Counter) -> Fraction:
-    return sum((Fraction(k * w, w - 1) for w, k in histogram.items()), Fraction(0))
+    """n^2 (r-1) / (2r), the classical edge bound."""
+    return zykov_bound(n, r, 2)
 
 
 def _kirsch_nir_sum(histogram: Counter, t: int) -> Fraction:
-    return sum((Fraction(k * a**t, comb(a, t)) for a, k in histogram.items()), Fraction(0))
+    """sum_T alpha(T)^t / C(alpha(T), t) over a histogram of alpha(T)."""
+    return sum((k / clique_density_term(a, t) for a, k in histogram.items()), Fraction(0))
 
 
-def edge_localized_turan_sum(g: Graph, budget: int | None = None) -> Fraction:
+def edge_localized_turan_sum(g: Graph) -> Fraction:
     """sum_e w(e) / (w(e) - 1), w(e) the order of the largest clique
-    containing e; always at most n^2 / 2."""
-    return _edge_sum(CliqueIndex(g, budget).histogram(2))
+    containing e; always at most n^2 / 2. Since w / (w - 1) = w^2 / (2 C(w, 2)),
+    it is half the Kirsch-Nir sum at t = 2."""
+    return _kirsch_nir_sum(CliqueIndex(g).histogram(2), 2) / 2
 
 
 def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
-    """floor((n/2) * sum_v (c(v)-1)/c(v)); the pre-floor value equals the
-    localized bound at t = 2, since (c-1)/(2c) = C(c, 2)/c^2."""
-    value = g.n * density_sum(density_terms(profile.c, 2), profile.c, repeat(1))
-    return value.numerator // value.denominator
+    """floor((n/2) * sum_v (c(v)-1)/c(v)), the floor of the localized bound
+    at t = 2, since (c-1)/(2c) = C(c, 2)/c^2."""
+    return floor(localized_zykov_bound(g, 2, profile))
 
 
-def kirsch_nir_sum(g: Graph, t: int, budget: int | None = None) -> Fraction:
+def kirsch_nir_sum(g: Graph, t: int) -> Fraction:
     """sum over t-cliques T of alpha(T)^t / C(alpha(T), t), alpha(T) the order
     of the largest clique containing T; at most n^t."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    return _kirsch_nir_sum(CliqueIndex(g, budget).histogram(t), t)
+    return _kirsch_nir_sum(CliqueIndex(g).histogram(t), t)
 
 
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
@@ -182,7 +178,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     profile = index.profile()
     certificate = is_regular_complete_multipartite(g)
     edge_histogram = index.histogram(2)
-    edge_sum = _edge_sum(edge_histogram)
+    edge_sum = _kirsch_nir_sum(edge_histogram, 2) / 2
     vertex_turan = vertex_localized_turan_bound(g, profile)
     reports = []
     for t in ts:
@@ -213,7 +209,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     return reports
 
 
-def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
+def bound_report(g: Graph, t: int) -> BoundReport:
     """Evaluate every bound exactly and certify the equality case.
 
     For t <= omega the tightness flag is cross-checked against the
@@ -221,4 +217,4 @@ def bound_report(g: Graph, t: int, budget: int | None = None) -> BoundReport:
     the localized bound can vanish, so tightness there is vacuous and not
     cross-checked.
     """
-    return bound_reports(CliqueIndex(g, budget), [t])[0]
+    return bound_reports(CliqueIndex(g), [t])[0]

@@ -80,6 +80,8 @@ class RunConfig:
                              f"got [{self.t_min}, {self.t_max}]")
         if self.samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.samples}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
@@ -93,7 +95,10 @@ def graph_hash(g: Graph) -> str:
 
 
 def load_graph_file(path: Path) -> Graph:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte offset {exc.start}") from None
     if path.suffix == ".g6":
         lines = [line for line in text.splitlines() if line.strip()]
         if len(lines) != 1:
@@ -174,11 +179,8 @@ def cmd_analyze(config: RunConfig) -> int:
     if failures == len(paths):
         return EXIT_USAGE
 
-    text = _render_records(records, config.fmt)
-    if config.out:
-        config.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not _write_output(_render_records(records, config.fmt), config.out):
+        return EXIT_USAGE
     ok = [r for r in records if "error" not in r]
     tight = sum(1 for r in ok if r["tight"])
     print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, "
@@ -188,6 +190,20 @@ def cmd_analyze(config: RunConfig) -> int:
     if budget_hit:
         return EXIT_BUDGET
     return EXIT_OK
+
+
+def _write_output(text: str, out: Path | None) -> bool:
+    """Write ``text`` to ``out``, or to stdout; False if it cannot be written."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _render_records(records, fmt: str) -> str:
@@ -213,15 +229,15 @@ def _render_records(records, fmt: str) -> str:
 
 def cmd_generate(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         if args.kind == "multipartite":
             sizes = tuple(int(s) for s in args.parts.split(","))
             g = generate_complete_multipartite(PartSpec(sizes))
             name = "multipartite_" + "-".join(str(s) for s in sizes) + ".g6"
             (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
             print(outdir / name)
-        elif args.kind == "random":
+        else:
             p = Fraction(args.p)
             for k in range(args.count):
                 seed = args.seed + k
@@ -229,10 +245,7 @@ def cmd_generate(args) -> int:
                 name = f"random_n{args.n}_p{p.numerator}-{p.denominator}_seed{seed}.g6"
                 (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
                 print(outdir / name)
-        else:
-            print(f"unknown generator {args.kind!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except (GraphError, ValueError, ZeroDivisionError) as exc:
+    except (GraphError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -255,14 +268,13 @@ def cmd_phi(config: RunConfig) -> int:
     t = config.t_min
     lines = []
     try:
+        index = CliqueIndex(g, config.budget)
+        omega = index.profile().omega
         if g.n == 0:
-            omega = 0
             lines.append("phi_uniform = 0/1 (0)")
             lines.append("min_sampled_phi = 0/1 (0)")
             tight = True
         else:
-            index = CliqueIndex(g, config.budget)
-            omega = index.sizes[0]
             report = verify_nonnegativity(index, t, config.samples, config.seed)
             tight = report.phi_uniform == 0
             lines.append(f"phi_uniform = {_rat(report.phi_uniform)} "
@@ -281,11 +293,8 @@ def cmd_phi(config: RunConfig) -> int:
     except PhiNegativityError as exc:
         print(f"error: {paths[0]}: t={t}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        config.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not _write_output("\n".join(lines) + "\n", config.out):
+        return EXIT_USAGE
     # For t > omega both sides of the bound are 0, so phi(uniform) = 0 is
     # vacuous rather than tight; the exit code stays 0.
     if t > omega:
@@ -453,9 +462,7 @@ def main(argv=None) -> int:
         return cmd_analyze(config)
     if args.command == "phi":
         return cmd_phi(config)
-    if args.command == "selfcheck":
-        return cmd_selfcheck(config)
-    return EXIT_USAGE
+    return cmd_selfcheck(config)
 
 
 def entrypoint():

@@ -7,9 +7,10 @@ maximal cliques and, per vertex, the bitset of the cliques that hold it. One
 walk by ordered recursive expansion (each t-clique enumerated once, in
 increasing vertex order) reads off it the order of the largest clique
 containing each t-clique, for any t: c(v), w(e) and alpha(T), and so the
-count N(G, K_t). Both honor an optional work budget measured in recursion
-nodes; an index's one budget covers everything read off it and every
-simplex clique sum charged to it, so it caps the work done on one graph.
+count N(G, K_t). The index also runs the simplex's integer-weighted clique
+sums, and charges all of it to its one work meter, whose budget, counted in
+recursion nodes, caps the work done on one graph. Only a ``CliqueIndex``
+takes a budget; the one-shot functions build one at the default.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
         if sub.bit_count() >= r - 1:
             total += weights[v] * _weight_rec(adj, sub, r - 1, weights, work)
     return total
-
-
-def clique_weight_sum(g: Graph, mask: int, t: int, weights: Sequence[int],
-                      budget: int | None = None) -> int:
-    """Sum over t-cliques within ``mask`` of the product of integer vertex weights."""
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    return _weight_rec(g.adjacency, mask, t, weights, _Work(budget))
 
 
 def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
@@ -186,10 +179,10 @@ class CliqueIndex:
     the ids of the cliques that hold v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
     clique counts are then read without a second pass. ``bound_reports`` and
-    the simplex functions read the graph and c(v) from the index and charge
-    their work to ``work``, so the budget caps the total work done on the
-    graph, in recursion nodes: those of the pass, of every walk over the
-    t-cliques and of every simplex clique sum.
+    the simplex functions read the graph and c(v) from the index and run
+    their clique sums through ``weight_sum``, so the budget caps the total
+    work done on the graph, in recursion nodes: those of the pass, of every
+    walk over the t-cliques and of every weighted clique sum.
     """
 
     __slots__ = ("graph", "work", "sizes", "member")
@@ -234,25 +227,30 @@ class CliqueIndex:
         is N(G, K_t)."""
         return Counter(alpha for _, alpha in self.walk(t))
 
+    def weight_sum(self, mask: int, t: int, weights: Sequence[int]) -> int:
+        """Sum over the t-cliques within ``mask`` of their vertex weights' product."""
+        if t < 1:
+            raise ValueError(f"clique order must be >= 1, got {t}")
+        return _weight_rec(self.graph.adjacency, mask, t, weights, self.work)
 
-def count_cliques(g: Graph, t: int, budget: int | None = None) -> int:
+
+def count_cliques(g: Graph, t: int) -> int:
     """Exact number of t-vertex cliques in g."""
-    return CliqueIndex(g, budget).histogram(t).total()
+    return CliqueIndex(g).histogram(t).total()
 
 
-def largest_clique_orders(g: Graph, t: int, budget: int | None = None) -> dict[int, int]:
+def largest_clique_orders(g: Graph, t: int) -> dict[int, int]:
     """Order of the largest clique containing T, for every t-clique T of g.
 
     Keys are the vertex bitmasks of the t-cliques. With t = 1 the values are
-    c(v), with t = 2 the edge weights w(e), and in general alpha(T). The
-    budget counts recursion nodes.
+    c(v), with t = 2 the edge weights w(e), and in general alpha(T).
     """
-    return dict(CliqueIndex(g, budget).walk(t))
+    return dict(CliqueIndex(g).walk(t))
 
 
-def vertex_clique_numbers(g: Graph, budget: int | None = None) -> CliqueProfile:
+def vertex_clique_numbers(g: Graph) -> CliqueProfile:
     """c(v) = order of the largest clique containing v, for every vertex.
 
     Isolated vertices get c(v) = 1 (their only clique is the singleton).
     """
-    return CliqueIndex(g, budget).profile()
+    return CliqueIndex(g).profile()

@@ -7,9 +7,9 @@ phi linearly, which drives a support-shrinking descent that terminates on a
 clique support.
 
 Every function that does clique work takes the graph's ``CliqueIndex``: it
-reads the graph, c(v) from the index's profile, and charges its clique sums
-to the index's one work meter, so one budget caps all the work done on one
-graph.
+reads the graph, c(v) from the index's profile, and runs its clique sums
+through ``CliqueIndex.weight_sum``, which charges them to the index's one
+work meter, so one budget caps all the work done on one graph.
 
 A point is held as integer numerators over one common denominator D, so the
 clique polynomial runs on integers: B is one integer clique sum over D^t, and
@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 from math import gcd, lcm
 
 from .bounds import clique_density_term, density_sum, density_terms
-from .cliques import CliqueIndex, _weight_rec
+from .cliques import CliqueIndex
 
 
 class SimplexError(ValueError):
@@ -153,8 +153,7 @@ def _phi(index: CliqueIndex, t: int, c, terms: dict[int, Fraction],
          nums, den: int) -> PhiEvaluation:
     """(A, B, phi) at the point nums / den."""
     a = density_sum(terms, c, nums) / den
-    adj, work = index.graph.adjacency, index.work
-    b = Fraction(_weight_rec(adj, _support_mask(nums), t, nums, work), den**t)
+    b = Fraction(index.weight_sum(_support_mask(nums), t, nums), den**t)
     return PhiEvaluation(a, b, a - b)
 
 
@@ -175,8 +174,8 @@ def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fra
     c = _check(index, t, x.n)
     a_part = clique_density_term(c[i], t) - clique_density_term(c[j], t)
     adj, support = index.graph.adjacency, x.support_mask
-    s_i = _weight_rec(adj, adj[i] & support, t - 1, x.nums, index.work)
-    s_j = _weight_rec(adj, adj[j] & support, t - 1, x.nums, index.work)
+    s_i = index.weight_sum(adj[i] & support, t - 1, x.nums)
+    s_j = index.weight_sum(adj[j] & support, t - 1, x.nums)
     return a_part - Fraction(s_i - s_j, x.den ** (t - 1))
 
 
@@ -261,13 +260,12 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
     """
     c = _check(index, t, x0.n)
     terms = density_terms(c, t)
-    g, work = index.graph, index.work
-    adj = g.adjacency
+    adj = index.graph.adjacency
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
     phi = _phi(index, t, c, terms, nums, den).phi
-    s = [0] * g.n
+    s = [0] * x0.n
     fresh = 0  # vertices whose s_v is current
     steps = []
     pair = _first_nonadjacent_pair(adj, support, 0, 0)
@@ -275,7 +273,7 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
         i, j = pair
         for v in pair:
             if not fresh >> v & 1:
-                s[v] = _weight_rec(adj, adj[v] & support, t - 1, nums, work)
+                s[v] = index.weight_sum(adj[v] & support, t - 1, nums)
                 fresh |= 1 << v
         d = terms[c[i]] - terms[c[j]] - Fraction(s[i] - s[j], scale)
         if d <= 0:
@@ -295,7 +293,7 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
         start=x0,
         steps=tuple(steps),
         end=SimplexPoint._from_ints(nums, den),
-        end_support_is_clique=g.induces_clique(support),
+        end_support_is_clique=index.graph.induces_clique(support),
         omega_end=support.bit_count(),
     )
 

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,79 @@ def test_analyze_partial_parse_failure_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("name, data", [
+    ("bad.el", b"0 1\n1 \xff\n"),
+    ("bad.g6", b"D\xffc\n"),
+], ids=["el", "g6"])
+def test_analyze_non_utf8_input_is_input_error(tmp_path, capsys, name, data):
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    (tmp_path / name).write_bytes(data)
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3")
+    assert code == 2
+    assert [json.loads(line)["true_count"] for line in out.splitlines()] == [8]
+    error_lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert error_lines == [f"error: {tmp_path / name}: not UTF-8 text at byte offset "
+                           f"{data.index(0xff)}"]
+
+
+def test_phi_non_utf8_input_is_input_error(tmp_path, capsys):
+    (tmp_path / "bad.el").write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run(capsys, "phi", str(tmp_path / "bad.el"), "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.el" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "phi"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, command):
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    target = tmp_path / "missing_dir" / "x.out"
+    code, out, err = run(capsys, command, str(tmp_path / "multipartite_2-2-2.g6"),
+                         "--t", "3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing_dir" in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "phi"])
+def test_unwritable_stdout_is_input_error(tmp_path, capsys, monkeypatch, command):
+    class FullStream(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = main([command, str(tmp_path / "multipartite_2-2-2.g6"), "--t", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+def test_generate_out_over_existing_file_is_input_error(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("keep\n")
+    code, out, err = run(capsys, "generate", "multipartite", "--parts", "2,2",
+                         "--out", str(existing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert existing.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_rejected(tmp_path, capsys, budget):
+    (tmp_path / "x.el").write_text("0 1\n")
+    for argv in (["analyze", str(tmp_path / "x.el")], ["phi", str(tmp_path / "x.el")],
+                 ["selfcheck"]):
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: budget must be >= 1, got {budget}\n"
 
 
 def test_phi_tight_exit(tmp_path, capsys):

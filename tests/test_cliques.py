@@ -8,7 +8,6 @@ from cliquebound.cliques import (
     BudgetExceeded,
     CliqueIndex,
     _degeneracy_order,
-    clique_weight_sum,
     count_cliques,
     largest_clique_orders,
     vertex_clique_numbers,
@@ -125,26 +124,41 @@ class TestMaxCliqueContaining:
         assert Counter(orders.values()) == CliqueIndex(g).histogram(t)
 
 
-def _neighborhood_count(g, v, t):
+def _neighborhood_count(index, v, t):
     """Number of t-cliques inside N(v), as a unit-weight clique sum."""
-    return clique_weight_sum(g, g.adjacency[v], t, (1,) * g.n)
+    g = index.graph
+    return index.weight_sum(g.adjacency[v], t, (1,) * g.n)
 
 
 class TestNeighborhoodCounts:
     def test_k4(self, k4):
-        assert _neighborhood_count(k4, 0, 2) == 3
+        assert _neighborhood_count(CliqueIndex(k4), 0, 2) == 3
 
     def test_c5(self, c5):
-        assert _neighborhood_count(c5, 0, 2) == 0
+        assert _neighborhood_count(CliqueIndex(c5), 0, 2) == 0
 
     def test_octahedron(self, octa):
         # N(0) induces a 4-cycle; frozen from brute force over its 6 pairs
-        assert _neighborhood_count(octa, 0, 2) == 4
+        assert _neighborhood_count(CliqueIndex(octa), 0, 2) == 4
 
     @given(graphs(min_n=1), st.integers(min_value=2, max_value=6))
     def test_handshake_identity(self, g, t):
-        total = sum(_neighborhood_count(g, v, t - 1) for v in range(g.n))
-        assert total == t * count_cliques(g, t)
+        index = CliqueIndex(g)
+        total = sum(_neighborhood_count(index, v, t - 1) for v in range(g.n))
+        assert total == t * index.histogram(t).total()
+
+    def test_order_below_one_rejected(self, k4):
+        with pytest.raises(ValueError):
+            CliqueIndex(k4).weight_sum(k4.full_mask, 0, (1,) * k4.n)
+
+    def test_charges_the_index_meter(self, k4):
+        # N(0) = {1, 2, 3}: the root, then one leaf below 1 and one below 2.
+        index = CliqueIndex(k4)
+        before = index.work.nodes
+        assert _neighborhood_count(index, 0, 2) == 3
+        assert index.work.nodes == before + 3
+        with pytest.raises(BudgetExceeded):
+            _neighborhood_count(CliqueIndex(k4, budget=before + 2), 0, 2)
 
 
 def _scan_degeneracy_order(adj, mask):
@@ -174,6 +188,8 @@ class TestEnumerationAndBudget:
     def test_budget_exceeded(self):
         g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         with pytest.raises(BudgetExceeded):
-            vertex_clique_numbers(g, budget=1)
+            CliqueIndex(g, budget=1)
+        # The walk is charged to the same meter as the pass.
+        index = CliqueIndex(g, budget=CliqueIndex(g).work.nodes)
         with pytest.raises(BudgetExceeded):
-            count_cliques(g, 3, budget=1)
+            index.histogram(3)
