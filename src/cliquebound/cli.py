@@ -452,6 +452,9 @@ def main(argv=None) -> int:
         if args.kind == "random" and (args.n is None or args.p is None):
             print("generate random requires --n and --p", file=sys.stderr)
             return EXIT_USAGE
+        if args.count < 1:
+            print(f"error: count must be >= 1, got {args.count}", file=sys.stderr)
+            return EXIT_USAGE
         return cmd_generate(args)
     try:
         config = _config_from_args(args)

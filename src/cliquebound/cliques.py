@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graph import Graph, bits
+from .graph import Graph
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -60,9 +60,13 @@ class _Work:
 def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
                 work: _Work) -> int:
     work.tick()
-    if r == 1:
-        return sum(weights[v] for v in bits(cand))
     total = 0
+    if r == 1:
+        while cand:
+            low = cand & -cand
+            total += weights[low.bit_length() - 1]
+            cand ^= low
+        return total
     while cand:
         low = cand & -cand
         v = low.bit_length() - 1
@@ -83,9 +87,13 @@ def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
     """
     deg = [0] * len(adj)
     buckets = [0] * mask.bit_count()
-    for v in bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
         deg[v] = (adj[v] & mask).bit_count()
-        buckets[deg[v]] |= 1 << v
+        buckets[deg[v]] |= low
     remaining = mask
     order = []
     d = 0
@@ -97,8 +105,11 @@ def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
         order.append(v)
         buckets[d] ^= low
         remaining ^= low
-        for u in bits(adj[v] & remaining):
-            bit = 1 << u
+        nbrs = adj[v] & remaining
+        while nbrs:
+            bit = nbrs & -nbrs
+            u = bit.bit_length() - 1
+            nbrs ^= bit
             buckets[deg[u]] ^= bit
             deg[u] -= 1
             buckets[deg[u]] |= bit
@@ -106,39 +117,52 @@ def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
     return order
 
 
-def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int,
-                   work: _Work) -> Iterator[int]:
+def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int, work: _Work,
+                   out: list[int]) -> None:
     work.tick()
-    if p == 0 and x == 0:
-        yield r
+    if p == 0:
+        if x == 0:
+            out.append(r)
         return
+    # Tomita pivot: the first vertex of p | x with the most neighbours in p.
     pivot, best = -1, -1
-    for u in bits(p | x):
+    scan = p | x
+    while scan:
+        low = scan & -scan
+        u = low.bit_length() - 1
+        scan ^= low
         d = (adj[u] & p).bit_count()
         if d > best:
             pivot, best = u, d
-    for v in bits(p & ~adj[pivot]):
-        bit = 1 << v
-        yield from _bron_kerbosch(adj, r | bit, p & adj[v], x & adj[v], work)
-        p &= ~bit
-        x |= bit
+    branch = p & ~adj[pivot]
+    while branch:
+        low = branch & -branch
+        v = low.bit_length() - 1
+        branch ^= low
+        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], work, out)
+        p ^= low
+        x |= low
 
 
-def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> Iterator[int]:
+def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
     """Bron-Kerbosch with pivoting over the induced subgraph on ``mask``.
 
-    Yields each maximal clique as a bitmask. The outer level follows a
-    degeneracy ordering for output-sensitive behavior on sparse inputs.
-    The recursion is a module-level function rather than a closure, so a
-    call leaves no reference cycle behind for the cyclic garbage collector.
+    Returns the maximal cliques as bitmasks, in the order the search finds
+    them. The outer level follows a degeneracy ordering for output-sensitive
+    behavior on sparse inputs. The recursion appends each maximal clique to
+    one list passed down. It is a module-level function rather than a
+    closure, so a call leaves no reference cycle behind for the cyclic
+    garbage collector.
     """
+    out: list[int] = []
     p = mask
     x = 0
     for v in _degeneracy_order(adj, mask):
         bit = 1 << v
-        yield from _bron_kerbosch(adj, bit, p & adj[v], x & adj[v], work)
-        p &= ~bit
+        _bron_kerbosch(adj, bit, p & adj[v], x & adj[v], work, out)
+        p ^= bit
         x |= bit
+    return out
 
 
 def _walk(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
@@ -190,8 +214,8 @@ class CliqueIndex:
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
         self.work = _Work(budget)
-        cliques = sorted(_maximal_cliques(g.adjacency, g.full_mask, self.work),
-                         key=int.bit_count, reverse=True)
+        cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
+        cliques.sort(key=int.bit_count, reverse=True)
         self.sizes = [clique.bit_count() for clique in cliques]
         member = [0] * g.n
         bit = 1

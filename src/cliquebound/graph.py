@@ -66,13 +66,17 @@ class Graph:
         if len(self.adjacency) != self.n:
             raise GraphError("adjacency must have one row per vertex")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adjacency):
+        adjacency = self.adjacency
+        for v, row in enumerate(adjacency):
             if row & ~full:
                 raise GraphError(f"adjacency row {v} references vertices >= n")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
-            for u in bits(row):
-                if not self.adjacency[u] >> v & 1:
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                row ^= low
+                if not adjacency[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
@@ -262,8 +266,11 @@ def parse_graph6(text: str) -> Graph:
         lower = int(bitstring[start : start + col][::-1], 2)
         start += col
         rows[col] = lower
-        for row in bits(lower):
-            rows[row] |= 1 << col
+        bit = 1 << col
+        while lower:
+            low = lower & -lower
+            rows[low.bit_length() - 1] |= bit
+            lower ^= low
     return Graph(n, tuple(rows))
 
 

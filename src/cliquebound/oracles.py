@@ -51,6 +51,22 @@ def brute_vertex_clique_numbers(g: Graph) -> CliqueProfile:
     return CliqueProfile(tuple(c), max(c))
 
 
+def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximal clique as a sorted vertex tuple, by testing every vertex
+    subset: a clique is maximal when no vertex outside it is adjacent to all
+    of it. Ordered by size, then lexicographically."""
+    _guard(g)
+    out = []
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if _is_clique(g, combo) and not any(
+                all(g.has_edge(u, v) for v in combo)
+                for u in range(g.n) if u not in combo
+            ):
+                out.append(combo)
+    return out
+
+
 def brute_kirsch_nir_alpha(g: Graph, copy) -> int:
     """Largest clique order over all cliques containing ``copy``, by subsets."""
     _guard(g)

@@ -43,6 +43,17 @@ def test_generate_rejects_zero_part(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_generate_count_below_one_rejected(tmp_path, capsys, count):
+    outdir = tmp_path / "g"
+    code, out, err = run(capsys, "generate", "random", "--n", "5", "--p", "1/2",
+                         "--count", count, "--out", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: count must be >= 1, got {count}\n"
+    assert not outdir.exists()
+
+
 def test_analyze_octahedron(tmp_path, capsys):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3")

@@ -1,4 +1,7 @@
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -7,15 +10,18 @@ import hypothesis.strategies as st
 from cliquebound.cliques import (
     BudgetExceeded,
     CliqueIndex,
+    _Work,
     _degeneracy_order,
+    _maximal_cliques,
     count_cliques,
     largest_clique_orders,
     vertex_clique_numbers,
 )
-from cliquebound.graph import Graph, bits
+from cliquebound.graph import Graph, bits, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
     brute_count_cliques,
     brute_kirsch_nir_alpha,
+    brute_maximal_cliques,
     brute_vertex_clique_numbers,
 )
 from strategies import graphs
@@ -93,6 +99,18 @@ class TestVertexCliqueNumbers:
         assert all(a <= b for a, b in zip(after, before))
 
 
+class TestMaximalCliques:
+    @given(graphs(max_n=12))
+    @example(Graph(0, ()))
+    @example(Graph.from_edges(4, [(0, 1)]))
+    def test_matches_oracle(self, g):
+        oracle = brute_maximal_cliques(g)
+        found = _maximal_cliques(g.adjacency, g.full_mask, _Work(None))
+        # Each oracle clique exactly once, and nothing else.
+        assert sorted(found) == sorted(sum(1 << v for v in clique) for clique in oracle)
+        assert CliqueIndex(g).sizes == sorted(map(len, oracle), reverse=True)
+
+
 class TestMaxCliqueContaining:
     """largest_clique_orders maps each t-clique's bitmask to the order of the
     largest clique containing it."""
@@ -161,6 +179,40 @@ class TestNeighborhoodCounts:
             _neighborhood_count(CliqueIndex(k4, budget=before + 2), 0, 2)
 
 
+def _brute_weight_sum(g, mask, t, weights):
+    """Sum over the t-cliques within ``mask`` of their weights' product, by
+    testing every t-subset."""
+    return sum(
+        prod(weights[v] for v in combo)
+        for combo in combinations([v for v in range(g.n) if mask >> v & 1], t)
+        if all(g.has_edge(u, v) for u, v in combinations(combo, 2))
+    )
+
+
+# Zeros, small weights and weights past a machine word.
+_WEIGHTS = st.one_of(st.just(0), st.integers(min_value=1, max_value=1000),
+                     st.integers(min_value=2 ** 64 + 1, max_value=2 ** 80))
+
+
+@st.composite
+def weighted_graphs(draw):
+    g = draw(graphs(max_n=10))
+    weights = tuple(draw(st.lists(_WEIGHTS, min_size=g.n, max_size=g.n)))
+    sub = draw(st.integers(min_value=0, max_value=g.full_mask))
+    return g, weights, sub
+
+
+class TestWeightSum:
+    @given(weighted_graphs(), st.integers(min_value=1, max_value=5))
+    @example((generate_complete_multipartite([1, 1, 1, 1]), (0, 2 ** 64 + 1, 3, 2 ** 70),
+              0b1011), 3)
+    def test_matches_brute_force(self, gws, t):
+        g, weights, sub = gws
+        index = CliqueIndex(g)
+        for mask in (g.full_mask, sub):
+            assert index.weight_sum(mask, t, weights) == _brute_weight_sum(g, mask, t, weights)
+
+
 def _scan_degeneracy_order(adj, mask):
     """Reference: repeatedly remove a minimum-degree vertex, lowest index first."""
     order = []
@@ -193,3 +245,20 @@ class TestEnumerationAndBudget:
         index = CliqueIndex(g, budget=CliqueIndex(g).work.nodes)
         with pytest.raises(BudgetExceeded):
             index.histogram(3)
+
+    @pytest.mark.parametrize("g,expected", [
+        (generate_complete_multipartite([2, 2, 2]), (19, 24, 33, 42)),
+        (generate_random(12, Fraction(1, 2), seed=5), (51, 62, 97, 132)),
+    ], ids=["K2x2x2", "gnp12-seed5"])
+    def test_budget_unit_node_counts(self, g, expected):
+        # The recursion nodes that --budget counts, after the pass, after
+        # histogram(2) and histogram(3), and after one full-mask weighted
+        # sum at t = 3. A faster kernel must charge exactly these.
+        index = CliqueIndex(g)
+        nodes = [index.work.nodes]
+        for t in (2, 3):
+            index.histogram(t)
+            nodes.append(index.work.nodes)
+        index.weight_sum(g.full_mask, 3, (1,) * g.n)
+        nodes.append(index.work.nodes)
+        assert tuple(nodes) == expected

@@ -27,3 +27,26 @@ def test_script_runs(script, args, expected):
     )
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout.splitlines()
+
+
+def test_kernel_times_reports_every_kernel():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_times.py"),
+         "--workload", "phi-simplex", "--seed", "0", "--reps", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("workload phi-simplex, seed 0, 103 graphs, best of 1")
+    rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}
+    # Recursion nodes per pass over the seed-0 corpus do not depend on the
+    # machine; the milliseconds do.
+    assert {name: int(nodes) for name, (_, nodes) in rows.items()} == {
+        "maximal-clique pass": 24784,
+        "histogram(2)": 2124,
+        "histogram(3)": 10363,
+        "histogram(4)": 17109,
+        "verify_nonnegativity": 219944,
+        "descent": 23735,
+    }
+    assert all(float(ms) >= 0 for ms, _ in rows.values())
