@@ -12,7 +12,7 @@ Example:
 import argparse
 import random
 
-from cliquebound.bounds import bound_reports
+from cliquebound.bounds import bound_report
 from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import named_small_graphs
 from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi
@@ -41,7 +41,7 @@ def main():
 
     g = named_small_graphs()[args.graph]
     index = CliqueIndex(g)
-    report = bound_reports(index, [args.t])[0]
+    report = bound_report(index, args.t)
     rng = random.Random(args.seed)
 
     uniform = SimplexPoint.uniform(g.n)

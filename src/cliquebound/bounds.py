@@ -6,14 +6,13 @@ exact rational comparison, so equality cases are decided without tolerance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, floor
 from typing import Iterable, Sequence
 
-from .cliques import CliqueIndex, CliqueProfile
+from .cliques import CliqueIndex, CliqueProfile, count_cliques, vertex_clique_numbers
 from .graph import Graph, PartSpec
 
 
@@ -79,16 +78,11 @@ def turan_bound(n: int, r: int) -> Fraction:
     return zykov_bound(n, r, 2)
 
 
-def _kirsch_nir_sum(histogram: Counter, t: int) -> Fraction:
-    """sum_T alpha(T)^t / C(alpha(T), t) over a histogram of alpha(T)."""
-    return sum((k / clique_density_term(a, t) for a, k in histogram.items()), Fraction(0))
-
-
-def edge_localized_turan_sum(g: Graph) -> Fraction:
+def edge_localized_turan_sum(index: CliqueIndex) -> Fraction:
     """sum_e w(e) / (w(e) - 1), w(e) the order of the largest clique
     containing e; always at most n^2 / 2. Since w / (w - 1) = w^2 / (2 C(w, 2)),
     it is half the Kirsch-Nir sum at t = 2."""
-    return _kirsch_nir_sum(CliqueIndex(g).histogram(2), 2) / 2
+    return kirsch_nir_sum(index, 2) / 2
 
 
 def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
@@ -97,12 +91,14 @@ def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
     return floor(localized_zykov_bound(g, 2, profile))
 
 
-def kirsch_nir_sum(g: Graph, t: int) -> Fraction:
+def kirsch_nir_sum(index: CliqueIndex, t: int) -> Fraction:
     """sum over t-cliques T of alpha(T)^t / C(alpha(T), t), alpha(T) the order
-    of the largest clique containing T; at most n^t."""
+    of the largest clique containing T; at most n^t. It is read off the
+    index's histogram of alpha(T)."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    return _kirsch_nir_sum(CliqueIndex(g).histogram(t), t)
+    return sum((k / clique_density_term(a, t) for a, k in index.histogram(t).items()),
+               Fraction(0))
 
 
 def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
@@ -159,8 +155,9 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     The index's one maximal-clique pass serves every t. The profile, the
     certificate, the edge sum and the floored vertex bound do not depend on t
     and are computed once; each t adds one walk over its t-cliques, whose
-    histogram of largest-containing-clique orders gives both the clique count
-    and the Kirsch-Nir sum. The index's budget caps the total work.
+    histogram of largest-containing-clique orders, kept by the index, gives
+    both the clique count and the Kirsch-Nir sum. The edge sum runs the walk
+    at t = 2. The index's budget caps the total work.
     """
     ts = list(ts)
     for t in ts:
@@ -175,15 +172,13 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
             edge_localized_sum=Fraction(0), vertex_localized_turan=0,
             kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
         ) for t in ts]
-    profile = index.profile()
+    profile = vertex_clique_numbers(index)
     certificate = is_regular_complete_multipartite(g)
-    edge_histogram = index.histogram(2)
-    edge_sum = _kirsch_nir_sum(edge_histogram, 2) / 2
+    edge_sum = edge_localized_turan_sum(index)
     vertex_turan = vertex_localized_turan_bound(g, profile)
     reports = []
     for t in ts:
-        histogram = edge_histogram if t == 2 else index.histogram(t)
-        true_count = histogram.total()
+        true_count = count_cliques(index, t)
         localized = localized_zykov_bound(g, t, profile)
         tight = Fraction(true_count) == localized
         if t <= profile.omega and tight != (certificate is not None):
@@ -202,19 +197,19 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
             turan=turan_bound(g.n, profile.omega) if t == 2 else None,
             edge_localized_sum=edge_sum,
             vertex_localized_turan=vertex_turan,
-            kirsch_nir_sum=_kirsch_nir_sum(histogram, t),
+            kirsch_nir_sum=kirsch_nir_sum(index, t),
             is_tight=tight,
             extremal_certificate=certificate,
         ))
     return reports
 
 
-def bound_report(g: Graph, t: int) -> BoundReport:
-    """Evaluate every bound exactly and certify the equality case.
+def bound_report(index: CliqueIndex, t: int) -> BoundReport:
+    """Evaluate every bound at t exactly and certify the equality case.
 
     For t <= omega the tightness flag is cross-checked against the
     regular-complete-multipartite certificate; for t > omega both sides of
     the localized bound can vanish, so tightness there is vacuous and not
     cross-checked.
     """
-    return bound_reports(CliqueIndex(g), [t])[0]
+    return bound_reports(index, [t])[0]

@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundReport, TightnessInvariantError, bound_reports
-from .cliques import BudgetExceeded, CliqueIndex
+from .cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
 from .corpus import named_small_graphs, seeded_random_corpus
 from .graph import (
     Graph,
@@ -230,21 +231,22 @@ def _render_records(records, fmt: str) -> str:
 def cmd_generate(args) -> int:
     outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.kind == "multipartite":
             sizes = tuple(int(s) for s in args.parts.split(","))
-            g = generate_complete_multipartite(PartSpec(sizes))
-            name = "multipartite_" + "-".join(str(s) for s in sizes) + ".g6"
-            (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
-            print(outdir / name)
+            graphs = iter([("multipartite_" + "-".join(str(s) for s in sizes) + ".g6",
+                            generate_complete_multipartite(PartSpec(sizes)))])
         else:
             p = Fraction(args.p)
-            for k in range(args.count):
-                seed = args.seed + k
-                g = generate_random(args.n, p, seed)
-                name = f"random_n{args.n}_p{p.numerator}-{p.denominator}_seed{seed}.g6"
-                (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
-                print(outdir / name)
+            graphs = ((f"random_n{args.n}_p{p.numerator}-{p.denominator}_seed{seed}.g6",
+                       generate_random(args.n, p, seed))
+                      for seed in range(args.seed, args.seed + args.count))
+        # The first graph is built before --out is made, so invalid --parts,
+        # --p or --n values leave no directory behind.
+        first = next(graphs)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, g in itertools.chain([first], graphs):
+            (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
+            print(outdir / name)
     except (GraphError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -269,7 +271,7 @@ def cmd_phi(config: RunConfig) -> int:
     lines = []
     try:
         index = CliqueIndex(g, config.budget)
-        omega = index.profile().omega
+        omega = vertex_clique_numbers(index).omega
         if g.n == 0:
             lines.append("phi_uniform = 0/1 (0)")
             lines.append("min_sampled_phi = 0/1 (0)")
@@ -323,7 +325,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
     rng = random.Random(seed)
     for name, g in graphs:
         index = CliqueIndex(g, budget)
-        profile = index.profile()
+        profile = vertex_clique_numbers(index)
         oracle_profile = brute_vertex_clique_numbers(g)
         yield (f"profile_oracle[{name}]", profile == oracle_profile,
                f"{profile} vs {oracle_profile}")

@@ -9,8 +9,8 @@ increasing vertex order) reads off it the order of the largest clique
 containing each t-clique, for any t: c(v), w(e) and alpha(T), and so the
 count N(G, K_t). The index also runs the simplex's integer-weighted clique
 sums, and charges all of it to its one work meter, whose budget, counted in
-recursion nodes, caps the work done on one graph. Only a ``CliqueIndex``
-takes a budget; the one-shot functions build one at the default.
+recursion nodes, caps the work done on one graph. Every function that does
+clique work takes the graph's ``CliqueIndex``; none builds its own.
 """
 
 from __future__ import annotations
@@ -202,14 +202,15 @@ class CliqueIndex:
     ``sizes[i]`` is the order of clique i, and ``member[v]`` is the bitset of
     the ids of the cliques that hold v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
-    clique counts are then read without a second pass. ``bound_reports`` and
-    the simplex functions read the graph and c(v) from the index and run
-    their clique sums through ``weight_sum``, so the budget caps the total
-    work done on the graph, in recursion nodes: those of the pass, of every
-    walk over the t-cliques and of every weighted clique sum.
+    clique counts are then read without a second pass, by one walk per t
+    whose histogram the index keeps. The bound and simplex functions read the
+    graph and c(v) from the index and run their clique sums through
+    ``weight_sum``, so the budget caps the total work done on the graph, in
+    recursion nodes: those of the pass, of each t's walk and of every
+    weighted clique sum.
     """
 
-    __slots__ = ("graph", "work", "sizes", "member")
+    __slots__ = ("graph", "work", "sizes", "member", "_histograms")
 
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
@@ -226,17 +227,13 @@ class CliqueIndex:
                 clique ^= low
             bit <<= 1
         self.member = member
-
-    def profile(self) -> CliqueProfile:
-        """c(v) for every vertex: the lowest id that holds v names a largest
-        clique. Isolated vertices are maximal 1-cliques, so c(v) = 1."""
-        c = tuple(self.sizes[(ids & -ids).bit_length() - 1] for ids in self.member)
-        return CliqueProfile(c, self.sizes[0] if self.sizes else 0)
+        self._histograms: dict[int, Counter] = {}
 
     def walk(self, t: int) -> Iterator[tuple[int, int]]:
         """Yield (mask, alpha(T)) for every t-clique T, in increasing vertex
         order: its vertex bitmask and the order of the largest clique
-        containing it."""
+        containing it. ``dict(index.walk(t))`` maps each t-clique to
+        alpha(T): to c(v) at t = 1 and to w(e) at t = 2."""
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
         # Only the cliques of order >= t, ids 0..k-1, hold a t-clique, so the
@@ -248,8 +245,15 @@ class CliqueIndex:
 
     def histogram(self, t: int) -> Counter:
         """Number of t-cliques per largest-containing-clique order; the total
-        is N(G, K_t)."""
-        return Counter(alpha for _, alpha in self.walk(t))
+        is N(G, K_t).
+
+        Kept per t, so each t's walk runs, and is charged, once per index.
+        Callers share the one ``Counter`` and must not mutate it.
+        """
+        histogram = self._histograms.get(t)
+        if histogram is None:
+            histogram = self._histograms[t] = Counter(alpha for _, alpha in self.walk(t))
+        return histogram
 
     def weight_sum(self, mask: int, t: int, weights: Sequence[int]) -> int:
         """Sum over the t-cliques within ``mask`` of their vertex weights' product."""
@@ -258,23 +262,16 @@ class CliqueIndex:
         return _weight_rec(self.graph.adjacency, mask, t, weights, self.work)
 
 
-def count_cliques(g: Graph, t: int) -> int:
-    """Exact number of t-vertex cliques in g."""
-    return CliqueIndex(g).histogram(t).total()
+def count_cliques(index: CliqueIndex, t: int) -> int:
+    """Exact number of t-vertex cliques in the index's graph."""
+    return index.histogram(t).total()
 
 
-def largest_clique_orders(g: Graph, t: int) -> dict[int, int]:
-    """Order of the largest clique containing T, for every t-clique T of g.
+def vertex_clique_numbers(index: CliqueIndex) -> CliqueProfile:
+    """c(v) = order of the largest clique containing v, for every vertex: the
+    lowest id that holds v names a largest clique.
 
-    Keys are the vertex bitmasks of the t-cliques. With t = 1 the values are
-    c(v), with t = 2 the edge weights w(e), and in general alpha(T).
+    Isolated vertices are maximal 1-cliques, so c(v) = 1.
     """
-    return dict(CliqueIndex(g).walk(t))
-
-
-def vertex_clique_numbers(g: Graph) -> CliqueProfile:
-    """c(v) = order of the largest clique containing v, for every vertex.
-
-    Isolated vertices get c(v) = 1 (their only clique is the singleton).
-    """
-    return CliqueIndex(g).profile()
+    c = tuple(index.sizes[(ids & -ids).bit_length() - 1] for ids in index.member)
+    return CliqueProfile(c, index.sizes[0] if index.sizes else 0)

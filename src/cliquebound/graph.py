@@ -130,7 +130,9 @@ def parse_edge_list(text: str) -> Graph:
     The first data line is read as an "n m" header when its first value
     exceeds every vertex index in the remaining lines and its second value
     equals the deduplicated edge count of those lines; otherwise it is an
-    edge. Duplicate edges collapse silently; self-loops are errors.
+    edge. Duplicate edges collapse silently; self-loops are errors. The
+    vertex count is capped below ``MAX_GRAPH6_N``, as in graph6, which every
+    graph is hashed through.
     """
     pairs: list[tuple[int, int, int]] = []  # (u, v, line number)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -167,6 +169,8 @@ def parse_edge_list(text: str) -> Graph:
     else:
         edges = dedup(pairs)
         n = max(max(u, v) for u, v in edges) + 1
+    if n >= MAX_GRAPH6_N:
+        raise ParseError(f"vertex count {n} reaches the graph6 cap of {MAX_GRAPH6_N}")
     if edges and max(max(u, v) for u, v in edges) >= n:
         raise ParseError(f"edge index exceeds declared vertex count {n}")
     return Graph.from_edges(n, edges)

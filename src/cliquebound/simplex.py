@@ -7,7 +7,7 @@ phi linearly, which drives a support-shrinking descent that terminates on a
 clique support.
 
 Every function that does clique work takes the graph's ``CliqueIndex``: it
-reads the graph, c(v) from the index's profile, and runs its clique sums
+reads the graph and c(v) from the index, and runs its clique sums
 through ``CliqueIndex.weight_sum``, which charges them to the index's one
 work meter, so one budget caps all the work done on one graph.
 
@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 from math import gcd, lcm
 
 from .bounds import clique_density_term, density_sum, density_terms
-from .cliques import CliqueIndex
+from .cliques import CliqueIndex, vertex_clique_numbers
 
 
 class SimplexError(ValueError):
@@ -146,7 +146,7 @@ def _check(index: CliqueIndex, t: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if n != index.graph.n:
         raise SimplexError(f"point dimension {n} does not match graph order {index.graph.n}")
-    return index.profile().c
+    return vertex_clique_numbers(index).c
 
 
 def _phi(index: CliqueIndex, t: int, c, terms: dict[int, Fraction],

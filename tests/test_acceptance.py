@@ -21,7 +21,6 @@ from cliquebound.bounds import (
 from cliquebound.cliques import (
     CliqueIndex,
     count_cliques,
-    largest_clique_orders,
     vertex_clique_numbers,
 )
 from cliquebound.corpus import (
@@ -77,7 +76,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def profiles(corpus):
-    return {name: vertex_clique_numbers(g) for name, g in corpus}
+    return {name: vertex_clique_numbers(CliqueIndex(g)) for name, g in corpus}
 
 
 def _report(num, name):
@@ -88,11 +87,12 @@ def test_criterion_1_tight_case_reproduction():
     start = time.monotonic()
     for s, r in TIGHT_FAMILY:
         g = generate_complete_multipartite([s] * r)
-        profile = vertex_clique_numbers(g)
+        index = CliqueIndex(g)
+        profile = vertex_clique_numbers(index)
         cert = is_regular_complete_multipartite(g)
         assert cert is not None and cert.sizes == (s,) * r
         for t in range(2, r + 1):
-            true_count = count_cliques(g, t)
+            true_count = count_cliques(index, t)
             bound = localized_zykov_bound(g, t, profile)
             assert Fraction(true_count) == bound
     elapsed = time.monotonic() - start
@@ -104,9 +104,10 @@ def test_criterion_2_soundness_sweep(sweep):
     start = time.monotonic()
     assert len(sweep) == 200
     for name, g in sweep:
-        profile = vertex_clique_numbers(g)
+        index = CliqueIndex(g)
+        profile = vertex_clique_numbers(index)
         for t in range(2, 6):
-            true_count = count_cliques(g, t)
+            true_count = count_cliques(index, t)
             local = localized_zykov_bound(g, t, profile)
             classical = zykov_bound(g.n, profile.omega, t)
             assert Fraction(true_count) <= local <= classical, (name, t)
@@ -116,11 +117,12 @@ def test_criterion_2_soundness_sweep(sweep):
 
 def test_criterion_3_strictness_direction(sweep):
     for name, g in sweep:
-        profile = vertex_clique_numbers(g)
+        index = CliqueIndex(g)
+        profile = vertex_clique_numbers(index)
         cert = is_regular_complete_multipartite(g)
         strict_ts = []
         for t in range(2, min(profile.omega, 5) + 1):
-            rep = bound_report(g, t)
+            rep = bound_report(index, t)
             if rep.is_tight:
                 assert rep.extremal_certificate is not None, (name, t)
             else:
@@ -153,10 +155,11 @@ def test_criterion_5_phi_nonnegativity(corpus, profiles):
     for name, g in corpus:
         profile = profiles[name]
         for t in range(2, 6):
-            report = verify_nonnegativity(CliqueIndex(g), t, samples=500, seed=42)
+            index = CliqueIndex(g)
+            report = verify_nonnegativity(index, t, samples=500, seed=42)
             assert report.min_phi >= 0, (name, t)
             local = localized_zykov_bound(g, t, profile)
-            true_count = count_cliques(g, t)
+            true_count = count_cliques(index, t)
             # equality bridge: localized - N = n^t * phi(uniform)
             assert local - true_count == g.n**t * report.phi_uniform, (name, t)
             if report.phi_uniform == 0:
@@ -223,11 +226,12 @@ def test_criterion_8_oracle_equivalence(corpus):
     for name, g in corpus:
         if g.n > 16:
             continue
-        assert vertex_clique_numbers(g) == brute_vertex_clique_numbers(g), name
+        index = CliqueIndex(g)
+        assert vertex_clique_numbers(index) == brute_vertex_clique_numbers(g), name
         for t in range(1, 7):
-            assert count_cliques(g, t) == brute_count_cliques(g, t), (name, t)
+            assert count_cliques(index, t) == brute_count_cliques(g, t), (name, t)
         for t in (2, 3):
-            orders = largest_clique_orders(g, t)
+            orders = dict(index.walk(t))
             assert len(orders) == brute_count_cliques(g, t), (name, t)
             for key, alpha in orders.items():
                 copy = tuple(bits(key))
@@ -237,18 +241,19 @@ def test_criterion_8_oracle_equivalence(corpus):
 
 def test_criterion_9_comparison_bounds(corpus):
     for name, g in corpus:
-        rep2 = bound_report(g, 2)
+        index = CliqueIndex(g)
+        rep2 = bound_report(index, 2)
         assert rep2.edge_localized_sum <= Fraction(g.n**2, 2), name
         for t in range(2, 6):
-            rep = bound_report(g, t)
+            rep = bound_report(index, t)
             assert rep.kirsch_nir_sum <= g.n**t, (name, t)
     # edge-localized equality exactly on the regular multipartite generators
     for s, r in TIGHT_FAMILY:
         g = generate_complete_multipartite([s] * r)
-        rep = bound_report(g, 2)
+        rep = bound_report(CliqueIndex(g), 2)
         assert rep.edge_localized_sum == Fraction(g.n**2, 2)
     for name, g in named_small_graphs().items():
-        rep = bound_report(g, 2)
+        rep = bound_report(CliqueIndex(g), 2)
         expect_equal = is_regular_complete_multipartite(g) is not None and g.m > 0
         assert (rep.edge_localized_sum == Fraction(g.n**2, 2)) == expect_equal, name
     _report(9, "comparison bounds")

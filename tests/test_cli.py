@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cliquebound import bounds
 from cliquebound.cli import main
 from cliquebound.graph import parse_graph6
 
@@ -51,6 +53,20 @@ def test_generate_count_below_one_rejected(tmp_path, capsys, count):
     assert code == 2
     assert out == ""
     assert err == f"error: count must be >= 1, got {count}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("random", "--n", "-3", "--p", "1/2"),
+    ("random", "--n", "5", "--p", "3/2"),
+    ("multipartite", "--parts", "2,x"),
+], ids=["n", "p", "parts"])
+def test_generate_validates_before_making_out(tmp_path, capsys, argv):
+    outdir = tmp_path / "o"
+    code, out, err = run(capsys, "generate", *argv, "--out", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not outdir.exists()
 
 
@@ -224,6 +240,27 @@ def test_analyze_non_utf8_input_is_input_error(tmp_path, capsys, name, data):
     error_lines = [line for line in err.splitlines() if line.startswith("error: ")]
     assert error_lines == [f"error: {tmp_path / name}: not UTF-8 text at byte offset "
                            f"{data.index(0xff)}"]
+
+
+def test_analyze_edge_list_past_graph6_cap_is_input_error(tmp_path, capsys):
+    big = tmp_path / "big.el"
+    big.write_text("0 262144\n")
+    run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
+    k2 = tmp_path / "multipartite_1-1.g6"
+    code, out, err = run(capsys, "analyze", str(big), str(k2))
+    assert code == 2
+    assert [json.loads(line)["file"] for line in out.splitlines()] == [str(k2)]
+    error_lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert error_lines == [f"error: {big}: vertex count 262145 reaches the graph6 cap of 262144"]
+
+
+def test_phi_edge_list_past_graph6_cap_is_input_error(tmp_path, capsys):
+    (tmp_path / "big.el").write_text("0 262144\n")
+    code, out, err = run(capsys, "phi", str(tmp_path / "big.el"), "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "big.el" in err and "graph6 cap" in err
 
 
 def test_phi_non_utf8_input_is_input_error(tmp_path, capsys):
@@ -445,3 +482,33 @@ def test_option_not_read_by_subcommand_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_reads_each_quantity_through_its_named_function(tmp_path, capsys, monkeypatch):
+    # Counting wrappers patched into cliquebound.bounds by name, as a tracer
+    # would patch them, see every clique quantity that analyze reports.
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
+        "--out", str(tmp_path))
+    argv = ("analyze", str(tmp_path), "--t", "2", "--t-max", "3")
+    _, expected, _ = run(capsys, *argv)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("vertex_clique_numbers", "count_cliques", "edge_localized_turan_sum",
+                 "kirsch_nir_sum"):
+        monkeypatch.setattr(bounds, name, counting(name))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    # Per graph: one profile and one edge sum, which reads the Kirsch-Nir sum
+    # at t = 2; then one count and one Kirsch-Nir sum per t.
+    assert calls == {"vertex_clique_numbers": 2, "edge_localized_turan_sum": 2,
+                     "count_cliques": 4, "kirsch_nir_sum": 6}

@@ -14,7 +14,6 @@ from cliquebound.cliques import (
     _degeneracy_order,
     _maximal_cliques,
     count_cliques,
-    largest_clique_orders,
     vertex_clique_numbers,
 )
 from cliquebound.graph import Graph, bits, generate_complete_multipartite, generate_random
@@ -29,59 +28,59 @@ from strategies import graphs
 
 class TestCountCliques:
     def test_k4_edges(self, k4):
-        assert count_cliques(k4, 2) == 6
+        assert count_cliques(CliqueIndex(k4), 2) == 6
 
     def test_octahedron_triangles(self, octa):
         # value frozen from the brute-force subset oracle
-        assert count_cliques(octa, 3) == 8
+        assert count_cliques(CliqueIndex(octa), 3) == 8
         assert brute_count_cliques(octa, 3) == 8
 
     def test_c5_triangle_free(self, c5):
-        assert count_cliques(c5, 3) == 0
+        assert count_cliques(CliqueIndex(c5), 3) == 0
 
     def test_t_one_counts_vertices(self, c5):
-        assert count_cliques(c5, 1) == 5
+        assert count_cliques(CliqueIndex(c5), 1) == 5
 
     def test_t_above_n(self, k4):
-        assert count_cliques(k4, 5) == 0
+        assert count_cliques(CliqueIndex(k4), 5) == 0
 
     def test_t_below_one_rejected(self, k4):
         with pytest.raises(ValueError):
-            count_cliques(k4, 0)
+            count_cliques(CliqueIndex(k4), 0)
 
     @given(graphs(), st.integers(min_value=1, max_value=8))
     def test_matches_oracle(self, g, t):
-        assert count_cliques(g, t) == brute_count_cliques(g, t)
+        assert count_cliques(CliqueIndex(g), t) == brute_count_cliques(g, t)
 
 
 class TestVertexCliqueNumbers:
     def test_c5(self, c5):
-        p = vertex_clique_numbers(c5)
+        p = vertex_clique_numbers(CliqueIndex(c5))
         assert p.c == (2,) * 5 and p.omega == 2
 
     def test_k4(self, k4):
-        p = vertex_clique_numbers(k4)
+        p = vertex_clique_numbers(CliqueIndex(k4))
         assert p.c == (4,) * 4 and p.omega == 4
 
     def test_paw(self, paw):
         # frozen from the brute-force oracle
-        assert vertex_clique_numbers(paw).c == (3, 3, 3, 2)
+        assert vertex_clique_numbers(CliqueIndex(paw)).c == (3, 3, 3, 2)
 
     def test_isolated_vertices_get_one(self):
         g = Graph.from_edges(4, [(0, 1)])
-        assert vertex_clique_numbers(g).c == (2, 2, 1, 1)
+        assert vertex_clique_numbers(CliqueIndex(g)).c == (2, 2, 1, 1)
 
     def test_empty_graph(self):
-        p = vertex_clique_numbers(Graph(0, ()))
+        p = vertex_clique_numbers(CliqueIndex(Graph(0, ())))
         assert p.c == () and p.omega == 0
 
     @given(graphs())
     def test_matches_oracle(self, g):
-        assert vertex_clique_numbers(g) == brute_vertex_clique_numbers(g)
+        assert vertex_clique_numbers(CliqueIndex(g)) == brute_vertex_clique_numbers(g)
 
     @given(graphs(min_n=1))
     def test_profile_invariants(self, g):
-        p = vertex_clique_numbers(g)
+        p = vertex_clique_numbers(CliqueIndex(g))
         assert max(p.c) == p.omega
         for v, c in enumerate(p.c):
             assert 1 <= c <= p.omega
@@ -92,10 +91,10 @@ class TestVertexCliqueNumbers:
         edges = list(g.edges())
         if not edges:
             return
-        before = vertex_clique_numbers(g).c
+        before = vertex_clique_numbers(CliqueIndex(g)).c
         u, v = edges[0]
         smaller = Graph.from_edges(g.n, edges[1:])
-        after = vertex_clique_numbers(smaller).c
+        after = vertex_clique_numbers(CliqueIndex(smaller)).c
         assert all(a <= b for a, b in zip(after, before))
 
 
@@ -112,34 +111,36 @@ class TestMaximalCliques:
 
 
 class TestMaxCliqueContaining:
-    """largest_clique_orders maps each t-clique's bitmask to the order of the
+    """The index's walk maps each t-clique's bitmask to the order of the
     largest clique containing it."""
 
     def test_k4_edge(self, k4):
-        assert largest_clique_orders(k4, 2)[0b0011] == 4
+        assert dict(CliqueIndex(k4).walk(2))[0b0011] == 4
 
     def test_paw_pendant(self, paw):
-        assert largest_clique_orders(paw, 1)[1 << 3] == 2
+        assert dict(CliqueIndex(paw).walk(1))[1 << 3] == 2
 
     def test_c5_edge(self, c5):
-        assert largest_clique_orders(c5, 2)[0b00011] == 2
+        assert dict(CliqueIndex(c5).walk(2))[0b00011] == 2
 
     def test_non_clique_rejected(self, c5):
-        assert 0b00101 not in largest_clique_orders(c5, 2)
+        index = CliqueIndex(c5)
+        assert 0b00101 not in dict(index.walk(2))
         with pytest.raises(ValueError):
-            largest_clique_orders(c5, 0)
+            dict(index.walk(0))
 
     @given(graphs(), st.integers(min_value=1, max_value=6))
     @example(Graph(0, ()), 1)
     @example(Graph.from_edges(4, [(0, 1)]), 3)
     def test_matches_oracle(self, g, t):
-        orders = largest_clique_orders(g, t)
+        index = CliqueIndex(g)
+        orders = dict(index.walk(t))
         assert len(orders) == brute_count_cliques(g, t)
         if t == 1:
             assert tuple(orders.values()) == brute_vertex_clique_numbers(g).c
         for key, alpha in orders.items():
             assert alpha == brute_kirsch_nir_alpha(g, tuple(bits(key)))
-        assert Counter(orders.values()) == CliqueIndex(g).histogram(t)
+        assert Counter(orders.values()) == index.histogram(t)
 
 
 def _neighborhood_count(index, v, t):
@@ -233,7 +234,7 @@ class TestDegeneracyOrder:
 
 class TestEnumerationAndBudget:
     def test_enumerate_matches_count(self, octa):
-        orders = largest_clique_orders(octa, 3)
+        orders = dict(CliqueIndex(octa).walk(3))
         assert len(orders) == 8
         assert all(key.bit_count() == 3 and alpha == 3 for key, alpha in orders.items())
 

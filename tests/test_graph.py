@@ -91,6 +91,12 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="vertex 3"):
             parse_edge_list("0 1\n3 3")
 
+    def test_vertex_count_capped_as_graph6(self):
+        # graph6 encodes n < 2^18; a header or an edge may not reach it.
+        for text in ("0 262144", "262144 0"):
+            with pytest.raises(ParseError, match="graph6 cap"):
+                parse_edge_list(text)
+
     @given(graphs(max_n=7))
     def test_round_trip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
