@@ -2,9 +2,11 @@
 """Time each clique kernel over one benchmark workload's seeded corpus.
 
 For every graph of the corpus this runs, each on a fresh ``CliqueIndex``:
-the maximal-clique pass, ``histogram(t)`` for t = 2, 3, 4, one
-``verify_nonnegativity`` and one transfer descent from the uniform point,
-both at the phi-simplex workload's t and sample count. It prints, per pass
+the maximal-clique pass, ``histogram(t)`` for t = 2, 3, 4, each a walk for
+one order, then ``histograms((2, 3, 4))``, the one walk that counts all
+three as ``analyze --t 3 --t-max 4`` does, one ``verify_nonnegativity`` and
+one transfer descent from the uniform point, both at the phi-simplex
+workload's t and sample count. It prints, per pass
 over the corpus, the best-of-``--reps`` milliseconds and the recursion nodes
 that each one charged to its index's work meter. Node counts do not depend on
 the machine; the milliseconds do.
@@ -36,6 +38,7 @@ KERNELS = {
     "histogram(2)": lambda index: index.histogram(2),
     "histogram(3)": lambda index: index.histogram(3),
     "histogram(4)": lambda index: index.histogram(4),
+    "histograms(2,3,4)": lambda index: index.histograms((2, 3, 4)),
     "verify_nonnegativity": lambda index: verify_nonnegativity(index, PHI_T, PHI_SAMPLES, 0),
     "descent": lambda index: descend_to_clique_support(
         index, PHI_T, SimplexPoint.uniform(index.graph.n)),

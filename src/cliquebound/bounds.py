@@ -154,10 +154,10 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
 
     The index's one maximal-clique pass serves every t. The profile, the
     certificate, the edge sum and the floored vertex bound do not depend on t
-    and are computed once; each t adds one walk over its t-cliques, whose
-    histogram of largest-containing-clique orders, kept by the index, gives
-    both the clique count and the Kirsch-Nir sum. The edge sum runs the walk
-    at t = 2. The index's budget caps the total work.
+    and are computed once. One walk counts the t-cliques of t = 2 and of
+    every t of ``ts`` together; the histograms of largest-containing-clique
+    orders it leaves in the index give the clique counts, the Kirsch-Nir sums
+    and the edge sum. The index's budget caps the total work.
     """
     ts = list(ts)
     for t in ts:
@@ -172,6 +172,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
             edge_localized_sum=Fraction(0), vertex_localized_turan=0,
             kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
         ) for t in ts]
+    index.histograms({2, *ts})
     profile = vertex_clique_numbers(index)
     certificate = is_regular_complete_multipartite(g)
     edge_sum = edge_localized_turan_sum(index)

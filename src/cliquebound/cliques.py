@@ -4,12 +4,15 @@ adjacency.
 Maximal-clique enumeration uses Bron-Kerbosch with pivoting under a
 degeneracy vertex ordering. A ``CliqueIndex`` keeps the orders of one pass's
 maximal cliques and, per vertex, the bitset of the cliques that hold it. One
-walk by ordered recursive expansion (each t-clique enumerated once, in
-increasing vertex order) reads off it the order of the largest clique
-containing each t-clique, for any t: c(v), w(e) and alpha(T), and so the
-count N(G, K_t). The index also runs the simplex's integer-weighted clique
-sums, and charges all of it to its one work meter, whose budget, counted in
-recursion nodes, caps the work done on one graph. Every function that does
+counting walk by ordered recursive expansion (each clique enumerated once, in
+increasing vertex order) reads off it, for every order t a run asks for at
+once, the order alpha(T) of the largest clique containing each t-clique T
+(c(v) at t = 1, w(e) at t = 2), and the index keeps per t the histogram of
+alpha, whose total is N(G, K_t). The walk visits only nodes that the walk for
+one of those orders alone would visit, so it is charged at most the sum of
+theirs. The index also runs the simplex's integer-weighted clique sums, and
+charges all of it to its one work meter, whose budget, counted in recursion
+nodes, caps the work done on one graph. Every function that does
 clique work takes the graph's ``CliqueIndex``; none builds its own.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph
 
@@ -165,32 +168,57 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
     return out
 
 
-def _walk(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
-          cand: int, r: int, clique: int, shared: int,
-          work: _Work) -> Iterator[tuple[int, int]]:
-    """Yield (mask, alpha) for every clique made of ``clique`` and r vertices
-    of ``cand``, by ordered expansion.
+def _count(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
+           plan: Sequence[tuple], cand: int, depth: int, shared: int, work: _Work) -> None:
+    """Count, by ordered expansion, the cliques of every requested order that
+    extend a clique C of ``depth`` vertices by vertices of ``cand``.
 
-    ``shared`` is the AND of ``member`` over ``clique`` and the ids the walk
-    started with: the ids of the maximal cliques that hold it. Ids run
-    largest first, so at a leaf the lowest set bit names a largest clique
-    holding T, and ``sizes`` gives its order alpha(T).
+    ``cand`` holds the vertices after C's last that are adjacent to all of C,
+    and ``shared`` the ids of the maximal cliques that hold C. Ids run largest
+    first, so the lowest id that holds a clique names a largest clique holding
+    it, and ``sizes`` gives its order alpha. ``plan[depth]`` is (hist, target,
+    cover): ``hist[alpha]`` counts the children C + v when order depth + 1 is
+    requested, else it is None; ``target`` is the next requested order past
+    depth + 1, or 0; when the children are counted and a target follows,
+    ``cover`` holds the vertices of the cliques of order >= target, to which
+    a child's candidates are cut. A child is expanded only while target is
+    still reachable: depth + 1 plus its candidates, and, when the child is
+    counted, its alpha, reach target. The uncounted children break off as
+    soon as the candidates left are too few. So a call at depth d is a node
+    of the walk for the smallest requested order above d alone, and with one
+    order requested the calls are exactly that walk's.
     """
     work.tick()
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if r == 1:
+    hist, target, cover = plan[depth]
+    need = target - depth - 1
+    if hist is None:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            if cand.bit_count() < need:
+                break
+            sub = cand & adj[v]
+            if sub.bit_count() >= need:
+                _count(adj, member, sizes, plan, sub, depth + 1, shared & member[v], work)
+    elif not target:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            ids = shared & member[low.bit_length() - 1]
+            hist[sizes[(ids & -ids).bit_length() - 1]] += 1
+    else:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
             ids = shared & member[v]
-            yield clique | low, sizes[(ids & -ids).bit_length() - 1]
-            continue
-        if cand.bit_count() < r - 1:
-            break
-        sub = cand & adj[v]
-        if sub.bit_count() >= r - 1:
-            yield from _walk(adj, member, sizes, sub, r - 1, clique | low,
-                             shared & member[v], work)
+            alpha = sizes[(ids & -ids).bit_length() - 1]
+            hist[alpha] += 1
+            if alpha >= target:
+                sub = cand & adj[v] & cover
+                if sub.bit_count() >= need:
+                    _count(adj, member, sizes, plan, sub, depth + 1, ids, work)
 
 
 class CliqueIndex:
@@ -202,12 +230,12 @@ class CliqueIndex:
     ``sizes[i]`` is the order of clique i, and ``member[v]`` is the bitset of
     the ids of the cliques that hold v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
-    clique counts are then read without a second pass, by one walk per t
-    whose histogram the index keeps. The bound and simplex functions read the
-    graph and c(v) from the index and run their clique sums through
-    ``weight_sum``, so the budget caps the total work done on the graph, in
-    recursion nodes: those of the pass, of each t's walk and of every
-    weighted clique sum.
+    clique counts are then read without a second pass: one counting walk
+    fills the histogram of every order asked for together, and the index
+    keeps each one. The bound and simplex functions read the graph and c(v)
+    from the index and run their clique sums through ``weight_sum``, so the
+    budget caps the total work done on the graph, in recursion nodes: those
+    of the pass, of each walk and of every weighted clique sum.
     """
 
     __slots__ = ("graph", "work", "sizes", "member", "_histograms")
@@ -229,31 +257,49 @@ class CliqueIndex:
         self.member = member
         self._histograms: dict[int, Counter] = {}
 
-    def walk(self, t: int) -> Iterator[tuple[int, int]]:
-        """Yield (mask, alpha(T)) for every t-clique T, in increasing vertex
-        order: its vertex bitmask and the order of the largest clique
-        containing it. ``dict(index.walk(t))`` maps each t-clique to
-        alpha(T): to c(v) at t = 1 and to w(e) at t = 2."""
-        if t < 1:
-            raise ValueError(f"clique order must be >= 1, got {t}")
-        # Only the cliques of order >= t, ids 0..k-1, hold a t-clique, so the
-        # walk starts from them and from the vertices they cover.
+    def _large(self, t: int) -> tuple[int, int]:
+        """The ids of the cliques of order >= t, ids 0..k-1, and the vertices
+        they cover: the only vertices of any t-clique."""
         large = (1 << sum(1 for size in self.sizes if size >= t)) - 1
-        cand = sum(1 << v for v, ids in enumerate(self.member) if ids & large)
-        return _walk(self.graph.adjacency, self.member, self.sizes, cand, t, 0, large,
-                     self.work)
+        return large, sum(1 << v for v, ids in enumerate(self.member) if ids & large)
+
+    def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
+        """``histogram(t)`` for each t of ``ts``; the orders not yet kept are
+        counted together, by one walk.
+
+        The walk goes as deep as the largest of them and counts each order on
+        its way down. It is charged at most the nodes of one walk per order,
+        and for a single order exactly those of its walk.
+        """
+        ts = set(ts)
+        for t in ts:
+            if t < 1:
+                raise ValueError(f"clique order must be >= 1, got {t}")
+        todo = sorted(ts.difference(self._histograms))
+        if todo:
+            top = self.sizes[0] if self.sizes else 0
+            hists = {t: [0] * (top + 1) for t in todo}
+            plan = []
+            for depth in range(todo[-1]):
+                target = next((t for t in todo if t > depth + 1), 0)
+                hist = hists.get(depth + 1)
+                cover = self._large(target)[1] if hist is not None and target else None
+                plan.append((hist, target, cover))
+            shared, cand = self._large(todo[0])
+            _count(self.graph.adjacency, self.member, self.sizes, plan, cand, 0, shared,
+                   self.work)
+            for t, hist in hists.items():
+                self._histograms[t] = Counter({a: k for a, k in enumerate(hist) if k})
+        return {t: self._histograms[t] for t in ts}
 
     def histogram(self, t: int) -> Counter:
-        """Number of t-cliques per largest-containing-clique order; the total
-        is N(G, K_t).
+        """Number of t-cliques per largest-containing-clique order alpha(T);
+        the total is N(G, K_t).
 
-        Kept per t, so each t's walk runs, and is charged, once per index.
+        Kept per t, so each t is counted, and charged, once per index.
         Callers share the one ``Counter`` and must not mutate it.
         """
-        histogram = self._histograms.get(t)
-        if histogram is None:
-            histogram = self._histograms[t] = Counter(alpha for _, alpha in self.walk(t))
-        return histogram
+        return self.histograms((t,))[t]
 
     def weight_sum(self, mask: int, t: int, weights: Sequence[int]) -> int:
         """Sum over the t-cliques within ``mask`` of their vertex weights' product."""

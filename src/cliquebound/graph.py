@@ -65,10 +65,10 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         if len(self.adjacency) != self.n:
             raise GraphError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1
+        n = self.n
         adjacency = self.adjacency
         for v, row in enumerate(adjacency):
-            if row & ~full:
+            if row >> n:
                 raise GraphError(f"adjacency row {v} references vertices >= n")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
@@ -78,6 +78,16 @@ class Graph:
                 row ^= low
                 if not adjacency[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _trusted(cls, n: int, adjacency: tuple[int, ...]) -> "Graph":
+        """A graph from rows its caller built symmetric, loop-free and within
+        range, one per vertex; ``__post_init__``'s checks are skipped. Only
+        the graph6 decoder, whose rows hold these by construction, uses it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -275,7 +285,9 @@ def parse_graph6(text: str) -> Graph:
             low = lower & -lower
             rows[low.bit_length() - 1] |= bit
             lower ^= low
-    return Graph(n, tuple(rows))
+    # Row col holds the column's lower rows and gets col's bit in each of
+    # them: symmetric, loop-free and within range by construction.
+    return Graph._trusted(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ with pairwise adjacency tests. A hard n <= 20 guard keeps cost bounded.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .cliques import CliqueProfile
@@ -82,3 +83,13 @@ def brute_kirsch_nir_alpha(g: Graph, copy) -> int:
             if _is_clique(g, base + list(extra)):
                 return len(base) + k
     return len(base)
+
+
+def brute_alpha_histogram(g: Graph, t: int) -> Counter:
+    """Number of t-cliques per largest-containing-clique order, by testing
+    every t-subset and calling ``brute_kirsch_nir_alpha`` on each clique."""
+    _guard(g)
+    if t < 1:
+        raise ValueError(f"clique order must be >= 1, got {t}")
+    return Counter(brute_kirsch_nir_alpha(g, combo)
+                   for combo in combinations(range(g.n), t) if _is_clique(g, combo))

@@ -275,11 +275,15 @@ class TestBoundReports:
             bound_reports(CliqueIndex(c5), [2, 1])
 
     def test_named_functions_reuse_the_walks(self):
-        # Each t's walk runs once per index: after the reports, the named
-        # functions read the kept histograms and charge no further work.
-        index = CliqueIndex(generate_random(12, Fraction(1, 2), seed=5))
+        # The reports run one walk for all their orders, and the index keeps
+        # its histograms: the named functions then charge no further work.
+        g = generate_random(12, Fraction(1, 2), seed=5)
+        index = CliqueIndex(g)
         reports = bound_reports(index, (2, 3, 4))
         nodes = index.work.nodes
+        one_walk = CliqueIndex(g)
+        one_walk.histograms({2, 3, 4})
+        assert nodes == one_walk.work.nodes
         for rep in reports:
             assert count_cliques(index, rep.t) == rep.true_count
             assert kirsch_nir_sum(index, rep.t) == rep.kirsch_nir_sum

@@ -141,17 +141,17 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
     # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 19 recursion nodes,
-    # and the walks over the edges and the triangles 5 and 9. Each part fits
-    # in 30; the 33 together do not.
+    # and the one walk that counts the edges and the triangles 9. Each part
+    # fits in 27; the 28 together do not.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                       "--budget", "30")
+                       "--budget", "27")
     assert code == 3
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["t"] for r in recs] == [2, 3]
-    assert all("work budget of 30" in r["error"] for r in recs)
+    assert all("work budget of 27" in r["error"] for r in recs)
     code, _, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                     "--budget", "33")
+                     "--budget", "28")
     assert code == 0
 
 

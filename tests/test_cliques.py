@@ -18,8 +18,8 @@ from cliquebound.cliques import (
 )
 from cliquebound.graph import Graph, bits, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
+    brute_alpha_histogram,
     brute_count_cliques,
-    brute_kirsch_nir_alpha,
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
 )
@@ -111,36 +111,121 @@ class TestMaximalCliques:
 
 
 class TestMaxCliqueContaining:
-    """The index's walk maps each t-clique's bitmask to the order of the
-    largest clique containing it."""
+    """The index's histogram counts the t-cliques per order of the largest
+    clique containing each."""
 
     def test_k4_edge(self, k4):
-        assert dict(CliqueIndex(k4).walk(2))[0b0011] == 4
+        assert CliqueIndex(k4).histogram(2) == Counter({4: 6})
 
     def test_paw_pendant(self, paw):
-        assert dict(CliqueIndex(paw).walk(1))[1 << 3] == 2
+        assert CliqueIndex(paw).histogram(1) == Counter({3: 3, 2: 1})
 
     def test_c5_edge(self, c5):
-        assert dict(CliqueIndex(c5).walk(2))[0b00011] == 2
+        assert CliqueIndex(c5).histogram(2) == Counter({2: 5})
 
     def test_non_clique_rejected(self, c5):
+        # Only the 5 edges are counted, none of the 5 non-adjacent pairs.
         index = CliqueIndex(c5)
-        assert 0b00101 not in dict(index.walk(2))
+        assert index.histogram(2).total() == c5.m
         with pytest.raises(ValueError):
-            dict(index.walk(0))
+            index.histogram(0)
+        with pytest.raises(ValueError):
+            index.histograms({2, 0})
 
     @given(graphs(), st.integers(min_value=1, max_value=6))
     @example(Graph(0, ()), 1)
     @example(Graph.from_edges(4, [(0, 1)]), 3)
     def test_matches_oracle(self, g, t):
-        index = CliqueIndex(g)
-        orders = dict(index.walk(t))
-        assert len(orders) == brute_count_cliques(g, t)
+        histogram = CliqueIndex(g).histogram(t)
+        assert histogram == brute_alpha_histogram(g, t)
         if t == 1:
-            assert tuple(orders.values()) == brute_vertex_clique_numbers(g).c
-        for key, alpha in orders.items():
-            assert alpha == brute_kirsch_nir_alpha(g, tuple(bits(key)))
-        assert Counter(orders.values()) == index.histogram(t)
+            assert histogram == Counter(brute_vertex_clique_numbers(g).c)
+
+
+_ORDERS = st.sets(st.integers(min_value=1, max_value=6), min_size=1)
+
+# Vertices 0, 1 and 2 lie in no triangle, but each has two later neighbours
+# in two of the triangles {3, 4, 5}, {6, 7, 8}, {9, 10, 11}: a walk that
+# counts the vertices must not expand them towards the triangles.
+_STARS_ON_TRIANGLES = Graph.from_edges(12, [
+    (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8), (9, 10), (9, 11), (10, 11),
+    (0, 3), (0, 6), (1, 4), (1, 9), (2, 7), (2, 10)])
+# K_5 on 0..4, and three groups {x, x+1, x+2} (x = 5, 8, 11) joined to 0 and
+# 1, with x adjacent to x+1 and x+2: {0, 1, x} lies in two K_4s and no K_5,
+# so a walk that counts the edges must cut the candidates of the edge {0, 1}
+# to the K_5's vertices.
+_K5_WITH_K4_FANS = Graph.from_edges(14, [
+    *((a, b) for a in range(5) for b in range(a + 1, 5)),
+    *((u, v) for x in (5, 8, 11)
+      for u, v in ((0, x), (1, x), (0, x + 1), (1, x + 1), (0, x + 2), (1, x + 2),
+                   (x, x + 1), (x, x + 2)))])
+
+
+def _walked(index, ts):
+    """The histograms of one ``histograms(ts)`` call and the nodes it charged."""
+    before = index.work.nodes
+    return index.histograms(ts), index.work.nodes - before
+
+
+def _single_order_walks(g, ts):
+    """Each order's histogram, each from a fresh index, and the nodes charged
+    to them all."""
+    walks = {t: _walked(CliqueIndex(g), [t]) for t in ts}
+    return ({t: walked[t] for t, (walked, _) in walks.items()},
+            sum(nodes for _, nodes in walks.values()))
+
+
+class TestHistograms:
+    """One walk for several orders gives each order's histogram, and is
+    charged no more than one walk per order."""
+
+    @given(graphs(), _ORDERS)
+    @example(Graph(0, ()), {1, 2})
+    @example(generate_complete_multipartite([2, 2, 2]), {2, 3})
+    def test_matches_single_order_walks_and_oracle(self, g, ts):
+        together, charged = _walked(CliqueIndex(g), ts)
+        singles, single_nodes = _single_order_walks(g, ts)
+        assert together == singles
+        assert together == {t: brute_alpha_histogram(g, t) for t in ts}
+        assert charged <= single_nodes
+
+    @pytest.mark.parametrize("g,ts", [(_STARS_ON_TRIANGLES, {1, 3}),
+                                      (_K5_WITH_K4_FANS, {2, 5})],
+                             ids=["stars-on-triangles", "K5-with-K4-fans"])
+    def test_prunes_to_the_next_order(self, g, ts):
+        together, charged = _walked(CliqueIndex(g), ts)
+        singles, single_nodes = _single_order_walks(g, ts)
+        assert together == singles
+        assert charged < single_nodes
+
+    def test_k2x2x2_one_walk(self):
+        # Edges and triangles of K_{2x2x2}: one walk of 9 nodes, the
+        # triangles' walk, against 5 + 9 for one walk per order.
+        index = CliqueIndex(generate_complete_multipartite([2, 2, 2]))
+        before = index.work.nodes
+        assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
+        assert index.work.nodes - before == 9
+
+    @given(graphs(), _ORDERS, _ORDERS)
+    def test_kept_orders_are_not_walked_again(self, g, first, second):
+        # A second call walks only the orders the first did not count.
+        index = CliqueIndex(g)
+        index.histograms(first)
+        kept, charged = _walked(index, second)
+        rest = second - first
+        assert charged == (_walked(CliqueIndex(g), rest)[1] if rest else 0)
+        assert all(kept[t] is index.histogram(t) for t in second)
+
+    def test_budget_exceeded_keeps_nothing(self, octa):
+        # A walk cut by the budget keeps no partial histogram: once the
+        # budget is raised, both orders are walked again, in full.
+        index = CliqueIndex(octa, budget=CliqueIndex(octa).work.nodes + 1)
+        with pytest.raises(BudgetExceeded):
+            index.histograms([2, 3])
+        index.work.budget += 100
+        before = index.work.nodes
+        assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
+        assert index.work.nodes - before == 9
 
 
 def _neighborhood_count(index, v, t):
@@ -234,9 +319,7 @@ class TestDegeneracyOrder:
 
 class TestEnumerationAndBudget:
     def test_enumerate_matches_count(self, octa):
-        orders = dict(CliqueIndex(octa).walk(3))
-        assert len(orders) == 8
-        assert all(key.bit_count() == 3 and alpha == 3 for key, alpha in orders.items())
+        assert CliqueIndex(octa).histogram(3) == Counter({3: 8})
 
     def test_budget_exceeded(self):
         g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])

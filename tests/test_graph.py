@@ -48,6 +48,21 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(1, (0b1,))
 
+    def test_row_past_n_rejected(self):
+        with pytest.raises(GraphError, match="vertices >= n"):
+            Graph(2, (0b110, 0b001))
+        with pytest.raises(GraphError, match="vertices >= n"):
+            Graph(2, (-1, 0))
+
+    def test_hand_built_graphs_keep_the_full_check(self):
+        # Only the graph6 decoder skips the checks; rows given to Graph(...)
+        # directly are still checked, also those of a decoded graph made
+        # asymmetric.
+        g = parse_graph6("Bw")  # the triangle
+        assert Graph(g.n, g.adjacency) == g
+        with pytest.raises(GraphError, match="asymmetric"):
+            Graph(g.n, (g.adjacency[0] & ~0b010,) + g.adjacency[1:])
+
     def test_edge_count(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.m == 3
@@ -97,6 +112,10 @@ class TestEdgeList:
             with pytest.raises(ParseError, match="graph6 cap"):
                 parse_edge_list(text)
 
+    def test_largest_vertex_count_below_cap(self):
+        g = parse_edge_list("262143 0\n")
+        assert (g.n, g.m) == (262143, 0)
+
     @given(graphs(max_n=7))
     def test_round_trip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
@@ -106,6 +125,11 @@ class TestGraph6:
     def test_empty_five_vertices(self):
         g = parse_graph6("D??")
         assert (g.n, g.m) == (5, 0)
+
+    @given(graphs(max_n=12))
+    def test_decoded_rows_pass_the_full_check(self, g):
+        decoded = parse_graph6(to_graph6(g))
+        assert Graph(decoded.n, decoded.adjacency) == decoded == g
 
     def test_k2(self):
         g = parse_graph6("A_")

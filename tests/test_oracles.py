@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from cliquebound.corpus import complete_graph, empty_graph, octahedron, path_graph
 from cliquebound.graph import Graph
 from cliquebound.oracles import (
     OracleSizeError,
+    brute_alpha_histogram,
     brute_count_cliques,
     brute_kirsch_nir_alpha,
     brute_vertex_clique_numbers,
@@ -45,6 +48,13 @@ def test_alpha_paw_pendant_edge(paw):
 def test_alpha_octahedron_cross_part_edge(octa):
     assert octa.has_edge(0, 2)
     assert brute_kirsch_nir_alpha(octa, (0, 2)) == 3
+
+
+def test_alpha_histogram_paw(paw):
+    # The triangle's three edges lie in it; the pendant edge only in itself.
+    assert brute_alpha_histogram(paw, 2) == Counter({3: 3, 2: 1})
+    assert brute_alpha_histogram(paw, 3) == Counter({3: 1})
+    assert brute_alpha_histogram(paw, 4) == Counter()
 
 
 def test_alpha_rejects_non_clique(octa):

@@ -46,6 +46,7 @@ def test_kernel_times_reports_every_kernel():
         "histogram(2)": 2124,
         "histogram(3)": 10363,
         "histogram(4)": 17109,
+        "histograms(2,3,4)": 20275,
         "verify_nonnegativity": 219944,
         "descent": 23735,
     }
