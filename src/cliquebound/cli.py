@@ -1,9 +1,9 @@
 """Command-line harness: analyze, generate, phi, selfcheck.
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 usage/input error,
-3 work budget exceeded. The ``phi`` subcommand additionally uses exit code 4
-for the strict (non-tight) outcome so scripts can branch on tightness; 0
-covers both the tight and the vacuous (t > omega) outcome.
+3 work budget or recursion-depth limit exceeded. ``phi`` also exits 4 on
+the strict (non-tight) outcome so scripts can branch on tightness; 0 covers
+both the tight and the vacuous (t > omega) outcome.
 
 Rationals serialize as "p/q" strings; a display-only decimal column with 10
 significant digits rides along for human scanning.

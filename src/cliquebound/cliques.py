@@ -1,23 +1,23 @@
 """Exact clique counting and largest-containing-clique orders over bitset
 adjacency.
 
-Maximal-clique enumeration uses Bron-Kerbosch with pivoting under a
-degeneracy vertex ordering. A ``CliqueIndex`` keeps the orders of one pass's
-maximal cliques and, per vertex, the bitset of the cliques that hold it. One
-counting walk by ordered recursive expansion (each clique enumerated once, in
-increasing vertex order) reads off it, for every order t a run asks for at
-once, the order alpha(T) of the largest clique containing each t-clique T
-(c(v) at t = 1, w(e) at t = 2), and the index keeps per t the histogram of
-alpha, whose total is N(G, K_t). The walk visits only nodes that the walk for
-one of those orders alone would visit, so it is charged at most the sum of
-theirs. The index also runs the simplex's integer-weighted clique sums, and
-charges all of it to its one work meter, whose budget, counted in recursion
-nodes, caps the work done on one graph. Every function that does
+A ``CliqueIndex`` keeps the orders of the maximal cliques that one pivoted
+Bron-Kerbosch call finds and, per vertex, the bitset of the cliques that hold
+it. One counting walk by ordered recursive expansion (each clique enumerated
+once, in increasing vertex order) reads off it, for every order t a run asks
+for at once, the order alpha(T) of the largest clique containing each
+t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t the
+histogram of alpha, whose total is N(G, K_t). The walk visits only nodes that
+the walk for one of those orders alone would visit, so it is charged at most
+the sum of theirs. The index also runs the simplex's integer-weighted clique
+sums, and charges all of it to its one work meter, whose budget, counted in
+recursion nodes, caps the work done on one graph. Every function that does
 clique work takes the graph's ``CliqueIndex``; none builds its own.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,6 +32,15 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, budget: int):
         super().__init__(f"clique enumeration exceeded work budget of {budget} nodes")
+        self.budget = budget
+
+
+class RecursionDepthExceeded(BudgetExceeded):
+    """The maximal-clique pass went deeper than Python's recursion limit."""
+
+    def __init__(self, budget: int):
+        RuntimeError.__init__(self, "maximal-clique search exceeded the recursion-depth "
+                              f"limit of {sys.getrecursionlimit()}")
         self.budget = budget
 
 
@@ -80,46 +89,6 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
     return total
 
 
-def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
-    """Vertices of ``mask`` ordered by repeated minimum-degree removal, ties
-    going to the lowest index.
-
-    Each vertex sits in a bitmask bucket for its degree among the remaining
-    vertices; the next vertex is the lowest set bit of the lowest nonempty
-    bucket. A removal lowers the minimum degree by at most one.
-    """
-    deg = [0] * len(adj)
-    buckets = [0] * mask.bit_count()
-    rest = mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        deg[v] = (adj[v] & mask).bit_count()
-        buckets[deg[v]] |= low
-    remaining = mask
-    order = []
-    d = 0
-    while remaining:
-        while not buckets[d]:
-            d += 1
-        low = buckets[d] & -buckets[d]
-        v = low.bit_length() - 1
-        order.append(v)
-        buckets[d] ^= low
-        remaining ^= low
-        nbrs = adj[v] & remaining
-        while nbrs:
-            bit = nbrs & -nbrs
-            u = bit.bit_length() - 1
-            nbrs ^= bit
-            buckets[deg[u]] ^= bit
-            deg[u] -= 1
-            buckets[deg[u]] |= bit
-        d = max(d - 1, 0)
-    return order
-
-
 def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int, work: _Work,
                    out: list[int]) -> None:
     work.tick()
@@ -148,23 +117,12 @@ def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int, work: _Work,
 
 
 def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
-    """Bron-Kerbosch with pivoting over the induced subgraph on ``mask``.
-
-    Returns the maximal cliques as bitmasks, in the order the search finds
-    them. The outer level follows a degeneracy ordering for output-sensitive
-    behavior on sparse inputs. The recursion appends each maximal clique to
-    one list passed down. It is a module-level function rather than a
-    closure, so a call leaves no reference cycle behind for the cyclic
-    garbage collector.
-    """
+    """The maximal cliques on ``mask`` as bitmasks in the order found, none if it
+    is empty: one Tomita-pivoted Bron-Kerbosch call, worst-case optimal alone.
+    Not a closure, so a call leaves no reference cycle for the garbage collector."""
     out: list[int] = []
-    p = mask
-    x = 0
-    for v in _degeneracy_order(adj, mask):
-        bit = 1 << v
-        _bron_kerbosch(adj, bit, p & adj[v], x & adj[v], work, out)
-        p ^= bit
-        x |= bit
+    if mask:
+        _bron_kerbosch(adj, 0, mask, 0, work, out)
     return out
 
 
@@ -243,7 +201,10 @@ class CliqueIndex:
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
         self.work = _Work(budget)
-        cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
+        try:
+            cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
+        except RecursionError:
+            raise RecursionDepthExceeded(self.work.budget) from None
         cliques.sort(key=int.bit_count, reverse=True)
         self.sizes = [clique.bit_count() for clique in cliques]
         member = [0] * g.n

@@ -140,21 +140,22 @@ def parse_edge_list(text: str) -> Graph:
     The first data line is read as an "n m" header when its first value
     exceeds every vertex index in the remaining lines and its second value
     equals the deduplicated edge count of those lines; otherwise it is an
-    edge. Duplicate edges collapse silently; self-loops are errors. The
-    vertex count is capped below ``MAX_GRAPH6_N``, as in graph6, which every
-    graph is hashed through.
+    edge. Values are ASCII digits with an optional minus sign (not all that
+    int() reads). Negative values and self-loops are errors, duplicate edges
+    collapse, and n is capped below ``MAX_GRAPH6_N`` as graph6 is.
     """
     pairs: list[tuple[int, int, int]] = []  # (u, v, line number)
+    integer = re.compile(r"-?[0-9]+").fullmatch  # int() also reads "1_0", "+2", "\u0663"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) != 2:
+        if len(tokens) != 2 or not all(map(integer, tokens)):
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
             u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex index")

@@ -9,7 +9,7 @@ import pytest
 
 from cliquebound import bounds
 from cliquebound.cli import main
-from cliquebound.graph import parse_graph6
+from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_graph6
 
 
 def run(capsys, *args):
@@ -140,18 +140,18 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
 
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
-    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 19 recursion nodes,
+    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 15 recursion nodes,
     # and the one walk that counts the edges and the triangles 9. Each part
-    # fits in 27; the 28 together do not.
+    # fits in 23; the 24 together do not.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                       "--budget", "27")
+                       "--budget", "23")
     assert code == 3
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["t"] for r in recs] == [2, 3]
-    assert all("work budget of 27" in r["error"] for r in recs)
+    assert all("work budget of 23" in r["error"] for r in recs)
     code, _, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                     "--budget", "28")
+                     "--budget", "24")
     assert code == 0
 
 
@@ -263,6 +263,45 @@ def test_phi_edge_list_past_graph6_cap_is_input_error(tmp_path, capsys):
     assert "big.el" in err and "graph6 cap" in err
 
 
+def test_analyze_edge_list_loose_integer_is_input_error(tmp_path, capsys):
+    loose = tmp_path / "loose.el"
+    loose.write_text("0 1_0\n")
+    code, out, err = run(capsys, "analyze", str(loose), "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {loose}: line 1: expected two integers, got '0 1_0'\n"
+
+
+@pytest.fixture(scope="module")
+def deep_clique(tmp_path_factory):
+    """K_n as one .g6 line, n past Python's recursion limit."""
+    path = tmp_path_factory.mktemp("deep") / "deep.g6"
+    n = sys.getrecursionlimit() + 10
+    path.write_text(to_graph6(generate_complete_multipartite([1] * n)) + "\n")
+    return path
+
+
+def test_analyze_clique_past_recursion_limit_is_a_budget_hit(deep_clique, tmp_path, capsys):
+    run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
+    k2 = tmp_path / "multipartite_1-1.g6"
+    code, out, _ = run(capsys, "analyze", str(deep_clique), str(k2), "--t", "2",
+                       "--t-max", "3")
+    assert code == 3
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [(r["file"], r["t"]) for r in recs] == [
+        (str(deep_clique), 2), (str(deep_clique), 3), (str(k2), 2), (str(k2), 3)]
+    assert all("recursion-depth limit" in r["error"] for r in recs[:2])
+    assert not any("error" in r for r in recs[2:])
+
+
+def test_phi_clique_past_recursion_limit_is_a_budget_hit(deep_clique, capsys):
+    code, out, err = run(capsys, "phi", str(deep_clique), "--t", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion-depth limit" in err
+
+
 def test_phi_non_utf8_input_is_input_error(tmp_path, capsys):
     (tmp_path / "bad.el").write_bytes(b"0 1\n1 \xff\n")
     code, out, err = run(capsys, "phi", str(tmp_path / "bad.el"), "--t", "2")
@@ -361,7 +400,7 @@ def test_phi_vacuous_on_empty_graph(tmp_path, capsys):
 
 
 def test_phi_budget_reaches_sampling(tmp_path, capsys):
-    # 100 nodes cover the c(v) pass (19) but not the sampled phi values (195).
+    # 100 nodes cover the c(v) pass (15) but not the sampled phi values (195).
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
                          "--t", "3", "--samples", "20", "--budget", "100")
@@ -371,17 +410,17 @@ def test_phi_budget_reaches_sampling(tmp_path, capsys):
 
 
 def test_phi_budget_caps_run_total(tmp_path, capsys):
-    # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 19
+    # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 15
     # nodes, the sampled phi values 195, the descent 23 and the phi at its end
-    # 3. The one budget of the run caps their 240 together.
+    # 3. The one budget of the run caps their 236 together.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     path = str(tmp_path / "multipartite_2-2-2.g6")
     code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
-                         "--budget", "239")
+                         "--budget", "235")
     assert code == 3
     assert out == ""
-    assert "work budget of 239" in err
-    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "240")
+    assert "work budget of 235" in err
+    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "236")
     assert code == 0
 
 

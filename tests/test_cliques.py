@@ -1,22 +1,26 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from cliquebound import cliques as cliques_mod
+from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
     BudgetExceeded,
     CliqueIndex,
+    RecursionDepthExceeded,
     _Work,
-    _degeneracy_order,
     _maximal_cliques,
     count_cliques,
     vertex_clique_numbers,
 )
-from cliquebound.graph import Graph, bits, generate_complete_multipartite, generate_random
+from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
     brute_alpha_histogram,
     brute_count_cliques,
@@ -228,6 +232,27 @@ class TestHistograms:
         assert index.work.nodes - before == 9
 
 
+def _readings(g):
+    """What a fresh index gives out: the reports at t = 2..4, c(v), and each
+    histogram(t) for t = 1..5 with the nodes its walk charged."""
+    index = CliqueIndex(g)
+    reports = bound_reports(index, (2, 3, 4))
+    return reports, vertex_clique_numbers(index), [_walked(index, [t]) for t in range(1, 6)]
+
+
+class TestCliqueOrder:
+    """The pass may find equal-order cliques in any order: nothing the index
+    gives out, and no walk's charge, depends on it."""
+
+    @given(graphs())
+    @example(generate_complete_multipartite([2, 2, 2]))
+    def test_reversed_pass_reads_the_same(self, g):
+        real = cliques_mod._maximal_cliques
+        with patch.object(cliques_mod, "_maximal_cliques", lambda *args: real(*args)[::-1]):
+            reversed_pass = _readings(g)
+        assert reversed_pass == _readings(g)
+
+
 def _neighborhood_count(index, v, t):
     """Number of t-cliques inside N(v), as a unit-weight clique sum."""
     g = index.graph
@@ -299,24 +324,6 @@ class TestWeightSum:
             assert index.weight_sum(mask, t, weights) == _brute_weight_sum(g, mask, t, weights)
 
 
-def _scan_degeneracy_order(adj, mask):
-    """Reference: repeatedly remove a minimum-degree vertex, lowest index first."""
-    order = []
-    while mask:
-        v = min(bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), u))
-        order.append(v)
-        mask &= ~(1 << v)
-    return order
-
-
-class TestDegeneracyOrder:
-    @given(graphs(max_n=14), st.integers(min_value=0))
-    def test_matches_scan(self, g, sub):
-        mask = sub & g.full_mask
-        for m in (g.full_mask, mask):
-            assert _degeneracy_order(g.adjacency, m) == _scan_degeneracy_order(g.adjacency, m)
-
-
 class TestEnumerationAndBudget:
     def test_enumerate_matches_count(self, octa):
         assert CliqueIndex(octa).histogram(3) == Counter({3: 8})
@@ -330,9 +337,18 @@ class TestEnumerationAndBudget:
         with pytest.raises(BudgetExceeded):
             index.histogram(3)
 
+    def test_clique_past_recursion_limit_is_a_budget_hit(self):
+        # The pass recurses once per vertex of a clique, so a clique of more
+        # vertices than Python's recursion limit stops it as a budget hit.
+        limit = sys.getrecursionlimit()
+        g = generate_complete_multipartite([1] * (limit + 10))
+        with pytest.raises(BudgetExceeded, match=f"recursion-depth limit of {limit}$") as info:
+            CliqueIndex(g)
+        assert isinstance(info.value, RecursionDepthExceeded)
+
     @pytest.mark.parametrize("g,expected", [
-        (generate_complete_multipartite([2, 2, 2]), (19, 24, 33, 42)),
-        (generate_random(12, Fraction(1, 2), seed=5), (51, 62, 97, 132)),
+        (generate_complete_multipartite([2, 2, 2]), (15, 20, 29, 38)),
+        (generate_random(12, Fraction(1, 2), seed=5), (41, 52, 87, 122)),
     ], ids=["K2x2x2", "gnp12-seed5"])
     def test_budget_unit_node_counts(self, g, expected):
         # The recursion nodes that --budget counts, after the pass, after

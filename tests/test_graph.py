@@ -102,6 +102,19 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("0 1\n0 1 2")
 
+    @pytest.mark.parametrize("line", ["0 1_0", "+2 3", "0 \u0663", "1.0 2", "0 0x1",
+                                      "0 " + "1" * 5000],
+                             ids=["underscore", "plus", "arabic-indic", "decimal",
+                                  "hex", "past-int-digit-limit"])
+    def test_only_ascii_digit_tokens(self, line):
+        # int() alone reads "1_0" as 10, "+2" as 2 and "\u0663" as 3.
+        with pytest.raises(ParseError, match="^line 2: expected two integers"):
+            parse_edge_list("0 1\n" + line)
+
+    def test_negative_index_reports_line(self):
+        with pytest.raises(ParseError, match="^line 2: negative vertex index$"):
+            parse_edge_list("0 1\n-1 2")
+
     def test_self_loop_reports_vertex(self):
         with pytest.raises(ParseError, match="vertex 3"):
             parse_edge_list("0 1\n3 3")

@@ -42,7 +42,7 @@ def test_kernel_times_reports_every_kernel():
     # Recursion nodes per pass over the seed-0 corpus do not depend on the
     # machine; the milliseconds do.
     assert {name: int(nodes) for name, (_, nodes) in rows.items()} == {
-        "maximal-clique pass": 24784,
+        "maximal-clique pass": 22074,
         "histogram(2)": 2124,
         "histogram(3)": 10363,
         "histogram(4)": 17109,

@@ -294,9 +294,9 @@ class TestNonnegativity:
             verify_nonnegativity(CliqueIndex(c5), 2, samples=0, seed=1)
 
     def test_budget_caps_whole_call(self, octa):
-        # The index's pass takes 19 nodes. No single evaluation needs the 81
+        # The index's pass takes 15 nodes. No single evaluation needs the 85
         # left of a 100-node budget, but the 27 evaluations of the call do.
-        assert CliqueIndex(octa).work.nodes == 19
+        assert CliqueIndex(octa).work.nodes == 15
         for v in range(octa.n):
             eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.concentrated(octa.n, v))
         eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.uniform(octa.n))
