@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Check the clique index against the brute-force oracles on every labelled
+graph with at most ``--max-n`` vertices.
+
+For each graph it checks, with an exact ``==``:
+
+- ``histograms(1..n+1)``, one counting walk for every order, and
+  ``histogram(t)`` on a fresh index, one walk for order t alone, against
+  ``brute_alpha_histogram`` at each order t = 1..n+1;
+- the c(v) profile against ``brute_vertex_clique_numbers``;
+- for 2 <= t <= omega, that the bound is tight (N(G, K_t) equals the
+  localized bound) exactly when the graph is regular complete multipartite.
+
+It prints one row per n and exits 1 if any check failed, naming the first
+failures. There are 2^(n(n-1)/2) labelled graphs on n vertices: 1,100 up to
+n = 5 and 33,868 up to n = 6. Example:
+
+    python3 scripts/exhaustive_small_graphs.py --max-n 6
+"""
+
+import argparse
+import sys
+from itertools import combinations
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cliquebound.bounds import (  # noqa: E402
+    is_regular_complete_multipartite,
+    localized_zykov_bound,
+)
+from cliquebound.cliques import CliqueIndex, vertex_clique_numbers  # noqa: E402
+from cliquebound.graph import Graph, to_graph6  # noqa: E402
+from cliquebound.oracles import (  # noqa: E402
+    brute_alpha_histogram,
+    brute_vertex_clique_numbers,
+)
+
+SHOWN_FAILURES = 10
+
+
+def labelled_graphs(n: int):
+    """Every graph on vertices 0..n-1, one per edge subset."""
+    pairs = list(combinations(range(n), 2))
+    for subset in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if subset >> i & 1])
+
+
+def check_graph(g: Graph) -> list[str]:
+    """What the index gets wrong on ``g``, one line per failed check."""
+    index = CliqueIndex(g)
+    failures = []
+    orders = range(1, g.n + 2)
+    hists = index.histograms(orders)
+    for t in orders:
+        oracle = brute_alpha_histogram(g, t)
+        if hists[t] != oracle:
+            failures.append(f"histograms(1..{g.n + 1})[{t}]")
+        if CliqueIndex(g).histogram(t) != oracle:
+            failures.append(f"histogram({t})")
+    profile = vertex_clique_numbers(index)
+    if profile != brute_vertex_clique_numbers(g):
+        failures.append("c(v)")
+    regular = is_regular_complete_multipartite(g) is not None
+    for t in range(2, profile.omega + 1):
+        if (hists[t].total() == localized_zykov_bound(g, t, profile)) != regular:
+            failures.append(f"tight at t = {t}")
+    return failures
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--max-n", type=int, required=True)
+    args = ap.parse_args()
+    if not 0 <= args.max_n <= 7:
+        ap.error(f"--max-n must be 0..7, got {args.max_n}")
+
+    print(f"{'n':>2} {'graphs':>8} {'regular multipartite':>21} {'failures':>9}")
+    total = failed = 0
+    for n in range(args.max_n + 1):
+        graphs = regular = bad = 0
+        for g in labelled_graphs(n):
+            graphs += 1
+            regular += is_regular_complete_multipartite(g) is not None
+            failures = check_graph(g)
+            if failures:
+                bad += 1
+                if failed + bad <= SHOWN_FAILURES:
+                    print(f"FAIL {to_graph6(g)}: {', '.join(failures)}", file=sys.stderr)
+        print(f"{n:>2} {graphs:>8} {regular:>21} {bad:>9}")
+        total += graphs
+        failed += bad
+    print(f"{total} graphs with n <= {args.max_n}, {failed} failed")
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,10 @@
 """Exact clique counting and largest-containing-clique orders over bitset
 adjacency.
 
-A ``CliqueIndex`` keeps the orders of the maximal cliques that one pivoted
-Bron-Kerbosch call finds and, per vertex, the bitset of the cliques that hold
-it. One counting walk by ordered recursive expansion (each clique enumerated
+A ``CliqueIndex`` keeps the maximal cliques that one pivoted Bron-Kerbosch
+call finds, numbered smallest first, and, per vertex, the bitset of the ids of
+the cliques that hold it, whose highest bit names a largest clique holding the
+vertex. One counting walk by ordered recursive expansion (each clique enumerated
 once, in increasing vertex order) reads off it, for every order t a run asks
 for at once, the order alpha(T) of the largest clique containing each
 t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t the
@@ -18,6 +19,7 @@ clique work takes the graph's ``CliqueIndex``; none builds its own.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -126,25 +128,28 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
     return out
 
 
-def _count(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
-           plan: Sequence[tuple], cand: int, depth: int, shared: int, work: _Work) -> None:
+def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
+           alpha_at: Sequence[int], plan: Sequence[tuple], cand: int, depth: int,
+           shared: int, work: _Work) -> None:
     """Count, by ordered expansion, the cliques of every requested order that
     extend a clique C of ``depth`` vertices by vertices of ``cand``.
 
     ``cand`` holds the vertices after C's last that are adjacent to all of C,
-    and ``shared`` the ids of the maximal cliques that hold C. Ids run largest
-    first, so the lowest id that holds a clique names a largest clique holding
-    it, and ``sizes`` gives its order alpha. ``plan[depth]`` is (hist, target,
-    cover): ``hist[alpha]`` counts the children C + v when order depth + 1 is
-    requested, else it is None; ``target`` is the next requested order past
-    depth + 1, or 0; when the children are counted and a target follows,
-    ``cover`` holds the vertices of the cliques of order >= target, to which
-    a child's candidates are cut. A child is expanded only while target is
-    still reachable: depth + 1 plus its candidates, and, when the child is
-    counted, its alpha, reach target. The uncounted children break off as
-    soon as the candidates left are too few. So a call at depth d is a node
-    of the walk for the smallest requested order above d alone, and with one
-    order requested the calls are exactly that walk's.
+    and ``shared`` the ids of the maximal cliques that hold C. Ids run
+    smallest first, so the highest id that holds a clique names a largest
+    clique holding it, and ``alpha_at[ids.bit_length()]`` gives its order
+    alpha. ``plan[depth]`` is (hist, target, cover): ``hist[alpha]`` counts
+    the children C + v when order depth + 1 is requested, else it is None;
+    ``target`` is the next requested order past depth + 1, or 0; when the
+    children are counted and a target follows, ``cover`` holds the vertices
+    of the cliques of order >= target, to which a child's candidates are cut.
+    A child is expanded only while target is still reachable: depth + 1 plus
+    its candidates, and, when the child is counted, its alpha, reach target.
+    The uncounted children break off as soon as the candidates left are too
+    few. So a call at depth d is a node of the walk for the smallest
+    requested order above d alone, and with one order requested the calls
+    are exactly that walk's. At the deepest order, every candidate inside
+    C's largest clique has that clique's order and is counted in one step.
     """
     work.tick()
     hist, target, cover = plan[depth]
@@ -158,35 +163,41 @@ def _count(adj: Sequence[int], member: Sequence[int], sizes: Sequence[int],
                 break
             sub = cand & adj[v]
             if sub.bit_count() >= need:
-                _count(adj, member, sizes, plan, sub, depth + 1, shared & member[v], work)
+                _count(adj, member, cliques, alpha_at, plan, sub, depth + 1,
+                       shared & member[v], work)
     elif not target:
+        if shared:  # empty only at the root on the empty graph, which has no cliques
+            top = shared.bit_length()
+            inside = cand & cliques[top - 1]
+            hist[alpha_at[top]] += inside.bit_count()
+            cand ^= inside
         while cand:
             low = cand & -cand
             cand ^= low
-            ids = shared & member[low.bit_length() - 1]
-            hist[sizes[(ids & -ids).bit_length() - 1]] += 1
+            hist[alpha_at[(shared & member[low.bit_length() - 1]).bit_length()]] += 1
     else:
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
             ids = shared & member[v]
-            alpha = sizes[(ids & -ids).bit_length() - 1]
+            alpha = alpha_at[ids.bit_length()]
             hist[alpha] += 1
             if alpha >= target:
                 sub = cand & adj[v] & cover
                 if sub.bit_count() >= need:
-                    _count(adj, member, sizes, plan, sub, depth + 1, ids, work)
+                    _count(adj, member, cliques, alpha_at, plan, sub, depth + 1, ids, work)
 
 
 class CliqueIndex:
-    """The maximal cliques of one graph, largest first, and one work meter:
+    """The maximal cliques of one graph, smallest first, and one work meter:
     the one object passed to every function that does clique work on the
     graph.
 
-    One Bron-Kerbosch pass numbers the maximal cliques largest first:
-    ``sizes[i]`` is the order of clique i, and ``member[v]`` is the bitset of
-    the ids of the cliques that hold v. The c(v) profile, the
+    One Bron-Kerbosch pass numbers the maximal cliques smallest first:
+    ``cliques[i]`` is clique i as a vertex bitmask, ``sizes[i]`` its order,
+    and ``member[v]`` the bitset of the ids of the cliques that hold v, whose
+    highest bit names a largest clique holding v. The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
     clique counts are then read without a second pass: one counting walk
     fills the histogram of every order asked for together, and the index
@@ -196,7 +207,7 @@ class CliqueIndex:
     of the pass, of each walk and of every weighted clique sum.
     """
 
-    __slots__ = ("graph", "work", "sizes", "member", "_histograms")
+    __slots__ = ("graph", "work", "cliques", "sizes", "member", "_histograms")
 
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
@@ -205,7 +216,8 @@ class CliqueIndex:
             cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
         except RecursionError:
             raise RecursionDepthExceeded(self.work.budget) from None
-        cliques.sort(key=int.bit_count, reverse=True)
+        cliques.sort(key=int.bit_count)
+        self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]
         member = [0] * g.n
         bit = 1
@@ -218,11 +230,11 @@ class CliqueIndex:
         self.member = member
         self._histograms: dict[int, Counter] = {}
 
-    def _large(self, t: int) -> tuple[int, int]:
-        """The ids of the cliques of order >= t, ids 0..k-1, and the vertices
-        they cover: the only vertices of any t-clique."""
-        large = (1 << sum(1 for size in self.sizes if size >= t)) - 1
-        return large, sum(1 << v for v, ids in enumerate(self.member) if ids & large)
+    def _cover(self, t: int) -> int:
+        """The vertices of the cliques of order >= t, the ids from
+        ``bisect_left(sizes, t)`` up: the only vertices of any t-clique."""
+        cut = bisect_left(self.sizes, t)
+        return sum(1 << v for v, ids in enumerate(self.member) if ids >> cut)
 
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
         """``histogram(t)`` for each t of ``ts``; the orders not yet kept are
@@ -238,17 +250,18 @@ class CliqueIndex:
                 raise ValueError(f"clique order must be >= 1, got {t}")
         todo = sorted(ts.difference(self._histograms))
         if todo:
-            top = self.sizes[0] if self.sizes else 0
-            hists = {t: [0] * (top + 1) for t in todo}
+            omega = self.sizes[-1] if self.sizes else 0
+            hists = {t: [0] * (omega + 1) for t in todo}
             plan = []
             for depth in range(todo[-1]):
                 target = next((t for t in todo if t > depth + 1), 0)
                 hist = hists.get(depth + 1)
-                cover = self._large(target)[1] if hist is not None and target else None
+                cover = self._cover(target) if hist is not None and target else None
                 plan.append((hist, target, cover))
-            shared, cand = self._large(todo[0])
-            _count(self.graph.adjacency, self.member, self.sizes, plan, cand, 0, shared,
-                   self.work)
+            # Every id may be shared at the root: smaller cliques never
+            # change the highest bit.
+            _count(self.graph.adjacency, self.member, self.cliques, [0, *self.sizes], plan,
+                   self._cover(todo[0]), 0, (1 << len(self.sizes)) - 1, self.work)
             for t, hist in hists.items():
                 self._histograms[t] = Counter({a: k for a, k in enumerate(hist) if k})
         return {t: self._histograms[t] for t in ts}
@@ -276,9 +289,9 @@ def count_cliques(index: CliqueIndex, t: int) -> int:
 
 def vertex_clique_numbers(index: CliqueIndex) -> CliqueProfile:
     """c(v) = order of the largest clique containing v, for every vertex: the
-    lowest id that holds v names a largest clique.
+    highest id that holds v names a largest clique.
 
     Isolated vertices are maximal 1-cliques, so c(v) = 1.
     """
-    c = tuple(index.sizes[(ids & -ids).bit_length() - 1] for ids in index.member)
-    return CliqueProfile(c, index.sizes[0] if index.sizes else 0)
+    c = tuple(index.sizes[ids.bit_length() - 1] for ids in index.member)
+    return CliqueProfile(c, index.sizes[-1] if index.sizes else 0)

@@ -131,64 +131,80 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list format: UTF-8 lines "u v", "#" comments, optional "n m" header.
+# Edge-list format: UTF-8 lines "u v", "#" comments, optional "p edge n m" header.
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list into a Graph.
 
-    The first data line is read as an "n m" header when its first value
-    exceeds every vertex index in the remaining lines and its second value
-    equals the deduplicated edge count of those lines; otherwise it is an
-    edge. Values are ASCII digits with an optional minus sign (not all that
-    int() reads). Negative values and self-loops are errors, duplicate edges
-    collapse, and n is capped below ``MAX_GRAPH6_N`` as graph6 is.
+    The first data line may be a DIMACS header ``p edge n m``: then n is the
+    vertex count and exactly m distinct edges, all below n, must follow.
+    Without one, every line is an edge and n is one past the largest index;
+    but a bare first line that could be an ``n m`` header (its first value
+    exceeds every later index and its second equals the distinct edge count
+    of the later lines) is an error, since it reads either way. Values are
+    ASCII digits with an optional minus sign (not all that int() reads).
+    Negative values and self-loops are errors, duplicate edges collapse, and
+    n is capped below ``MAX_GRAPH6_N`` as graph6 is.
     """
     pairs: list[tuple[int, int, int]] = []  # (u, v, line number)
+    header: tuple[int, int] | None = None
     integer = re.compile(r"-?[0-9]+").fullmatch  # int() also reads "1_0", "+2", "\u0663"
+    count = re.compile(r"[0-9]+").fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
+        if not pairs and header is None and tokens[0] == "p":
+            if (len(tokens) != 4 or tokens[1] != "edge"
+                    or not all(map(count, tokens[2:]))):
+                raise ParseError(f"line {lineno}: expected 'p edge n m', got {raw!r}")
+            header = _edge_list_ints(tokens[2:], lineno, raw)
+            continue
         if len(tokens) != 2 or not all(map(integer, tokens)):
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex index")
-        pairs.append((u, v, lineno))
+        pairs.append((*_edge_list_ints(tokens, lineno, raw), lineno))
 
-    if not pairs:
-        return Graph(0, ())
-
-    def dedup(rest: list[tuple[int, int, int]]) -> set[tuple[int, int]]:
-        out = set()
-        for u, v, lineno in rest:
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-            out.add((min(u, v), max(u, v)))
-        return out
-
-    head_u, head_v, _ = pairs[0]
-    rest = pairs[1:]
-    rest_max = max((max(u, v) for u, v, _ in rest), default=-1)
-    if head_u > rest_max and head_v == len(dedup(rest)):
-        n, edges = head_u, dedup(rest)
+    if header is None:
+        if not pairs:
+            return Graph(0, ())
+        (head_u, head_v, lineno), rest = pairs[0], pairs[1:]
+        if (head_u > max((max(u, v) for u, v, _ in rest), default=-1)
+                and head_v == len({(min(u, v), max(u, v)) for u, v, _ in rest})):
+            raise ParseError(f"line {lineno}: '{head_u} {head_v}' reads as an 'n m' "
+                             "header or as an edge; write a header as 'p edge n m'")
+    edges = set()
+    for u, v, lineno in pairs:
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        edges.add((min(u, v), max(u, v)))
+    if header is None:
+        n = max(v for _, v in edges) + 1
     else:
-        edges = dedup(pairs)
-        n = max(max(u, v) for u, v in edges) + 1
+        n, m = header
+        if len(edges) != m:
+            raise ParseError(f"header declares {m} edges, found {len(edges)} distinct")
     if n >= MAX_GRAPH6_N:
         raise ParseError(f"vertex count {n} reaches the graph6 cap of {MAX_GRAPH6_N}")
-    if edges and max(max(u, v) for u, v in edges) >= n:
+    if edges and max(v for _, v in edges) >= n:
         raise ParseError(f"edge index exceeds declared vertex count {n}")
     return Graph.from_edges(n, edges)
 
 
+def _edge_list_ints(tokens: list[str], lineno: int, raw: str) -> tuple[int, int]:
+    """Two non-negative integers from ASCII-digit tokens."""
+    try:
+        u, v = int(tokens[0]), int(tokens[1])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
+    if u < 0 or v < 0:
+        raise ParseError(f"line {lineno}: negative vertex index")
+    return u, v
+
+
 def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
+    lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 

@@ -272,6 +272,22 @@ def test_analyze_edge_list_loose_integer_is_input_error(tmp_path, capsys):
     assert err == f"error: {loose}: line 1: expected two integers, got '0 1_0'\n"
 
 
+def test_analyze_edge_list_bare_header_is_input_error(tmp_path, capsys):
+    # "5 1" could be the header of a 5-vertex graph or the edge (5, 1).
+    both = tmp_path / "both.el"
+    both.write_text("5 1\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(both), "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {both}: line 1: '5 1' reads as an 'n m' header or as an "
+                   "edge; write a header as 'p edge n m'\n")
+    both.write_text("p edge 5 1\n0 1\n")
+    code, out, _ = run(capsys, "analyze", str(both), "--t", "2")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["n"], record["m"]) == (5, 1)
+
+
 @pytest.fixture(scope="module")
 def deep_clique(tmp_path_factory):
     """K_n as one .g6 line, n past Python's recursion limit."""

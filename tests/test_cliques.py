@@ -111,7 +111,7 @@ class TestMaximalCliques:
         found = _maximal_cliques(g.adjacency, g.full_mask, _Work(None))
         # Each oracle clique exactly once, and nothing else.
         assert sorted(found) == sorted(sum(1 << v for v in clique) for clique in oracle)
-        assert CliqueIndex(g).sizes == sorted(map(len, oracle), reverse=True)
+        assert CliqueIndex(g).sizes == sorted(map(len, oracle))
 
 
 class TestMaxCliqueContaining:
@@ -230,6 +230,42 @@ class TestHistograms:
         before = index.work.nodes
         assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
         assert index.work.nodes - before == 9
+
+
+# K_5 on 0..4 and vertex 5 joined to 0, 1 and 2. The largest clique holding
+# {0, 1, 2} is the K_5: the 4-cliques {0, 1, 2, 3} and {0, 1, 2, 4} lie in
+# it and are counted in one step, but {0, 1, 2, 5} lies only in a K_4.
+_K5_WITH_K4 = Graph.from_edges(6, [
+    *((a, b) for a in range(5) for b in range(a + 1, 5)), (0, 5), (1, 5), (2, 5)])
+
+
+class TestSmallestFirst:
+    """Ids run smallest first, so the highest id of a clique-id set names a
+    largest clique holding it."""
+
+    def test_ids_run_smallest_first(self):
+        index = CliqueIndex(_K5_WITH_K4)
+        assert index.sizes == [4, 5]
+        assert index.cliques == [0b100111, 0b011111]
+
+    def test_deepest_order_counted_inside_and_outside_the_largest_clique(self):
+        index = CliqueIndex(_K5_WITH_K4)
+        assert index.histograms((3, 4)) == {3: Counter({5: 10, 4: 3}),
+                                            4: Counter({5: 5, 4: 1})}
+        assert vertex_clique_numbers(index).c == (5, 5, 5, 5, 5, 4)
+        # The pass and one walk for both orders, as before the ids were
+        # renumbered: counting in one step charges no node.
+        assert index.work.nodes == 21
+        assert all(index.histogram(t) == brute_alpha_histogram(_K5_WITH_K4, t)
+                   for t in (3, 4))
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+                                   Graph(0, ()), Graph.from_edges(3, [])],
+                             ids=["C5", "empty", "three-isolated"])
+    def test_root_call_is_charged_without_candidates(self, g):
+        # No triangle: the walk is its root call alone, charged one node.
+        index = CliqueIndex(g)
+        assert _walked(index, [3]) == ({3: Counter()}, 1)
 
 
 def _readings(g):

@@ -79,15 +79,47 @@ class TestGraphInvariants:
 
 class TestEdgeList:
     def test_path_with_header(self):
-        g = parse_edge_list("3 2\n0 1\n1 2")
+        g = parse_edge_list("p edge 3 2\n0 1\n1 2")
         assert (g.n, g.m) == (3, 2)
+
+    def test_header_keeps_isolated_vertices(self):
+        g = parse_edge_list("p edge 5 1\n0 1\n")
+        assert (g.n, g.m) == (5, 1)
+
+    @pytest.mark.parametrize("text", ["5 1\n0 1\n", "3 2\n0 1\n1 2", "5 0\n"],
+                             ids=["five-one", "three-two", "one-line"])
+    def test_bare_header_reading_is_rejected(self, text):
+        # The first line could be an "n m" header or an edge: it is neither
+        # read as a header nor silently dropped.
+        with pytest.raises(ParseError,
+                           match="^line 1: .* reads as an 'n m' header or as an edge"):
+            parse_edge_list(text)
+
+    def test_bare_first_line_that_cannot_be_a_header_is_an_edge(self):
+        # 5 is not past every later index, so "5 1" can only be an edge.
+        g = parse_edge_list("5 1\n0 5\n")
+        assert (g.n, g.m) == (6, 2)
+
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 3 2\n0 1", "^header declares 2 edges, found 1 distinct$"),
+        ("p edge 3 1\n0 1\n1 2", "^header declares 1 edges, found 2 distinct$"),
+        ("p edge 2 1\n0 2", "^edge index exceeds declared vertex count 2$"),
+        ("p edge 3", "^line 1: expected 'p edge n m'"),
+        ("p col 3 0", "^line 1: expected 'p edge n m'"),
+        ("p edge -1 0", "^line 1: expected 'p edge n m'"),
+        ("0 1\np edge 2 1", "^line 2: expected two integers"),
+    ], ids=["too-few-edges", "too-many-edges", "index-past-n", "short", "not-edge",
+            "negative", "not-first"])
+    def test_header_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_edge_list(text)
 
     def test_empty_input(self):
         g = parse_edge_list("")
         assert (g.n, g.m) == (0, 0)
 
     def test_duplicate_edges_collapse(self):
-        g = parse_edge_list("2 1\n0 1\n0 1")
+        g = parse_edge_list("p edge 2 1\n0 1\n0 1")
         assert (g.n, g.m) == (2, 1)
 
     def test_headerless(self):
@@ -95,7 +127,7 @@ class TestEdgeList:
         assert (g.n, g.m) == (3, 2)
 
     def test_comments_ignored(self):
-        g = parse_edge_list("# a path\n3 2\n0 1  # first edge\n1 2")
+        g = parse_edge_list("# a path\np edge 3 2\n0 1  # first edge\n1 2")
         assert (g.n, g.m) == (3, 2)
 
     def test_malformed_line_reports_number(self):
@@ -121,17 +153,20 @@ class TestEdgeList:
 
     def test_vertex_count_capped_as_graph6(self):
         # graph6 encodes n < 2^18; a header or an edge may not reach it.
-        for text in ("0 262144", "262144 0"):
+        for text in ("0 262144", "p edge 262144 0"):
             with pytest.raises(ParseError, match="graph6 cap"):
                 parse_edge_list(text)
 
     def test_largest_vertex_count_below_cap(self):
-        g = parse_edge_list("262143 0\n")
+        g = parse_edge_list("p edge 262143 0\n")
         assert (g.n, g.m) == (262143, 0)
 
     @given(graphs(max_n=7))
     def test_round_trip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
+
+    def test_writes_dimacs_header(self):
+        assert to_edge_list(Graph.from_edges(4, [(0, 1)])) == "p edge 4 1\n0 1\n"
 
 
 class TestGraph6:

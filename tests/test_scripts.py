@@ -51,3 +51,17 @@ def test_kernel_times_reports_every_kernel():
         "descent": 23735,
     }
     assert all(float(ms) >= 0 for ms, _ in rows.values())
+
+
+def test_exhaustive_small_graphs_up_to_five_vertices():
+    # Every labelled graph with n <= 5 against the brute-force oracles.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "exhaustive_small_graphs.py"), "--max-n", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split() for line in lines[1:-1]] == [
+        ["0", "1", "0", "0"], ["1", "1", "1", "0"], ["2", "2", "2", "0"],
+        ["3", "8", "2", "0"], ["4", "64", "5", "0"], ["5", "1024", "2", "0"]]
+    assert lines[-1] == "1100 graphs with n <= 5, 0 failed"
