@@ -4,6 +4,8 @@ graph with at most ``--max-n`` vertices.
 
 For each graph it checks, with an exact ``==``:
 
+- the maximal-clique pass: ``sizes`` and the vertex sets of ``cliques``,
+  sorted, against ``brute_maximal_cliques``;
 - ``histograms(1..n+1)``, one counting walk for every order, and
   ``histogram(t)`` on a fresh index, one walk for order t alone, against
   ``brute_alpha_histogram`` at each order t = 1..n+1;
@@ -33,6 +35,7 @@ from cliquebound.cliques import CliqueIndex, vertex_clique_numbers  # noqa: E402
 from cliquebound.graph import Graph, to_graph6  # noqa: E402
 from cliquebound.oracles import (  # noqa: E402
     brute_alpha_histogram,
+    brute_maximal_cliques,
     brute_vertex_clique_numbers,
 )
 
@@ -50,6 +53,12 @@ def check_graph(g: Graph) -> list[str]:
     """What the index gets wrong on ``g``, one line per failed check."""
     index = CliqueIndex(g)
     failures = []
+    oracle_cliques = brute_maximal_cliques(g)
+    if index.sizes != sorted(map(len, oracle_cliques)):
+        failures.append("sizes")
+    found = sorted(tuple(v for v in range(g.n) if clique >> v & 1) for clique in index.cliques)
+    if found != sorted(oracle_cliques):
+        failures.append("maximal cliques")
     orders = range(1, g.n + 2)
     hists = index.histograms(orders)
     for t in orders:

@@ -7,7 +7,7 @@ one order, then ``histograms((2, 3, 4))``, the one walk that counts all
 three as ``analyze --t 3 --t-max 4`` does, one ``verify_nonnegativity`` and
 one transfer descent from the uniform point, both at the phi-simplex
 workload's t and sample count. It prints, per pass
-over the corpus, the best-of-``--reps`` milliseconds and the recursion nodes
+over the corpus, the best-of-``--reps`` milliseconds and the work nodes
 that each one charged to its index's work meter. Node counts do not depend on
 the machine; the milliseconds do.
 
@@ -47,7 +47,7 @@ PASS = "maximal-clique pass"
 
 
 def time_graph(g) -> dict[str, tuple[float, int]]:
-    """Seconds and recursion nodes of each kernel on one graph."""
+    """Seconds and work nodes of each kernel on one graph."""
     start = time.perf_counter()
     index = CliqueIndex(g)
     times = {PASS: (time.perf_counter() - start, index.work.nodes)}

@@ -6,6 +6,7 @@ Example:
 """
 
 import argparse
+from collections import Counter
 from fractions import Fraction
 
 from cliquebound.bounds import bound_reports
@@ -28,12 +29,11 @@ def main():
     )
     print(f"{'graph':38s} {'t':>2s} {'N':>6s} {'localized':>12s} "
           f"{'classical':>12s} {'gap%':>7s}")
-    tight = 0
-    records = 0
+    kinds = Counter()
     for name, g in corpus:
         for rep in bound_reports(CliqueIndex(g), range(args.t, args.t_max + 1)):
-            records += 1
-            tight += rep.is_tight
+            # t > omega: N and the bound are both 0, vacuous rather than tight.
+            kinds["vacuous" if rep.t > rep.omega else "tight" if rep.is_tight else "strict"] += 1
             if rep.localized_zykov > 0:
                 gap = 100 * (1 - Fraction(rep.true_count) / rep.localized_zykov)
                 gap_s = f"{float(gap):7.2f}"
@@ -42,7 +42,8 @@ def main():
             print(f"{name:38s} {rep.t:2d} {rep.true_count:6d} "
                   f"{float(rep.localized_zykov):12.3f} "
                   f"{float(rep.zykov_classical):12.3f} {gap_s}")
-    print(f"\n{records} records, {tight} tight, {records - tight} strict")
+    print(f"\n{kinds.total()} records, {kinds['tight']} tight, {kinds['strict']} strict, "
+          f"{kinds['vacuous']} vacuous")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Command-line harness: analyze, generate, phi, selfcheck.
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 usage/input error,
-3 work budget or recursion-depth limit exceeded. ``phi`` also exits 4 on
+3 work budget exceeded. ``phi`` also exits 4 on
 the strict (non-tight) outcome so scripts can branch on tightness; 0 covers
 both the tight and the vacuous (t > omega) outcome.
 
@@ -20,6 +20,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
 from .corpus import named_small_graphs, seeded_random_corpus
 from .graph import (
     Graph,
+    MAX_GRAPH6_N,
     GraphError,
     ParseError,
     PartSpec,
@@ -182,9 +184,10 @@ def cmd_analyze(config: RunConfig) -> int:
     if not _write_output(_render_records(records, config.fmt), config.out):
         return EXIT_USAGE
     ok = [r for r in records if "error" not in r]
-    tight = sum(1 for r in ok if r["tight"])
-    print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, "
-          f"{tight} tight, {len(ok) - tight} strict", file=sys.stderr)
+    kinds = Counter("vacuous" if r["t"] > r["omega"] else "tight" if r["tight"] else "strict"
+                    for r in ok)
+    print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, {kinds['tight']} "
+          f"tight, {kinds['strict']} strict, {kinds['vacuous']} vacuous", file=sys.stderr)
     if failures:
         return EXIT_USAGE
     if budget_hit:
@@ -231,14 +234,20 @@ def cmd_generate(args) -> int:
     outdir = Path(args.out)
     try:
         if args.kind == "multipartite":
-            sizes = tuple(int(s) for s in args.parts.split(","))
-            graphs = iter([("multipartite_" + "-".join(str(s) for s in sizes) + ".g6",
-                            generate_complete_multipartite(PartSpec(sizes)))])
+            spec = PartSpec(tuple(int(s) for s in args.parts.split(",")))
+            n = spec.n
+            graphs = (("multipartite_" + "-".join(map(str, s.sizes)) + ".g6",
+                       generate_complete_multipartite(s)) for s in [spec])
         else:
             p = Fraction(args.p)
-            graphs = ((f"random_n{args.n}_p{p.numerator}-{p.denominator}_seed{seed}.g6",
-                       generate_random(args.n, p, seed))
+            n = args.n
+            graphs = ((f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}.g6",
+                       generate_random(n, p, seed))
                       for seed in range(args.seed, args.seed + args.count))
+        # n rows of n bits, or C(n, 2) random draws, would take long before
+        # to_graph6 rejected n, so the cap is checked before any graph is built.
+        if n >= MAX_GRAPH6_N:
+            raise GraphError(f"graph6 encoding capped at n < {MAX_GRAPH6_N}, got {n}")
         # The first graph is built before --out is made, so invalid --parts,
         # --p or --n values leave no directory behind.
         first = next(graphs)
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=100),
         "--budget": dict(type=int, default=None,
-                         help="max clique work per graph, in recursion nodes"),
+                         help="max clique work per graph, in work nodes"),
         "--out": dict(type=Path, default=None),
     }
 

@@ -2,8 +2,8 @@
 adjacency.
 
 A ``CliqueIndex`` keeps the maximal cliques that one pivoted Bron-Kerbosch
-call finds, numbered smallest first, and, per vertex, the bitset of the ids of
-the cliques that hold it, whose highest bit names a largest clique holding the
+search finds, numbered smallest first, and, per vertex, the bitset of the ids
+of the cliques that hold it, whose highest bit names a largest clique holding the
 vertex. One counting walk by ordered recursive expansion (each clique enumerated
 once, in increasing vertex order) reads off it, for every order t a run asks
 for at once, the order alpha(T) of the largest clique containing each
@@ -12,13 +12,13 @@ histogram of alpha, whose total is N(G, K_t). The walk visits only nodes that
 the walk for one of those orders alone would visit, so it is charged at most
 the sum of theirs. The index also runs the simplex's integer-weighted clique
 sums, and charges all of it to its one work meter, whose budget, counted in
-recursion nodes, caps the work done on one graph. Every function that does
-clique work takes the graph's ``CliqueIndex``; none builds its own.
+nodes (the pass's stack nodes and the calls of the other kernels), caps the
+work done on one graph. Every function that does clique work takes the
+graph's ``CliqueIndex``; none builds its own.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -30,19 +30,10 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Clique recursion exceeded its node budget."""
+    """Clique work exceeded its node budget."""
 
     def __init__(self, budget: int):
         super().__init__(f"clique enumeration exceeded work budget of {budget} nodes")
-        self.budget = budget
-
-
-class RecursionDepthExceeded(BudgetExceeded):
-    """The maximal-clique pass went deeper than Python's recursion limit."""
-
-    def __init__(self, budget: int):
-        RuntimeError.__init__(self, "maximal-clique search exceeded the recursion-depth "
-                              f"limit of {sys.getrecursionlimit()}")
         self.budget = budget
 
 
@@ -91,40 +82,41 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
     return total
 
 
-def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int, work: _Work,
-                   out: list[int]) -> None:
-    work.tick()
-    if p == 0:
-        if x == 0:
-            out.append(r)
-        return
-    # Tomita pivot: the first vertex of p | x with the most neighbours in p.
-    pivot, best = -1, -1
-    scan = p | x
-    while scan:
-        low = scan & -scan
-        u = low.bit_length() - 1
-        scan ^= low
-        d = (adj[u] & p).bit_count()
-        if d > best:
-            pivot, best = u, d
-    branch = p & ~adj[pivot]
-    while branch:
-        low = branch & -branch
-        v = low.bit_length() - 1
-        branch ^= low
-        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], work, out)
-        p ^= low
-        x |= low
-
-
 def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
     """The maximal cliques on ``mask`` as bitmasks in the order found, none if it
-    is empty: one Tomita-pivoted Bron-Kerbosch call, worst-case optimal alone.
-    Not a closure, so a call leaves no reference cycle for the garbage collector."""
+    is empty: one Tomita-pivoted Bron-Kerbosch search, worst-case optimal alone,
+    over an explicit stack of (r, p, x) nodes, so its depth is not bounded by
+    the Python call stack. Every node is charged once; a child whose p is
+    empty is a leaf, charged and settled at once instead of pushed."""
     out: list[int] = []
-    if mask:
-        _bron_kerbosch(adj, 0, mask, 0, work, out)
+    stack = [(0, mask, 0)] if mask else []
+    while stack:
+        r, p, x = stack.pop()
+        work.tick()
+        # Tomita pivot: the first vertex of p | x with the most neighbours in p.
+        pivot, best = -1, -1
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            u = low.bit_length() - 1
+            scan ^= low
+            d = (adj[u] & p).bit_count()
+            if d > best:
+                pivot, best = u, d
+        branch = p & ~adj[pivot]
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            branch ^= low
+            sub = p & adj[v]
+            if sub:
+                stack.append((r | low, sub, x & adj[v]))
+            else:
+                work.tick()
+                if not x & adj[v]:
+                    out.append(r | low)
+            p ^= low
+            x |= low
     return out
 
 
@@ -203,8 +195,8 @@ class CliqueIndex:
     fills the histogram of every order asked for together, and the index
     keeps each one. The bound and simplex functions read the graph and c(v)
     from the index and run their clique sums through ``weight_sum``, so the
-    budget caps the total work done on the graph, in recursion nodes: those
-    of the pass, of each walk and of every weighted clique sum.
+    budget caps the total work done on the graph, in nodes: those of the
+    pass, of each walk and of every weighted clique sum.
     """
 
     __slots__ = ("graph", "work", "cliques", "sizes", "member", "_histograms")
@@ -212,10 +204,7 @@ class CliqueIndex:
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
         self.work = _Work(budget)
-        try:
-            cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
-        except RecursionError:
-            raise RecursionDepthExceeded(self.work.budget) from None
+        cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
         cliques.sort(key=int.bit_count)
         self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]

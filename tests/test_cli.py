@@ -4,6 +4,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -68,6 +69,31 @@ def test_generate_validates_before_making_out(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("random", "--n", "262144", "--p", "0"),
+    ("multipartite", "--parts", "131072,131072"),
+], ids=["random", "multipartite"])
+def test_generate_checks_graph6_cap_before_building(tmp_path, capsys, argv):
+    # Building either graph first would take C(n, 2) random draws or n rows
+    # of n bits; the cap is checked on n alone.
+    outdir = tmp_path / "o"
+    code, out, err = run(capsys, "generate", *argv, "--out", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph6 encoding capped at n < 262144, got 262144\n"
+    assert not outdir.exists()
+
+
+def test_analyze_summary_counts_vacuous_records(tmp_path, capsys):
+    # K_2 at t = 3 > omega: N and the bound are both 0, and the record, whose
+    # `tight` field stays true, is counted as vacuous rather than tight.
+    run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3")
+    assert code == 0
+    assert [json.loads(line)["tight"] for line in out.splitlines()] == [True, True]
+    assert err == "analyzed 1 graphs, 2 records, 1 tight, 0 strict, 1 vacuous\n"
 
 
 def test_analyze_octahedron(tmp_path, capsys):
@@ -140,7 +166,7 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
 
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
-    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 15 recursion nodes,
+    # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 15 nodes,
     # and the one walk that counts the edges and the triangles 9. Each part
     # fits in 23; the 24 together do not.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
@@ -297,25 +323,32 @@ def deep_clique(tmp_path_factory):
     return path
 
 
-def test_analyze_clique_past_recursion_limit_is_a_budget_hit(deep_clique, tmp_path, capsys):
+def test_analyze_clique_past_recursion_limit(deep_clique, tmp_path, capsys):
+    # The maximal-clique pass runs on an explicit stack, so a clique deeper
+    # than Python's recursion limit is analyzed exactly.
+    n = sys.getrecursionlimit() + 10
     run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
     k2 = tmp_path / "multipartite_1-1.g6"
     code, out, _ = run(capsys, "analyze", str(deep_clique), str(k2), "--t", "2",
                        "--t-max", "3")
-    assert code == 3
+    assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert [(r["file"], r["t"]) for r in recs] == [
         (str(deep_clique), 2), (str(deep_clique), 3), (str(k2), 2), (str(k2), 3)]
-    assert all("recursion-depth limit" in r["error"] for r in recs[:2])
-    assert not any("error" in r for r in recs[2:])
+    assert not any("error" in r for r in recs)
+    for r, t in zip(recs[:2], (2, 3)):
+        assert (r["n"], r["omega"], r["true_count"]) == (n, n, comb(n, t))
+        assert r["tight"] is True
+        assert r["certificate"] == [1] * n
+    assert [(r["omega"], r["true_count"], r["tight"]) for r in recs[2:]] == [
+        (2, 1, True), (2, 0, True)]
 
 
-def test_phi_clique_past_recursion_limit_is_a_budget_hit(deep_clique, capsys):
-    code, out, err = run(capsys, "phi", str(deep_clique), "--t", "2")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "recursion-depth limit" in err
+def test_phi_clique_past_recursion_limit(deep_clique, capsys):
+    code, out, err = run(capsys, "phi", str(deep_clique), "--t", "2", "--samples", "1")
+    assert code == 0
+    assert "phi_uniform = 0/1 (0)" in out
+    assert err == "tight\n"
 
 
 def test_phi_non_utf8_input_is_input_error(tmp_path, capsys):

@@ -14,7 +14,6 @@ from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
     BudgetExceeded,
     CliqueIndex,
-    RecursionDepthExceeded,
     _Work,
     _maximal_cliques,
     count_cliques,
@@ -373,21 +372,21 @@ class TestEnumerationAndBudget:
         with pytest.raises(BudgetExceeded):
             index.histogram(3)
 
-    def test_clique_past_recursion_limit_is_a_budget_hit(self):
-        # The pass recurses once per vertex of a clique, so a clique of more
-        # vertices than Python's recursion limit stops it as a budget hit.
-        limit = sys.getrecursionlimit()
-        g = generate_complete_multipartite([1] * (limit + 10))
-        with pytest.raises(BudgetExceeded, match=f"recursion-depth limit of {limit}$") as info:
-            CliqueIndex(g)
-        assert isinstance(info.value, RecursionDepthExceeded)
+    def test_clique_past_recursion_limit(self):
+        # The pass runs on an explicit stack, so a clique of more vertices
+        # than Python's recursion limit is found. On K_n the pivot leaves one
+        # branch vertex per node: a chain of n nodes and its leaf.
+        n = sys.getrecursionlimit() + 10
+        index = CliqueIndex(generate_complete_multipartite([1] * n))
+        assert index.sizes == [n]
+        assert index.work.nodes == n + 1
 
     @pytest.mark.parametrize("g,expected", [
         (generate_complete_multipartite([2, 2, 2]), (15, 20, 29, 38)),
         (generate_random(12, Fraction(1, 2), seed=5), (41, 52, 87, 122)),
     ], ids=["K2x2x2", "gnp12-seed5"])
     def test_budget_unit_node_counts(self, g, expected):
-        # The recursion nodes that --budget counts, after the pass, after
+        # The nodes that --budget counts, after the pass, after
         # histogram(2) and histogram(3), and after one full-mask weighted
         # sum at t = 3. A faster kernel must charge exactly these.
         index = CliqueIndex(g)

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("descent_demo.py", ["--graph", "octahedron", "--t", "3", "--starts", "2"],
      "verdict: tight, certificate (2, 2, 2)"),
     ("sweep_random_corpus.py", ["--count", "3", "--t", "2", "--t-max", "3"],
-     "6 records, 1 tight, 5 strict"),
+     "6 records, 0 tight, 5 strict, 1 vacuous"),
     # t > omega: both sides of the bound are 0, which is no counterexample.
     ("descent_demo.py", ["--graph", "C5", "--t", "3", "--starts", "2"],
      "verdict: vacuous, t = 3 > omega = 2"),
@@ -29,27 +29,28 @@ def test_script_runs(script, args, expected):
     assert expected in result.stdout.splitlines()
 
 
-def test_kernel_times_reports_every_kernel():
+_KERNELS = ("maximal-clique pass", "histogram(2)", "histogram(3)", "histogram(4)",
+            "histograms(2,3,4)", "verify_nonnegativity", "descent")
+
+
+@pytest.mark.parametrize("workload,graphs,nodes", [
+    ("analyze-dense", 50, (92716, 2173, 23729, 84639, 88338, 500533, 51364)),
+    ("analyze-sparse", 11, (16989, 3682, 856, 11, 4048, 73889, 8074)),
+    ("phi-simplex", 103, (22074, 2124, 10363, 17109, 20275, 219944, 23735)),
+], ids=["analyze-dense", "analyze-sparse", "phi-simplex"])
+def test_kernel_times_reports_every_kernel(workload, graphs, nodes):
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "kernel_times.py"),
-         "--workload", "phi-simplex", "--seed", "0", "--reps", "1"],
+         "--workload", workload, "--seed", "0", "--reps", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0].startswith("workload phi-simplex, seed 0, 103 graphs, best of 1")
+    assert lines[0].startswith(f"workload {workload}, seed 0, {graphs} graphs, best of 1")
     rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}
-    # Recursion nodes per pass over the seed-0 corpus do not depend on the
-    # machine; the milliseconds do.
-    assert {name: int(nodes) for name, (_, nodes) in rows.items()} == {
-        "maximal-clique pass": 22074,
-        "histogram(2)": 2124,
-        "histogram(3)": 10363,
-        "histogram(4)": 17109,
-        "histograms(2,3,4)": 20275,
-        "verify_nonnegativity": 219944,
-        "descent": 23735,
-    }
+    # Nodes per pass over the seed-0 corpus do not depend on the machine;
+    # the milliseconds do.
+    assert {name: int(n) for name, (_, n) in rows.items()} == dict(zip(_KERNELS, nodes))
     assert all(float(ms) >= 0 for ms, _ in rows.values())
 
 
