@@ -38,6 +38,10 @@ def main():
     ap.add_argument("--starts", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.t < 2:
+        ap.error(f"--t must be >= 2, got {args.t}")
+    if args.starts < 1:
+        ap.error(f"--starts must be >= 1, got {args.starts}")
 
     g = named_small_graphs()[args.graph]
     index = CliqueIndex(g)

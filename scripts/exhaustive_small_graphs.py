@@ -6,6 +6,8 @@ For each graph it checks, with an exact ``==``:
 
 - the maximal-clique pass: ``sizes`` and the vertex sets of ``cliques``,
   sorted, against ``brute_maximal_cliques``;
+- ``member``: bit i of ``member[v]`` is set exactly when v lies in
+  ``cliques[i]``;
 - ``histograms(1..n+1)``, one counting walk for every order, and
   ``histogram(t)`` on a fresh index, one walk for order t alone, against
   ``brute_alpha_histogram`` at each order t = 1..n+1;
@@ -59,6 +61,9 @@ def check_graph(g: Graph) -> list[str]:
     found = sorted(tuple(v for v in range(g.n) if clique >> v & 1) for clique in index.cliques)
     if found != sorted(oracle_cliques):
         failures.append("maximal cliques")
+    if index.member != [sum(1 << i for i, clique in enumerate(index.cliques) if clique >> v & 1)
+                        for v in range(g.n)]:
+        failures.append("member")
     orders = range(1, g.n + 2)
     hists = index.histograms(orders)
     for t in orders:

@@ -12,21 +12,31 @@ that each one charged to its index's work meter. Node counts do not depend on
 the machine; the milliseconds do.
 
 The corpus comes from ``perfbench/workloads.py``, read from this checkout,
-and the program timed is this checkout's ``src/``. Example:
+and the program timed is this checkout's ``src/``. Instead of a workload,
+one or more ``--graph`` specs time the same kernels at scale, one table per
+graph: ``gnp:N:P:SEED`` is the seeded G(N, P), P a fraction such as 1/2, and
+``multipartite:SxR`` is K_{SxR}, R parts of S vertices. Examples:
 
     python3 scripts/kernel_times.py --workload phi-simplex --seed 0 --reps 3
+    python3 scripts/kernel_times.py --graph multipartite:4x9 --graph gnp:140:1/2:1
 """
 
 import argparse
 import platform
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cliquebound.cliques import CliqueIndex  # noqa: E402
+from cliquebound.graph import (  # noqa: E402
+    Graph,
+    generate_complete_multipartite,
+    generate_random,
+)
 from cliquebound.simplex import (  # noqa: E402
     SimplexPoint,
     descend_to_clique_support,
@@ -60,19 +70,28 @@ def time_graph(g) -> dict[str, tuple[float, int]]:
     return times
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--reps", type=int, default=3)
-    args = ap.parse_args()
-    if args.reps < 1:
-        ap.error(f"--reps must be >= 1, got {args.reps}")
+def parse_graph_spec(spec: str) -> Graph:
+    """The graph that a ``--graph`` spec names; ValueError if it is malformed."""
+    kind, _, rest = spec.partition(":")
+    fields = rest.split(":")
+    if kind == "gnp" and len(fields) == 3:
+        n, p, seed = fields
+        if "/" in p and not int(p.partition("/")[2]):
+            raise ValueError(f"edge probability {p} has a zero denominator")
+        return generate_random(int(n), Fraction(p), int(seed))
+    if kind == "multipartite" and len(fields) == 1:
+        s, x, r = fields[0].partition("x")
+        if x and int(r) >= 1:
+            return generate_complete_multipartite([int(s)] * int(r))
+    raise ValueError("expected gnp:N:P:SEED or multipartite:SxR with R >= 1")
 
-    graphs = [item.graph for item in WORKLOADS[args.workload].corpus(args.seed)]
+
+def time_corpus(graphs, reps: int) -> tuple[dict[str, float], dict[str, int]]:
+    """Best-of-``reps`` seconds and the work nodes of each kernel, summed over
+    ``graphs``."""
     best: dict[str, float] = {}
     nodes: dict[str, int] = {}
-    for _ in range(args.reps):
+    for _ in range(reps):
         seconds = dict.fromkeys([PASS, *KERNELS], 0.0)
         nodes = dict.fromkeys(seconds, 0)
         for g in graphs:
@@ -80,12 +99,43 @@ def main():
                 seconds[name] += s
                 nodes[name] += k
         best = {name: min(s, best.get(name, s)) for name, s in seconds.items()}
+    return best, nodes
 
-    print(f"workload {args.workload}, seed {args.seed}, {len(graphs)} graphs, "
-          f"best of {args.reps} (Python {platform.python_version()})")
-    print(f"{'kernel':<22} {'ms/pass':>10} {'nodes/pass':>12}")
-    for name in best:
-        print(f"{name:<22} {1000 * best[name]:>10.1f} {nodes[name]:>12}")
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", choices=sorted(WORKLOADS))
+    source.add_argument("--graph", action="append", metavar="SPEC",
+                        help="gnp:N:P:SEED or multipartite:SxR; repeatable")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error(f"--reps must be >= 1, got {args.reps}")
+
+    python = f"best of {args.reps} (Python {platform.python_version()})"
+    if args.workload:
+        graphs = [item.graph for item in WORKLOADS[args.workload].corpus(args.seed)]
+        tables = [(f"workload {args.workload}, seed {args.seed}, {len(graphs)} graphs, "
+                   f"{python}", graphs)]
+    else:
+        tables = []
+        for spec in args.graph:
+            try:
+                g = parse_graph_spec(spec)
+            except ValueError as e:
+                ap.error(f"--graph {spec}: {e}")
+            tables.append((f"graph {spec}, n {g.n}, m {g.m}, {python}", [g]))
+
+    for k, (title, graphs) in enumerate(tables):
+        best, nodes = time_corpus(graphs, args.reps)
+        if k:
+            print()
+        print(title)
+        print(f"{'kernel':<22} {'ms/pass':>10} {'nodes/pass':>12}")
+        for name in best:
+            print(f"{name:<22} {1000 * best[name]:>10.1f} {nodes[name]:>12}")
 
 
 if __name__ == "__main__":

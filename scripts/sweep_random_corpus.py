@@ -21,6 +21,11 @@ def main():
     ap.add_argument("--t", type=int, default=2)
     ap.add_argument("--t-max", type=int, default=4)
     args = ap.parse_args()
+    if args.count < 1:
+        ap.error(f"--count must be >= 1, got {args.count}")
+    if not 2 <= args.t <= args.t_max <= 16:
+        ap.error(f"--t and --t-max must satisfy 2 <= t <= t_max <= 16, "
+                 f"got {args.t} and {args.t_max}")
 
     corpus = seeded_random_corpus(
         args.count, ns=range(8, 15),

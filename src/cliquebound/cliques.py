@@ -4,8 +4,11 @@ adjacency.
 A ``CliqueIndex`` keeps the maximal cliques that one pivoted Bron-Kerbosch
 search finds, numbered smallest first, and, per vertex, the bitset of the ids
 of the cliques that hold it, whose highest bit names a largest clique holding the
-vertex. One counting walk by ordered recursive expansion (each clique enumerated
-once, in increasing vertex order) reads off it, for every order t a run asks
+vertex. The bitsets are the transpose of the cliques x vertices bit matrix,
+built block by block with C-level integer and string steps, or one incidence
+at a time where the cliques are small for n (see ``_LOOP_RATIO``). One
+counting walk by ordered recursive expansion (each clique enumerated once, in
+increasing vertex order) reads off it, for every order t a run asks
 for at once, the order alpha(T) of the largest clique containing each
 t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t the
 histogram of alpha, whose total is N(G, K_t). The walk visits only nodes that
@@ -181,6 +184,49 @@ def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
                     _count(adj, member, cliques, alpha_at, plan, sub, depth + 1, ids, work)
 
 
+# Above this n / mean clique order ``member`` is built by incidence, not by
+# transpose (see ``CliqueIndex``).
+_LOOP_RATIO = 32
+# Cliques per transposed block, so a block's binary string holds at most
+# _BLOCK * 8 * ceil(n / 8) characters, whatever the clique count.
+_BLOCK = 4096
+
+
+def _member_by_incidence(cliques: Sequence[int], n: int) -> list[int]:
+    """``member`` one incidence at a time: each ``|=`` copies an integer as
+    wide as the current id, so this suits cliques that are small for n."""
+    member = [0] * n
+    bit = 1
+    for clique in cliques:
+        while clique:
+            low = clique & -clique
+            member[low.bit_length() - 1] |= bit
+            clique ^= low
+        bit <<= 1
+    return member
+
+
+def _member_by_transpose(cliques: Sequence[int], n: int) -> list[int]:
+    """``member`` as the transpose of the cliques x vertices bit matrix, block
+    by block, in C-level steps.
+
+    A block's cliques are packed into one integer, clique j at bits
+    ``j * stride`` up, and written as one binary string, most significant bit
+    first. Vertex v's column, read every ``stride``-th character from
+    ``stride - 1 - v``, is then that block's ids holding v, highest first.
+    """
+    width = (n + 7) // 8
+    stride = 8 * width
+    member = [0] * n
+    for start in range(0, len(cliques), _BLOCK):
+        block = cliques[start:start + _BLOCK]
+        packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in block), "little")
+        bits = format(packed, f"0{stride * len(block)}b")
+        for v in range(n):
+            member[v] |= int(bits[stride - 1 - v::stride], 2) << start
+    return member
+
+
 class CliqueIndex:
     """The maximal cliques of one graph, smallest first, and one work meter:
     the one object passed to every function that does clique work on the
@@ -189,7 +235,13 @@ class CliqueIndex:
     One Bron-Kerbosch pass numbers the maximal cliques smallest first:
     ``cliques[i]`` is clique i as a vertex bitmask, ``sizes[i]`` its order,
     and ``member[v]`` the bitset of the ids of the cliques that hold v, whose
-    highest bit names a largest clique holding v. The c(v) profile, the
+    highest bit names a largest clique holding v. ``member`` is the
+    transpose of the cliques x vertices bit matrix, read off blocks of
+    ``_BLOCK`` cliques packed into one binary string each, n characters per
+    clique; when n exceeds ``_LOOP_RATIO`` = 32 times the mean clique order
+    it is built one incidence at a time, the cheaper way there (measured:
+    the two break even near 40; the benchmark's dense and phi graphs sit at
+    11.5 or less, its sparse ones at 146 or more). The c(v) profile, the
     largest-containing-clique order of every t-clique for any t, and the
     clique counts are then read without a second pass: one counting walk
     fills the histogram of every order asked for together, and the index
@@ -208,15 +260,10 @@ class CliqueIndex:
         cliques.sort(key=int.bit_count)
         self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]
-        member = [0] * g.n
-        bit = 1
-        for clique in cliques:
-            while clique:
-                low = clique & -clique
-                member[low.bit_length() - 1] |= bit
-                clique ^= low
-            bit <<= 1
-        self.member = member
+        if g.n * len(cliques) > _LOOP_RATIO * sum(self.sizes):
+            self.member = _member_by_incidence(cliques, g.n)
+        else:
+            self.member = _member_by_transpose(cliques, g.n)
         self._histograms: dict[int, Counter] = {}
 
     def _cover(self, t: int) -> int:

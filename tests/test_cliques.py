@@ -113,6 +113,50 @@ class TestMaximalCliques:
         assert CliqueIndex(g).sizes == sorted(map(len, oracle))
 
 
+def _member_by_definition(index):
+    """Per vertex v, the ids i with v in ``cliques[i]``, as a bitset."""
+    return [sum(1 << i for i, clique in enumerate(index.cliques) if clique >> v & 1)
+            for v in range(index.graph.n)]
+
+
+class TestMember:
+    """Bit i of ``member[v]`` is set exactly when v lies in ``cliques[i]``,
+    whichever way ``member`` is built."""
+
+    @given(graphs(max_n=12))
+    @example(Graph(0, ()))
+    def test_matches_definition(self, g):
+        index = CliqueIndex(g)
+        assert index.member == _member_by_definition(index)
+
+    @pytest.mark.parametrize("g,transposed", [
+        (Graph.from_edges(70, []), False),
+        (generate_random(300, Fraction(6, 300), seed=1), False),
+        (generate_complete_multipartite([2] * 10), True),
+        (generate_random(60, Fraction(1, 2), seed=1), True),
+        # 8,192 cliques: more than one block.
+        (generate_complete_multipartite([2] * 13), True),
+    ], ids=["edgeless70", "gnp300-sparse", "K2x10", "gnp60-half", "K2x13"])
+    def test_both_builds_match_definition(self, g, transposed):
+        with patch.object(cliques_mod, "_member_by_transpose",
+                          wraps=cliques_mod._member_by_transpose) as transpose:
+            index = CliqueIndex(g)
+        assert transpose.called == transposed
+        assert index.member == _member_by_definition(index)
+
+    def test_transpose_spans_blocks(self):
+        assert len(CliqueIndex(generate_complete_multipartite([2] * 13)).cliques) \
+            > cliques_mod._BLOCK
+
+    @pytest.mark.parametrize("s,r", [(1, 5), (2, 13), (3, 6), (4, 4), (5, 1)])
+    def test_multipartite_closed_form(self, s, r):
+        # K_{s x r}: each of the s^r maximal cliques takes one vertex per
+        # part, so each vertex lies in s^(r-1) of them.
+        index = CliqueIndex(generate_complete_multipartite([s] * r))
+        assert len(index.cliques) == s ** r
+        assert [ids.bit_count() for ids in index.member] == [s ** (r - 1)] * (s * r)
+
+
 class TestMaxCliqueContaining:
     """The index's histogram counts the t-cliques per order of the largest
     clique containing each."""

@@ -29,6 +29,35 @@ def test_script_runs(script, args, expected):
     assert expected in result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("script,args", [
+    ("sweep_random_corpus.py", ["--t", "1"]),
+    ("sweep_random_corpus.py", ["--t", "4", "--t-max", "3"]),
+    ("sweep_random_corpus.py", ["--count", "-3"]),
+    ("sweep_random_corpus.py", ["--count", "0"]),
+    ("descent_demo.py", ["--t", "1"]),
+    ("descent_demo.py", ["--starts", "0"]),
+    ("kernel_times.py", ["--graph", "gnp:140:1/2"]),
+    ("kernel_times.py", ["--graph", "gnp:10:3/2:1"]),
+    ("kernel_times.py", ["--graph", "gnp:10:1/0:1"]),
+    ("kernel_times.py", ["--graph", "gnp:-1:1/2:1"]),
+    ("kernel_times.py", ["--graph", "multipartite:4"]),
+    ("kernel_times.py", ["--graph", "multipartite:0x3"]),
+    ("kernel_times.py", ["--graph", "multipartite:3x0"]),
+    ("kernel_times.py", ["--graph", "kn:5"]),
+])
+def test_script_rejects_bad_arguments(script, args):
+    # A usage error: exit 2 and one error line, no traceback and no records.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+    assert "Traceback" not in result.stderr
+
+
 _KERNELS = ("maximal-clique pass", "histogram(2)", "histogram(3)", "histogram(4)",
             "histograms(2,3,4)", "verify_nonnegativity", "descent")
 
@@ -52,6 +81,26 @@ def test_kernel_times_reports_every_kernel(workload, graphs, nodes):
     # the milliseconds do.
     assert {name: int(n) for name, (_, n) in rows.items()} == dict(zip(_KERNELS, nodes))
     assert all(float(ms) >= 0 for ms, _ in rows.values())
+
+
+def test_kernel_times_on_graph_specs():
+    # K_{2x2x2} and the seeded G(12, 1/2) of the budget-unit test in
+    # test_cliques.py: the pass and the single-order walks charge the same
+    # nodes here.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_times.py"),
+         "--graph", "multipartite:2x3", "--graph", "gnp:12:1/2:5", "--reps", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    tables = [table.splitlines() for table in result.stdout.split("\n\n")]
+    assert [table[0].split(", best of")[0] for table in tables] == [
+        "graph multipartite:2x3, n 6, m 12", "graph gnp:12:1/2:5, n 12, m 38"]
+    nodes = [{line[:22].strip(): int(line[22:].split()[1]) for line in table[2:]}
+             for table in tables]
+    assert [[table[kernel] for kernel in _KERNELS[:3]] for table in nodes] == [
+        [15, 5, 9], [41, 11, 35]]
+    assert all(list(table) == list(_KERNELS) for table in nodes)
 
 
 def test_exhaustive_small_graphs_up_to_five_vertices():
