@@ -61,6 +61,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_STRICT = 4
 
+# The longest file name, in bytes, that common file systems accept.
+NAME_MAX = 255
+
 CSV_COLUMNS = ["file", "n", "m", "t", "N", "localized_bound", "zykov_bound",
                "tight", "certificate"]
 
@@ -236,8 +239,14 @@ def cmd_generate(args) -> int:
         if args.kind == "multipartite":
             spec = PartSpec(tuple(int(s) for s in args.parts.split(",")))
             n = spec.n
-            graphs = (("multipartite_" + "-".join(map(str, s.sizes)) + ".g6",
-                       generate_complete_multipartite(s)) for s in [spec])
+            # Runs of equal parts as SxR, R parts of S vertices: 2,2,2 -> 2x3.
+            runs = "-".join(f"{size}x{len(list(run))}"
+                            for size, run in itertools.groupby(spec.sizes))
+            name = f"multipartite_{runs}.g6"
+            if len(name) > NAME_MAX:  # ASCII: one byte per character
+                raise ValueError(f"file name of {len(name)} bytes exceeds the "
+                                 f"{NAME_MAX}-byte limit: {name[:64]}...")
+            graphs = ((name, generate_complete_multipartite(spec)) for _ in [spec])
         else:
             p = Fraction(args.p)
             n = args.n
@@ -249,7 +258,7 @@ def cmd_generate(args) -> int:
         if n >= MAX_GRAPH6_N:
             raise GraphError(f"graph6 encoding capped at n < {MAX_GRAPH6_N}, got {n}")
         # The first graph is built before --out is made, so invalid --parts,
-        # --p or --n values leave no directory behind.
+        # --p or --n values, or too long a name, leave no directory behind.
         first = next(graphs)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, g in itertools.chain([first], graphs):

@@ -2,29 +2,32 @@
 adjacency.
 
 A ``CliqueIndex`` keeps the maximal cliques that one pivoted Bron-Kerbosch
-search finds, numbered smallest first, and, per vertex, the bitset of the ids
-of the cliques that hold it, whose highest bit names a largest clique holding the
-vertex. The bitsets are the transpose of the cliques x vertices bit matrix,
-built block by block with C-level integer and string steps, or one incidence
-at a time where the cliques are small for n (see ``_LOOP_RATIO``). One
-counting walk by ordered recursive expansion (each clique enumerated once, in
-increasing vertex order) reads off it, for every order t a run asks
-for at once, the order alpha(T) of the largest clique containing each
-t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t the
-histogram of alpha, whose total is N(G, K_t). The walk visits only nodes that
-the walk for one of those orders alone would visit, so it is charged at most
-the sum of theirs. The index also runs the simplex's integer-weighted clique
-sums, and charges all of it to its one work meter, whose budget, counted in
-nodes (the pass's stack nodes and the calls of the other kernels), caps the
-work done on one graph. Every function that does clique work takes the
-graph's ``CliqueIndex``; none builds its own.
+search finds, numbered smallest first (equal orders by mask), and, per
+vertex, the bitset of the ids of the cliques that hold it, whose highest bit
+names a largest clique holding the vertex. The bitsets are the transpose of
+the cliques x vertices bit matrix, built block by block with C-level integer
+and string steps, or one incidence at a time where the cliques are small for
+n (see ``_LOOP_RATIO``). One counting walk reads off it, for every order t a
+run asks for at once, the order alpha(T) of the largest clique containing
+each t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t
+the histogram of alpha, whose total is N(G, K_t). At each node, a clique C
+and its candidates, the walk counts every clique that extends C inside C's
+largest clique K in one step, by binomial coefficients, and expands only the
+candidates outside K: the pivot rule of Jain and Seshadhri, "The power of
+pivoting for exact clique counting" (WSDM 2020). So K_n is one node. The
+walk visits only nodes that the walk for one of those orders alone would
+visit, so it is charged at most the sum of theirs. The index also runs the
+simplex's integer-weighted clique sums, and charges all of it to its one
+work meter, whose budget, counted in nodes (the pass's stack nodes and the
+calls of the other kernels), caps the work done on one graph. Every function
+that does clique work takes the graph's ``CliqueIndex``; none builds its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .graph import Graph
@@ -124,64 +127,53 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
 
 
 def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
-           alpha_at: Sequence[int], plan: Sequence[tuple], cand: int, depth: int,
+           sizes: Sequence[int], plan: Sequence[tuple], cand: int, depth: int,
            shared: int, work: _Work) -> None:
-    """Count, by ordered expansion, the cliques of every requested order that
-    extend a clique C of ``depth`` vertices by vertices of ``cand``.
+    """Count the cliques of every requested order that extend a clique C of
+    ``depth`` vertices by vertices of ``cand``, the candidates adjacent to
+    all of C.
 
-    ``cand`` holds the vertices after C's last that are adjacent to all of C,
-    and ``shared`` the ids of the maximal cliques that hold C. Ids run
-    smallest first, so the highest id that holds a clique names a largest
-    clique holding it, and ``alpha_at[ids.bit_length()]`` gives its order
-    alpha. ``plan[depth]`` is (hist, target, cover): ``hist[alpha]`` counts
-    the children C + v when order depth + 1 is requested, else it is None;
-    ``target`` is the next requested order past depth + 1, or 0; when the
-    children are counted and a target follows, ``cover`` holds the vertices
-    of the cliques of order >= target, to which a child's candidates are cut.
-    A child is expanded only while target is still reachable: depth + 1 plus
-    its candidates, and, when the child is counted, its alpha, reach target.
-    The uncounted children break off as soon as the candidates left are too
-    few. So a call at depth d is a node of the walk for the smallest
+    ``shared`` holds the ids of the maximal cliques that hold C. Ids run
+    smallest first, so for the id set ``ids`` of a clique, ``cliques[i]``
+    with i = ``ids.bit_length() - 1`` is a largest clique holding it and
+    ``sizes[i]`` its order alpha. (Only the root of the empty graph has no
+    ids; it is walked with both lists ``[0]``.) Let K be C's: every set S
+    of candidates inside K gives a clique C + S of alpha |K|, so each
+    requested order counts all of them in one step. Every other clique is
+    counted under its first candidate v outside K, as child C + v, whose
+    candidates are the inside ones and the outside ones after v.
+
+    ``plan[depth]`` is (bulk, hist, target): ``bulk`` pairs the histogram of
+    each requested order above ``depth`` with that order minus ``depth``;
+    ``hist[alpha]`` counts the children when order depth + 1 is requested,
+    else it is None; ``target`` is the next requested order past depth + 1,
+    or one past the clique number if none follows. A child is expanded only
+    while target is in reach: its alpha, and depth + 1 plus its candidates,
+    reach it. So a call at depth d is a node of the walk for the smallest
     requested order above d alone, and with one order requested the calls
-    are exactly that walk's. At the deepest order, every candidate inside
-    C's largest clique has that clique's order and is counted in one step.
+    are exactly that walk's.
     """
     work.tick()
-    hist, target, cover = plan[depth]
+    bulk, hist, target = plan[depth]
+    top = shared.bit_length() - 1
+    inside = cand & cliques[top]
+    k = inside.bit_count()
+    for order_hist, j in bulk:
+        order_hist[sizes[top]] += comb(k, j)
+    outside = cand ^ inside
     need = target - depth - 1
-    if hist is None:
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if cand.bit_count() < need:
-                break
-            sub = cand & adj[v]
-            if sub.bit_count() >= need:
-                _count(adj, member, cliques, alpha_at, plan, sub, depth + 1,
-                       shared & member[v], work)
-    elif not target:
-        if shared:  # empty only at the root on the empty graph, which has no cliques
-            top = shared.bit_length()
-            inside = cand & cliques[top - 1]
-            hist[alpha_at[top]] += inside.bit_count()
-            cand ^= inside
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            hist[alpha_at[(shared & member[low.bit_length() - 1]).bit_length()]] += 1
-    else:
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            ids = shared & member[v]
-            alpha = alpha_at[ids.bit_length()]
+    while outside:
+        low = outside & -outside
+        v = low.bit_length() - 1
+        outside ^= low
+        ids = shared & member[v]
+        alpha = sizes[ids.bit_length() - 1]
+        if hist is not None:
             hist[alpha] += 1
-            if alpha >= target:
-                sub = cand & adj[v] & cover
-                if sub.bit_count() >= need:
-                    _count(adj, member, cliques, alpha_at, plan, sub, depth + 1, ids, work)
+        if alpha >= target:
+            sub = (outside | inside) & adj[v]
+            if sub.bit_count() >= need:
+                _count(adj, member, cliques, sizes, plan, sub, depth + 1, ids, work)
 
 
 # Above this n / mean clique order ``member`` is built by incidence, not by
@@ -232,8 +224,10 @@ class CliqueIndex:
     the one object passed to every function that does clique work on the
     graph.
 
-    One Bron-Kerbosch pass numbers the maximal cliques smallest first:
-    ``cliques[i]`` is clique i as a vertex bitmask, ``sizes[i]`` its order,
+    One Bron-Kerbosch pass numbers the maximal cliques smallest first, and
+    equal orders by mask, so that no walk depends on the order in which the
+    pass finds them: ``cliques[i]`` is clique i as a vertex bitmask,
+    ``sizes[i]`` its order,
     and ``member[v]`` the bitset of the ids of the cliques that hold v, whose
     highest bit names a largest clique holding v. ``member`` is the
     transpose of the cliques x vertices bit matrix, read off blocks of
@@ -257,6 +251,8 @@ class CliqueIndex:
         self.graph = g
         self.work = _Work(budget)
         cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
+        # By mask, then stably by order: smallest first, equal orders by mask.
+        cliques.sort()
         cliques.sort(key=int.bit_count)
         self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]
@@ -266,19 +262,15 @@ class CliqueIndex:
             self.member = _member_by_transpose(cliques, g.n)
         self._histograms: dict[int, Counter] = {}
 
-    def _cover(self, t: int) -> int:
-        """The vertices of the cliques of order >= t, the ids from
-        ``bisect_left(sizes, t)`` up: the only vertices of any t-clique."""
-        cut = bisect_left(self.sizes, t)
-        return sum(1 << v for v, ids in enumerate(self.member) if ids >> cut)
-
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
         """``histogram(t)`` for each t of ``ts``; the orders not yet kept are
         counted together, by one walk.
 
-        The walk goes as deep as the largest of them and counts each order on
-        its way down. It is charged at most the nodes of one walk per order,
-        and for a single order exactly those of its walk.
+        At each node the walk counts, for every order, the cliques inside the
+        node's largest clique in one step, and goes down only through the
+        candidates outside it, while the next order is in reach. It is
+        charged at most the nodes of one walk per order, and for a single
+        order exactly those of its walk.
         """
         ts = set(ts)
         for t in ts:
@@ -288,16 +280,14 @@ class CliqueIndex:
         if todo:
             omega = self.sizes[-1] if self.sizes else 0
             hists = {t: [0] * (omega + 1) for t in todo}
-            plan = []
-            for depth in range(todo[-1]):
-                target = next((t for t in todo if t > depth + 1), 0)
-                hist = hists.get(depth + 1)
-                cover = self._cover(target) if hist is not None and target else None
-                plan.append((hist, target, cover))
+            plan = [([(hists[t], t - depth) for t in todo if t > depth],
+                     hists.get(depth + 1),
+                     next((t for t in todo if t > depth + 1), omega + 1))
+                    for depth in range(todo[-1])]
             # Every id may be shared at the root: smaller cliques never
             # change the highest bit.
-            _count(self.graph.adjacency, self.member, self.cliques, [0, *self.sizes], plan,
-                   self._cover(todo[0]), 0, (1 << len(self.sizes)) - 1, self.work)
+            _count(self.graph.adjacency, self.member, self.cliques or [0], self.sizes or [0],
+                   plan, self.graph.full_mask, 0, (1 << len(self.sizes)) - 1, self.work)
             for t, hist in hists.items():
                 self._histograms[t] = Counter({a: k for a, k in enumerate(hist) if k})
         return {t: self._histograms[t] for t in ts}

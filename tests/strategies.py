@@ -1,6 +1,7 @@
 """Shared hypothesis strategies for small random graphs and simplex points."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 
@@ -14,6 +15,19 @@ def graphs(draw, min_n=0, max_n=8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [p for p, f in zip(pairs, flags) if f])
+
+
+@st.composite
+def sparse_graphs(draw, min_n=65, max_n=150):
+    """Graphs on ``min_n``..``max_n`` vertices with at most n random edges
+    and one planted clique of up to 6 vertices: mostly isolated vertices and
+    edges, so n is large for their mean clique order."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    planted = draw(st.lists(vertex, max_size=6, unique=True))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    return Graph.from_edges(n, edges | set(combinations(sorted(planted), 2)))
 
 
 @st.composite

@@ -23,10 +23,35 @@ def test_generate_multipartite(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "multipartite", "--parts", "2,2,2",
                        "--out", str(tmp_path))
     assert code == 0
-    path = tmp_path / "multipartite_2-2-2.g6"
+    path = tmp_path / "multipartite_2x3.g6"
     assert path.exists()
     g = parse_graph6(path.read_text())
     assert (g.n, g.m) == (6, 12)
+
+
+def test_generate_multipartite_names_runs_of_parts(tmp_path, capsys):
+    # Each run of equal parts is named SxR, R parts of S vertices.
+    code, out, _ = run(capsys, "generate", "multipartite", "--parts", "2,3,3,2",
+                       "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "multipartite_2x1-3x2-2x1.g6"
+    assert out == f"{path}\n"
+    g = parse_graph6(path.read_text())
+    assert (g.n, g.m) == (10, 37)
+
+
+def test_generate_rejects_too_long_name(tmp_path, capsys):
+    # 200 alternating parts make 200 runs, a name of 815 bytes: refused
+    # before --out is made.
+    outdir = tmp_path / "o"
+    code, out, err = run(capsys, "generate", "multipartite", "--parts",
+                         ",".join(["1", "2"] * 100), "--out", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: file name of 815 bytes exceeds the 255-byte limit: "
+                          "multipartite_1x1-2x1-")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
 
 
 def test_generate_random_reproducible(tmp_path, capsys):
@@ -167,17 +192,17 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
     # K_{2x2x2} at t = 2..3: the maximal-clique pass takes 15 nodes,
-    # and the one walk that counts the edges and the triangles 9. Each part
-    # fits in 23; the 24 together do not.
+    # and the one walk that counts the edges and the triangles 7. Each part
+    # fits in 21; the 22 together do not.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                       "--budget", "23")
+                       "--budget", "21")
     assert code == 3
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["t"] for r in recs] == [2, 3]
-    assert all("work budget of 23" in r["error"] for r in recs)
+    assert all("work budget of 21" in r["error"] for r in recs)
     code, _, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
-                     "--budget", "24")
+                     "--budget", "22")
     assert code == 0
 
 
@@ -272,7 +297,7 @@ def test_analyze_edge_list_past_graph6_cap_is_input_error(tmp_path, capsys):
     big = tmp_path / "big.el"
     big.write_text("0 262144\n")
     run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
-    k2 = tmp_path / "multipartite_1-1.g6"
+    k2 = tmp_path / "multipartite_1x2.g6"
     code, out, err = run(capsys, "analyze", str(big), str(k2))
     assert code == 2
     assert [json.loads(line)["file"] for line in out.splitlines()] == [str(k2)]
@@ -314,6 +339,20 @@ def test_analyze_edge_list_bare_header_is_input_error(tmp_path, capsys):
     assert (record["n"], record["m"]) == (5, 1)
 
 
+def test_analyze_k400_tight(tmp_path, capsys):
+    # Every t-clique of K_400 lies in its one maximal clique, so the walk
+    # counts them all at its root, well inside the default budget.
+    run(capsys, "generate", "multipartite", "--parts", ",".join(["1"] * 400),
+        "--out", str(tmp_path))
+    code, out, err = run(capsys, "analyze", str(tmp_path / "multipartite_1x400.g6"),
+                         "--t", "2", "--t-max", "4")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [(r["t"], r["true_count"], r["tight"]) for r in recs] == [
+        (t, comb(400, t), True) for t in (2, 3, 4)]
+    assert err == "analyzed 1 graphs, 3 records, 3 tight, 0 strict, 0 vacuous\n"
+
+
 @pytest.fixture(scope="module")
 def deep_clique(tmp_path_factory):
     """K_n as one .g6 line, n past Python's recursion limit."""
@@ -328,7 +367,7 @@ def test_analyze_clique_past_recursion_limit(deep_clique, tmp_path, capsys):
     # than Python's recursion limit is analyzed exactly.
     n = sys.getrecursionlimit() + 10
     run(capsys, "generate", "multipartite", "--parts", "1,1", "--out", str(tmp_path))
-    k2 = tmp_path / "multipartite_1-1.g6"
+    k2 = tmp_path / "multipartite_1x2.g6"
     code, out, _ = run(capsys, "analyze", str(deep_clique), str(k2), "--t", "2",
                        "--t-max", "3")
     assert code == 0
@@ -364,7 +403,7 @@ def test_phi_non_utf8_input_is_input_error(tmp_path, capsys):
 def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     target = tmp_path / "missing_dir" / "x.out"
-    code, out, err = run(capsys, command, str(tmp_path / "multipartite_2-2-2.g6"),
+    code, out, err = run(capsys, command, str(tmp_path / "multipartite_2x3.g6"),
                          "--t", "3", "--out", str(target))
     assert code == 2
     assert out == ""
@@ -381,7 +420,7 @@ def test_unwritable_stdout_is_input_error(tmp_path, capsys, monkeypatch, command
 
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     monkeypatch.setattr(sys, "stdout", FullStream())
-    code = main([command, str(tmp_path / "multipartite_2-2-2.g6"), "--t", "3"])
+    code = main([command, str(tmp_path / "multipartite_2x3.g6"), "--t", "3"])
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: [Errno 28] No space left on device\n"
@@ -411,7 +450,7 @@ def test_budget_below_one_rejected(tmp_path, capsys, budget):
 
 def test_phi_tight_exit(tmp_path, capsys):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"),
                          "--t", "3", "--samples", "20")
     assert code == 0
     assert out.startswith("phi_uniform = 0/1")
@@ -451,7 +490,7 @@ def test_phi_vacuous_on_empty_graph(tmp_path, capsys):
 def test_phi_budget_reaches_sampling(tmp_path, capsys):
     # 100 nodes cover the c(v) pass (15) but not the sampled phi values (195).
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"),
                          "--t", "3", "--samples", "20", "--budget", "100")
     assert code == 3
     assert out == ""
@@ -463,7 +502,7 @@ def test_phi_budget_caps_run_total(tmp_path, capsys):
     # nodes, the sampled phi values 195, the descent 23 and the phi at its end
     # 3. The one budget of the run caps their 236 together.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    path = str(tmp_path / "multipartite_2-2-2.g6")
+    path = str(tmp_path / "multipartite_2x3.g6")
     code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
                          "--budget", "235")
     assert code == 3
@@ -475,7 +514,7 @@ def test_phi_budget_caps_run_total(tmp_path, capsys):
 
 def test_phi_rejects_zero_samples(tmp_path, capsys):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"),
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"),
                          "--samples", "0")
     assert code == 2
     assert out == ""
@@ -501,7 +540,7 @@ def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(simplex_mod, "density_terms",
                         lambda orders, t: dict.fromkeys(orders, Fraction(0)))
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2-2-2.g6"), "--t", "3")
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"), "--t", "3")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

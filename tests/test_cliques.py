@@ -2,7 +2,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from unittest.mock import patch
 
 import pytest
@@ -26,7 +26,7 @@ from cliquebound.oracles import (
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
 )
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 
 class TestCountCliques:
@@ -144,6 +144,19 @@ class TestMember:
         assert transpose.called == transposed
         assert index.member == _member_by_definition(index)
 
+    @given(sparse_graphs())
+    def test_sparse_graphs_match_definition(self, g):
+        # n >= 65 is large for these graphs' clique orders, so the index
+        # mostly builds by incidence; both builds are checked on each.
+        index = CliqueIndex(g)
+        member = _member_by_definition(index)
+        assert index.member == member
+        assert cliques_mod._member_by_incidence(index.cliques, g.n) == member
+        assert cliques_mod._member_by_transpose(index.cliques, g.n) == member
+        # Each order's count against the weighted sum, which reads no member.
+        for t in range(1, 6):
+            assert index.histogram(t).total() == index.weight_sum(g.full_mask, t, (1,) * g.n)
+
     def test_transpose_spans_blocks(self):
         assert len(CliqueIndex(generate_complete_multipartite([2] * 13)).cliques) \
             > cliques_mod._BLOCK
@@ -199,8 +212,8 @@ _STARS_ON_TRIANGLES = Graph.from_edges(12, [
     (0, 3), (0, 6), (1, 4), (1, 9), (2, 7), (2, 10)])
 # K_5 on 0..4, and three groups {x, x+1, x+2} (x = 5, 8, 11) joined to 0 and
 # 1, with x adjacent to x+1 and x+2: {0, 1, x} lies in two K_4s and no K_5,
-# so a walk that counts the edges must cut the candidates of the edge {0, 1}
-# to the K_5's vertices.
+# so a walk that counts the edges must not expand the edges {x, x+1} and
+# {x, x+2}, whose alpha is 4, towards the 5-cliques.
 _K5_WITH_K4_FANS = Graph.from_edges(14, [
     *((a, b) for a in range(5) for b in range(a + 1, 5)),
     *((u, v) for x in (5, 8, 11)
@@ -246,12 +259,20 @@ class TestHistograms:
         assert charged < single_nodes
 
     def test_k2x2x2_one_walk(self):
-        # Edges and triangles of K_{2x2x2}: one walk of 9 nodes, the
-        # triangles' walk, against 5 + 9 for one walk per order.
+        # Edges and triangles of K_{2x2x2}: one walk of 7 nodes, the
+        # triangles' walk, against 4 + 7 for one walk per order.
         index = CliqueIndex(generate_complete_multipartite([2, 2, 2]))
         before = index.work.nodes
         assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
-        assert index.work.nodes - before == 9
+        assert index.work.nodes - before == 7
+
+    @pytest.mark.parametrize("n", [1, 5, 400])
+    def test_complete_graph_one_node(self, n):
+        # Every clique of K_n lies in its one maximal clique: the root
+        # counts them all in one step.
+        index = CliqueIndex(generate_complete_multipartite([1] * n))
+        assert _walked(index, (2, 3, 4)) == (
+            {t: Counter({n: comb(n, t)} if t <= n else {}) for t in (2, 3, 4)}, 1)
 
     @given(graphs(), _ORDERS, _ORDERS)
     def test_kept_orders_are_not_walked_again(self, g, first, second):
@@ -272,12 +293,12 @@ class TestHistograms:
         index.work.budget += 100
         before = index.work.nodes
         assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
-        assert index.work.nodes - before == 9
+        assert index.work.nodes - before == 7
 
 
 # K_5 on 0..4 and vertex 5 joined to 0, 1 and 2. The largest clique holding
 # {0, 1, 2} is the K_5: the 4-cliques {0, 1, 2, 3} and {0, 1, 2, 4} lie in
-# it and are counted in one step, but {0, 1, 2, 5} lies only in a K_4.
+# it, but {0, 1, 2, 5} lies only in a K_4.
 _K5_WITH_K4 = Graph.from_edges(6, [
     *((a, b) for a in range(5) for b in range(a + 1, 5)), (0, 5), (1, 5), (2, 5)])
 
@@ -296,9 +317,10 @@ class TestSmallestFirst:
         assert index.histograms((3, 4)) == {3: Counter({5: 10, 4: 3}),
                                             4: Counter({5: 5, 4: 1})}
         assert vertex_clique_numbers(index).c == (5, 5, 5, 5, 5, 4)
-        # The pass and one walk for both orders, as before the ids were
-        # renumbered: counting in one step charges no node.
-        assert index.work.nodes == 21
+        # The pass's 7 nodes and a walk of 2: the root counts every clique
+        # inside the K_5 in one step, and vertex 5, the one candidate outside
+        # it, every clique of its K_4 that holds it.
+        assert index.work.nodes == 9
         assert all(index.histogram(t) == brute_alpha_histogram(_K5_WITH_K4, t)
                    for t in (3, 4))
 
@@ -312,11 +334,15 @@ class TestSmallestFirst:
 
 
 def _readings(g):
-    """What a fresh index gives out: the reports at t = 2..4, c(v), and each
-    histogram(t) for t = 1..5 with the nodes its walk charged."""
+    """What a fresh index gives out: the histograms at t = 2..4 with the
+    nodes of the one walk that ``bound_reports`` runs for them, the reports
+    at t = 2..4, c(v), and each histogram(t) for t = 1..5 with the nodes its
+    walk charged."""
     index = CliqueIndex(g)
+    walk = _walked(index, (2, 3, 4))
     reports = bound_reports(index, (2, 3, 4))
-    return reports, vertex_clique_numbers(index), [_walked(index, [t]) for t in range(1, 6)]
+    return (walk, reports, vertex_clique_numbers(index),
+            [_walked(index, [t]) for t in range(1, 6)])
 
 
 class TestCliqueOrder:
@@ -426,8 +452,8 @@ class TestEnumerationAndBudget:
         assert index.work.nodes == n + 1
 
     @pytest.mark.parametrize("g,expected", [
-        (generate_complete_multipartite([2, 2, 2]), (15, 20, 29, 38)),
-        (generate_random(12, Fraction(1, 2), seed=5), (41, 52, 87, 122)),
+        (generate_complete_multipartite([2, 2, 2]), (15, 19, 26, 35)),
+        (generate_random(12, Fraction(1, 2), seed=5), (41, 50, 70, 105)),
     ], ids=["K2x2x2", "gnp12-seed5"])
     def test_budget_unit_node_counts(self, g, expected):
         # The nodes that --budget counts, after the pass, after

@@ -63,9 +63,9 @@ _KERNELS = ("maximal-clique pass", "histogram(2)", "histogram(3)", "histogram(4)
 
 
 @pytest.mark.parametrize("workload,graphs,nodes", [
-    ("analyze-dense", 50, (92716, 2173, 23729, 84639, 88338, 500533, 51364)),
-    ("analyze-sparse", 11, (16989, 3682, 856, 11, 4048, 73889, 8074)),
-    ("phi-simplex", 103, (22074, 2124, 10363, 17109, 20275, 219944, 23735)),
+    ("analyze-dense", 50, (92716, 1894, 18570, 55522, 56949, 500533, 51364)),
+    ("analyze-sparse", 11, (16989, 3678, 735, 11, 3732, 73889, 8074)),
+    ("phi-simplex", 103, (22074, 1755, 7267, 9463, 11167, 219944, 23735)),
 ], ids=["analyze-dense", "analyze-sparse", "phi-simplex"])
 def test_kernel_times_reports_every_kernel(workload, graphs, nodes):
     result = subprocess.run(
@@ -99,7 +99,7 @@ def test_kernel_times_on_graph_specs():
     nodes = [{line[:22].strip(): int(line[22:].split()[1]) for line in table[2:]}
              for table in tables]
     assert [[table[kernel] for kernel in _KERNELS[:3]] for table in nodes] == [
-        [15, 5, 9], [41, 11, 35]]
+        [15, 4, 7], [41, 9, 20]]
     assert all(list(table) == list(_KERNELS) for table in nodes)
 
 
