@@ -20,10 +20,10 @@ from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_ph
 
 def verdict(rep) -> tuple[str, str]:
     """The verdict of the bound report ``rep`` and its reason."""
-    if rep.t > rep.omega:
+    if rep.outcome == "vacuous":
         return (f"vacuous, t = {rep.t} > omega = {rep.omega}",
                 "N = localized bound = 0, so phi(uniform) = 0 certifies nothing")
-    if rep.is_tight:
+    if rep.outcome == "tight":
         return (f"tight, certificate {rep.extremal_certificate.sizes}",
                 f"N = localized bound = {rep.localized_zykov}, "
                 "so phi(uniform) = 0 is the minimum of phi")

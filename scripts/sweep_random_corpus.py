@@ -37,8 +37,7 @@ def main():
     kinds = Counter()
     for name, g in corpus:
         for rep in bound_reports(CliqueIndex(g), range(args.t, args.t_max + 1)):
-            # t > omega: N and the bound are both 0, vacuous rather than tight.
-            kinds["vacuous" if rep.t > rep.omega else "tight" if rep.is_tight else "strict"] += 1
+            kinds[rep.outcome] += 1
             if rep.localized_zykov > 0:
                 gap = 100 * (1 - Fraction(rep.true_count) / rep.localized_zykov)
                 gap_s = f"{float(gap):7.2f}"

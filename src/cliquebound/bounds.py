@@ -147,6 +147,21 @@ class BoundReport:
     is_tight: bool
     extremal_certificate: PartSpec | None
 
+    @property
+    def outcome(self) -> str:
+        return outcome(self.t, self.omega, self.is_tight)
+
+
+def outcome(t: int, omega: int, tight: bool) -> str:
+    """"tight", "strict" or "vacuous": the bound's outcome at order t.
+
+    For t > omega both N(G, K_t) and the bound are 0, so equality there is
+    vacuous rather than tight, whatever ``tight`` says.
+    """
+    if t > omega:
+        return "vacuous"
+    return "tight" if tight else "strict"
+
 
 def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     """``bound_report`` for each t of ``ts``, in order, from the graph's

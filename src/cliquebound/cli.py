@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 invariant/assertion failure, 2 usage/input error,
 3 work budget exceeded. ``phi`` also exits 4 on
 the strict (non-tight) outcome so scripts can branch on tightness; 0 covers
-both the tight and the vacuous (t > omega) outcome.
+both the tight and the vacuous (t > omega) outcome. ``bounds.outcome`` names
+the outcome of a record, in the ``analyze`` summary and the ``phi`` verdict.
+
+Each command takes the parsed ``argparse.Namespace``: ``build_parser`` sets
+every option's default, and ``usage_error`` checks every option's value.
 
 Rationals serialize as "p/q" strings; a display-only decimal column with 10
 significant digits rides along for human scanning.
@@ -21,12 +25,11 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundReport, TightnessInvariantError, bound_reports
+from .bounds import BoundReport, TightnessInvariantError, bound_reports, outcome
 from .cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
 from .corpus import named_small_graphs, seeded_random_corpus
 from .graph import (
@@ -66,29 +69,6 @@ NAME_MAX = 255
 
 CSV_COLUMNS = ["file", "n", "m", "t", "N", "localized_bound", "zykov_bound",
                "tight", "certificate"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    inputs: tuple[Path, ...] = ()
-    t_min: int = 2
-    t_max: int = 2
-    fmt: str = "json"
-    seed: int = 0
-    samples: int = 100
-    budget: int | None = None
-    out: Path | None = None
-
-    def __post_init__(self):
-        if not (2 <= self.t_min <= self.t_max <= 16):
-            raise ValueError(f"t range must satisfy 2 <= t <= t_max <= 16, "
-                             f"got [{self.t_min}, {self.t_max}]")
-        if self.samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.samples}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
 
 
 def _dec(v: Fraction) -> str:
@@ -154,12 +134,12 @@ def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
     }
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    paths = collect_inputs(config.inputs)
+def cmd_analyze(args) -> int:
+    paths = collect_inputs(args.inputs)
     if not paths:
         print("no inputs", file=sys.stderr)
         return EXIT_USAGE
-    ts = range(config.t_min, config.t_max + 1)
+    ts = range(args.t, args.t_max + 1)
     records = []
     failures = 0
     budget_hit = False
@@ -172,7 +152,7 @@ def cmd_analyze(config: RunConfig) -> int:
             continue
         g_hash = graph_hash(g)
         try:
-            reports = bound_reports(CliqueIndex(g, config.budget), ts)
+            reports = bound_reports(CliqueIndex(g, args.budget), ts)
         except BudgetExceeded as exc:
             records.extend({"file": str(path), "t": t, "error": str(exc)} for t in ts)
             budget_hit = True
@@ -184,11 +164,10 @@ def cmd_analyze(config: RunConfig) -> int:
     if failures == len(paths):
         return EXIT_USAGE
 
-    if not _write_output(_render_records(records, config.fmt), config.out):
+    if not _write_output(_render_records(records, args.format), args.out):
         return EXIT_USAGE
     ok = [r for r in records if "error" not in r]
-    kinds = Counter("vacuous" if r["t"] > r["omega"] else "tight" if r["tight"] else "strict"
-                    for r in ok)
+    kinds = Counter(outcome(r["t"], r["omega"], r["tight"]) for r in ok)
     print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, {kinds['tight']} "
           f"tight, {kinds['strict']} strict, {kinds['vacuous']} vacuous", file=sys.stderr)
     if failures:
@@ -234,7 +213,6 @@ def _render_records(records, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    outdir = Path(args.out)
     try:
         if args.kind == "multipartite":
             spec = PartSpec(tuple(int(s) for s in args.parts.split(",")))
@@ -242,17 +220,23 @@ def cmd_generate(args) -> int:
             # Runs of equal parts as SxR, R parts of S vertices: 2,2,2 -> 2x3.
             runs = "-".join(f"{size}x{len(list(run))}"
                             for size, run in itertools.groupby(spec.sizes))
-            name = f"multipartite_{runs}.g6"
-            if len(name) > NAME_MAX:  # ASCII: one byte per character
-                raise ValueError(f"file name of {len(name)} bytes exceeds the "
-                                 f"{NAME_MAX}-byte limit: {name[:64]}...")
-            graphs = ((name, generate_complete_multipartite(spec)) for _ in [spec])
+            names = [f"multipartite_{runs}.g6"]
+            graphs = ((names[0], generate_complete_multipartite(spec)) for _ in [spec])
         else:
             p = Fraction(args.p)
             n = args.n
-            graphs = ((f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}.g6",
-                       generate_random(n, p, seed))
-                      for seed in range(args.seed, args.seed + args.count))
+
+            def file_name(seed):
+                return f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}.g6"
+            seeds = range(args.seed, args.seed + args.count)
+            # Names differ only in the seed, whose longest form is at an end of
+            # the range, so the two ends stand for all --count names.
+            names = [file_name(seeds[0]), file_name(seeds[-1])]
+            graphs = ((file_name(seed), generate_random(n, p, seed)) for seed in seeds)
+        longest = max(names, key=len)
+        if len(longest) > NAME_MAX:  # ASCII: one byte per character
+            raise ValueError(f"file name of {len(longest)} bytes exceeds the "
+                             f"{NAME_MAX}-byte limit: {longest[:64]}...")
         # n rows of n bits, or C(n, 2) random draws, would take long before
         # to_graph6 rejected n, so the cap is checked before any graph is built.
         if n >= MAX_GRAPH6_N:
@@ -260,10 +244,10 @@ def cmd_generate(args) -> int:
         # The first graph is built before --out is made, so invalid --parts,
         # --p or --n values, or too long a name, leave no directory behind.
         first = next(graphs)
-        outdir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for name, g in itertools.chain([first], graphs):
-            (outdir / name).write_text(to_graph6(g) + "\n", encoding="ascii")
-            print(outdir / name)
+            (args.out / name).write_text(to_graph6(g) + "\n", encoding="ascii")
+            print(args.out / name)
     except (GraphError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -274,8 +258,8 @@ def cmd_generate(args) -> int:
 # phi
 # ---------------------------------------------------------------------------
 
-def cmd_phi(config: RunConfig) -> int:
-    paths = collect_inputs(config.inputs)
+def cmd_phi(args) -> int:
+    paths = collect_inputs(args.inputs)
     if len(paths) != 1:
         print("phi takes exactly one input graph", file=sys.stderr)
         return EXIT_USAGE
@@ -284,17 +268,17 @@ def cmd_phi(config: RunConfig) -> int:
     except (OSError, ParseError, GraphError) as exc:
         print(f"error: {paths[0]}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t = config.t_min
+    t = args.t
     lines = []
     try:
-        index = CliqueIndex(g, config.budget)
+        index = CliqueIndex(g, args.budget)
         omega = vertex_clique_numbers(index).omega
         if g.n == 0:
             lines.append("phi_uniform = 0/1 (0)")
             lines.append("min_sampled_phi = 0/1 (0)")
             tight = True
         else:
-            report = verify_nonnegativity(index, t, config.samples, config.seed)
+            report = verify_nonnegativity(index, t, args.samples, args.seed)
             tight = report.phi_uniform == 0
             lines.append(f"phi_uniform = {_rat(report.phi_uniform)} "
                          f"({_dec(report.phi_uniform)})")
@@ -312,14 +296,12 @@ def cmd_phi(config: RunConfig) -> int:
     except PhiNegativityError as exc:
         print(f"error: {paths[0]}: t={t}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if not _write_output("\n".join(lines) + "\n", config.out):
+    if not _write_output("\n".join(lines) + "\n", args.out):
         return EXIT_USAGE
-    # For t > omega both sides of the bound are 0, so phi(uniform) = 0 is
-    # vacuous rather than tight; the exit code stays 0.
-    if t > omega:
-        print(f"vacuous, t = {t} > omega = {omega}", file=sys.stderr)
-    else:
-        print("tight" if tight else "strict", file=sys.stderr)
+    # A vacuous phi(uniform) = 0 keeps exit 0.
+    kind = outcome(t, omega, tight)
+    print(f"vacuous, t = {t} > omega = {omega}" if kind == "vacuous" else kind,
+          file=sys.stderr)
     return EXIT_OK if tight else EXIT_STRICT
 
 
@@ -377,10 +359,10 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
                        f"min={report.min_phi}")
 
 
-def cmd_selfcheck(config: RunConfig) -> int:
+def cmd_selfcheck(args) -> int:
     failures = 0
     try:
-        for name, ok, detail in run_selfcheck(budget=config.budget, seed=config.seed):
+        for name, ok, detail in run_selfcheck(budget=args.budget, seed=args.seed):
             status = "PASS" if ok else "FAIL"
             print(f"{status} {name}" + ("" if ok else f": {detail}"))
             failures += 0 if ok else 1
@@ -409,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     options = {
+        "inputs": dict(nargs="*", help="graph files or directories"),
+        "kind": dict(choices=["multipartite", "random"]),
         "--t": dict(type=int, default=2, help="clique order (default 2)"),
         "--t-max": dict(type=int, default=None, help="analyze a range t..t_max"),
         "--format": dict(choices=["json", "csv"], default="json"),
@@ -417,72 +401,60 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget": dict(type=int, default=None,
                          help="max clique work per graph, in work nodes"),
         "--out": dict(type=Path, default=None),
+        "--parts": dict(default=None, help="comma-separated part sizes"),
+        "--n": dict(type=int, default=None),
+        "--p": dict(default=None, help="edge probability as p/q"),
+        "--count": dict(type=int, default=1),
     }
 
-    def command(name, help, *flags, inputs=True):
+    def command(name, run, help, *flags):
         p = sub.add_parser(name, help=help)
-        if inputs:
-            p.add_argument("inputs", nargs="*", help="graph files or directories")
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(flag, **options[flag])
+        return p
 
-    command("analyze", "evaluate all bounds per graph",
-            "--t", "--t-max", "--format", "--budget", "--out")
-    gen = sub.add_parser("generate", help="write graph6 corpus files")
-    gen.add_argument("kind", choices=["multipartite", "random"])
-    gen.add_argument("--parts", default=None, help="comma-separated part sizes")
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--p", default=None, help="edge probability as p/q")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--out", required=True)
-    command("phi", "potential evaluation and descent trace",
-            "--t", "--seed", "--samples", "--budget", "--out")
-    command("selfcheck", "run built-in invariant checks", "--seed", "--budget",
-            inputs=False)
+    command("analyze", cmd_analyze, "evaluate all bounds per graph",
+            "inputs", "--t", "--t-max", "--format", "--budget", "--out")
+    gen = command("generate", cmd_generate, "write graph6 corpus files",
+                  "kind", "--parts", "--n", "--p", "--seed", "--count")
+    gen.add_argument("--out", type=Path, required=True)  # a directory, not a report
+    command("phi", cmd_phi, "potential evaluation and descent trace",
+            "inputs", "--t", "--seed", "--samples", "--budget", "--out")
+    command("selfcheck", cmd_selfcheck, "run built-in invariant checks",
+            "--seed", "--budget")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    """Options the subcommand does not take keep their RunConfig defaults."""
-    t_min = getattr(args, "t", RunConfig.t_min)
-    t_max = getattr(args, "t_max", None)
-    return RunConfig(
-        inputs=tuple([Path(p) for p in getattr(args, "inputs", ())]),
-        t_min=t_min,
-        t_max=t_min if t_max is None else t_max,
-        fmt=getattr(args, "format", RunConfig.fmt),
-        seed=getattr(args, "seed", RunConfig.seed),
-        samples=getattr(args, "samples", RunConfig.samples),
-        budget=args.budget,
-        out=getattr(args, "out", None),
-    )
+def usage_error(args) -> str | None:
+    """The first out-of-range or missing option of ``args``, as the one line
+    to print, or None."""
+    if "t" in args and not 2 <= args.t <= args.t_max <= 16:
+        return (f"error: t range must satisfy 2 <= t <= t_max <= 16, "
+                f"got [{args.t}, {args.t_max}]")
+    if "samples" in args and args.samples < 1:
+        return f"error: sample count must be >= 1, got {args.samples}"
+    if "budget" in args and args.budget is not None and args.budget < 1:
+        return f"error: budget must be >= 1, got {args.budget}"
+    if args.command == "generate":
+        if args.kind == "multipartite" and not args.parts:
+            return "generate multipartite requires --parts"
+        if args.kind == "random" and (args.n is None or args.p is None):
+            return "generate random requires --n and --p"
+        if args.count < 1:
+            return f"error: count must be >= 1, got {args.count}"
+    return None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        if args.kind == "multipartite" and not args.parts:
-            print("generate multipartite requires --parts", file=sys.stderr)
-            return EXIT_USAGE
-        if args.kind == "random" and (args.n is None or args.p is None):
-            print("generate random requires --n and --p", file=sys.stderr)
-            return EXIT_USAGE
-        if args.count < 1:
-            print(f"error: count must be >= 1, got {args.count}", file=sys.stderr)
-            return EXIT_USAGE
-        return cmd_generate(args)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    args = build_parser().parse_args(argv)
+    if "t" in args and getattr(args, "t_max", None) is None:
+        args.t_max = args.t  # --t-max defaults to --t; phi reads one t
+    message = usage_error(args)
+    if message is not None:
+        print(message, file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "analyze":
-        return cmd_analyze(config)
-    if args.command == "phi":
-        return cmd_phi(config)
-    return cmd_selfcheck(config)
+    return args.run(args)
 
 
 def entrypoint():

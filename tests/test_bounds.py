@@ -15,6 +15,7 @@ from cliquebound.bounds import (
     is_regular_complete_multipartite,
     kirsch_nir_sum,
     localized_zykov_bound,
+    outcome,
     turan_bound,
     vertex_localized_turan_bound,
     zykov_bound,
@@ -201,6 +202,16 @@ class TestBoundReport:
     def test_n_zero(self):
         rep = bound_report(CliqueIndex(Graph(0, ())), 2)
         assert rep.is_tight and rep.true_count == 0
+
+    def test_outcome(self, octa, c5):
+        # t > omega is vacuous, though N = bound = 0 leaves the flag true.
+        octa_index, c5_index = CliqueIndex(octa), CliqueIndex(c5)
+        assert [bound_report(octa_index, t).outcome for t in (3, 4)] == ["tight", "vacuous"]
+        assert [bound_report(c5_index, t).outcome for t in (2, 3)] == ["strict", "vacuous"]
+        assert bound_report(c5_index, 3).is_tight
+        assert bound_report(CliqueIndex(Graph(0, ())), 2).outcome == "vacuous"
+        assert [outcome(3, 3, True), outcome(3, 3, False), outcome(4, 3, False)] == [
+            "tight", "strict", "vacuous"]
 
     @given(graphs(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=60)

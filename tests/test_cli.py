@@ -86,7 +86,9 @@ def test_generate_count_below_one_rejected(tmp_path, capsys, count):
     ("random", "--n", "-3", "--p", "1/2"),
     ("random", "--n", "5", "--p", "3/2"),
     ("multipartite", "--parts", "2,x"),
-], ids=["n", "p", "parts"])
+    # A --p of 241 digits makes a file name of 263 bytes.
+    ("random", "--n", "5", "--p", "1/1" + "0" * 240),
+], ids=["n", "p", "parts", "random-name"])
 def test_generate_validates_before_making_out(tmp_path, capsys, argv):
     outdir = tmp_path / "o"
     code, out, err = run(capsys, "generate", *argv, "--out", str(outdir))
@@ -247,6 +249,26 @@ def test_analyze_bad_t_range(tmp_path, capsys):
     (tmp_path / "x.el").write_text("0 1\n")
     code, _, _ = run(capsys, "analyze", str(tmp_path / "x.el"), "--t", "17")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "--t", "17"], "t range must satisfy 2 <= t <= t_max <= 16, got [17, 17]"),
+    (["phi", "--t", "1"], "t range must satisfy 2 <= t <= t_max <= 16, got [1, 1]"),
+    (["analyze", "--t", "4", "--t-max", "3"],
+     "t range must satisfy 2 <= t <= t_max <= 16, got [4, 3]"),
+    (["phi", "--samples", "-1"], "sample count must be >= 1, got -1"),
+    # The t range is checked first, then --samples, then --budget.
+    (["phi", "--t", "1", "--samples", "0", "--budget", "0"],
+     "t range must satisfy 2 <= t <= t_max <= 16, got [1, 1]"),
+    (["phi", "--samples", "0", "--budget", "0"], "sample count must be >= 1, got 0"),
+], ids=["phi-t-17", "phi-t-1", "analyze-t-above-t-max", "phi-samples-negative",
+        "t-range-first", "samples-before-budget"])
+def test_option_out_of_range_rejected(tmp_path, capsys, argv, message):
+    (tmp_path / "x.el").write_text("0 1\n")
+    code, out, err = run(capsys, argv[0], str(tmp_path / "x.el"), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_analyze_unparsable_file(tmp_path, capsys):
