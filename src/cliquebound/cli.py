@@ -31,7 +31,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import BoundReport, TightnessInvariantError, bound_reports, outcome
 from .cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
-from .corpus import named_small_graphs, seeded_random_corpus
+from .corpus import named_small_graphs, random_graph_name, seeded_random_corpus
 from .graph import (
     Graph,
     MAX_GRAPH6_N,
@@ -227,7 +227,7 @@ def cmd_generate(args) -> int:
             n = args.n
 
             def file_name(seed):
-                return f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}.g6"
+                return random_graph_name(n, p, seed) + ".g6"
             seeds = range(args.seed, args.seed + args.count)
             # Names differ only in the seed, whose longest form is at an end of
             # the range, so the two ends stand for all --count names.

@@ -59,6 +59,11 @@ def named_small_graphs() -> dict[str, Graph]:
     }
 
 
+def random_graph_name(n: int, p: Fraction, seed: int) -> str:
+    """The name of G(n, p) drawn with ``seed``, e.g. random_n8_p1-2_seed11."""
+    return f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}"
+
+
 def seeded_random_corpus(count: int, ns, ps, base_seed: int) -> list[tuple[str, Graph]]:
     """Deterministic list of (name, graph): cycles through (n, p) pairs."""
     ns = list(ns)
@@ -68,8 +73,7 @@ def seeded_random_corpus(count: int, ns, ps, base_seed: int) -> list[tuple[str, 
         n = ns[k % len(ns)]
         p = ps[(k // len(ns)) % len(ps)]
         seed = base_seed + k
-        name = f"random_n{n}_p{p.numerator}-{p.denominator}_seed{seed}"
-        out.append((name, generate_random(n, p, seed)))
+        out.append((random_graph_name(n, p, seed), generate_random(n, p, seed)))
     return out
 
 

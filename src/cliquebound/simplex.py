@@ -310,27 +310,15 @@ class NonnegativityReport:
     points_checked: int
 
 
-def _sample_weights(n: int, samples: int, rng: random.Random):
-    """Integer weights and their sum for the uniform point, each
-    vertex-concentrated point and ``samples`` random interior points."""
-    yield [1] * n, n
-    for v in range(n):
-        weights = [0] * n
-        weights[v] = 1
-        yield weights, 1
-    for _ in range(samples):
-        weights = _random_weights(n, rng)
-        yield weights, sum(weights)
-
-
 def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
                          seed: int) -> NonnegativityReport:
     """Minimum of phi over the uniform point, all vertex-concentrated points,
-    and ``samples`` seeded random interior points. Raises if any value is
-    negative (that would falsify the inequality, i.e. expose a bug).
+    and ``samples`` seeded random interior points, the first minimum in that
+    order. Raises if any value is negative (that would falsify the
+    inequality, i.e. expose a bug).
 
-    The samples stay integer weights; only the minimizer becomes a
-    SimplexPoint."""
+    The vertex points are read in closed form, phi(e_v) = C(c(v), t)/c(v)^t,
+    with no clique sum."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     n = index.graph.n
@@ -338,16 +326,19 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
         raise ValueError("nonnegativity check needs n >= 1")
     c = _check(index, t, n)
     terms = density_terms(c, t)
-    phi_uniform = None
-    best = None
-    best_weights = None
-    for nums, den in _sample_weights(n, samples, random.Random(seed)):
-        phi = _phi(index, t, c, terms, nums, den).phi
-        if phi_uniform is None:
-            phi_uniform = phi
-        if best is None or phi < best:
-            best, best_weights = phi, (nums, den)
-    argmin = SimplexPoint._from_ints(*best_weights)
+    phi_uniform = _phi(index, t, c, terms, [1] * n, n).phi
+    best, argmin = phi_uniform, SimplexPoint.uniform(n)
+    # B(e_v) = 0: one vertex holds no t-clique for t >= 2.
+    v = min(range(n), key=lambda v: terms[c[v]])
+    if terms[c[v]] < best:
+        best, argmin = terms[c[v]], SimplexPoint.concentrated(n, v)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        weights = _random_weights(n, rng)
+        total = sum(weights)
+        phi = _phi(index, t, c, terms, weights, total).phi
+        if phi < best:
+            best, argmin = phi, SimplexPoint._from_ints(weights, total)
     if best < 0:
         raise PhiNegativityError(
             f"phi({argmin.x}) = {best} < 0 on a graph where it must be >= 0"

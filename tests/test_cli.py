@@ -521,16 +521,17 @@ def test_phi_budget_reaches_sampling(tmp_path, capsys):
 
 def test_phi_budget_caps_run_total(tmp_path, capsys):
     # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 15
-    # nodes, the sampled phi values 195, the descent 23 and the phi at its end
-    # 3. The one budget of the run caps their 236 together.
+    # nodes, the sampled phi values 189 (the six vertex points take none), the
+    # descent 23 and the phi at its end 3. The one budget of the run caps
+    # their 230 together.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     path = str(tmp_path / "multipartite_2x3.g6")
     code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
-                         "--budget", "235")
+                         "--budget", "229")
     assert code == 3
     assert out == ""
-    assert "work budget of 235" in err
-    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "236")
+    assert "work budget of 229" in err
+    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "230")
     assert code == 0
 
 

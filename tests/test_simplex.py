@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -9,7 +10,7 @@ import hypothesis.strategies as st
 
 from cliquebound.bounds import clique_density_term
 from cliquebound.cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
-from cliquebound.corpus import empty_graph
+from cliquebound.corpus import empty_graph, paw_graph
 from cliquebound.graph import Graph
 from cliquebound.simplex import (
     SimplexPoint,
@@ -289,13 +290,35 @@ class TestNonnegativity:
         rep = verify_nonnegativity(CliqueIndex(empty_graph(4)), 3, samples=50, seed=2)
         assert rep.min_phi == 0 and rep.phi_uniform == 0
 
+    @given(graphs(min_n=1), st.integers(min_value=2, max_value=5),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=99))
+    @settings(max_examples=80)
+    @example(empty_graph(4), 3, 3, 0)  # every value is 0: the uniform point wins
+    @example(paw_graph(), 3, 3, 0)  # e_3 alone reaches 0
+    def test_matches_naive_minimum(self, g, t, samples, seed):
+        """The minimum of phi over the uniform, vertex and seeded random
+        points, first minimum in that order, each point evaluated by eval_phi."""
+        rng = random.Random(seed)
+        points = [SimplexPoint.uniform(g.n)]
+        points += [SimplexPoint.concentrated(g.n, v) for v in range(g.n)]
+        points += [SimplexPoint.random_point(g.n, rng) for _ in range(samples)]
+        index = CliqueIndex(g)
+        values = [eval_phi(index, t, x).phi for x in points]
+        k = values.index(min(values))
+        rep = verify_nonnegativity(CliqueIndex(g), t, samples, seed)
+        assert rep.min_phi == values[k]
+        assert rep.argmin == points[k]
+        assert rep.phi_uniform == values[0]
+        assert rep.points_checked == len(points)
+
     def test_rejects_zero_samples(self, c5):
         with pytest.raises(ValueError):
             verify_nonnegativity(CliqueIndex(c5), 2, samples=0, seed=1)
 
     def test_budget_caps_whole_call(self, octa):
         # The index's pass takes 15 nodes. No single evaluation needs the 85
-        # left of a 100-node budget, but the 27 evaluations of the call do.
+        # left of a 100-node budget, but the 21 clique sums of the call do:
+        # the uniform point's and the 20 random points'.
         assert CliqueIndex(octa).work.nodes == 15
         for v in range(octa.n):
             eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.concentrated(octa.n, v))
