@@ -78,12 +78,13 @@ def parse_graph_spec(spec: str) -> Graph:
         n, p, seed = fields
         if "/" in p and not int(p.partition("/")[2]):
             raise ValueError(f"edge probability {p} has a zero denominator")
-        return generate_random(int(n), Fraction(p), int(seed))
+        if int(n) >= 1:
+            return generate_random(int(n), Fraction(p), int(seed))
     if kind == "multipartite" and len(fields) == 1:
         s, x, r = fields[0].partition("x")
         if x and int(r) >= 1:
             return generate_complete_multipartite([int(s)] * int(r))
-    raise ValueError("expected gnp:N:P:SEED or multipartite:SxR with R >= 1")
+    raise ValueError("expected gnp:N:P:SEED with N >= 1 or multipartite:SxR with R >= 1")
 
 
 def time_corpus(graphs, reps: int) -> tuple[dict[str, float], dict[str, int]]:

@@ -5,9 +5,8 @@ A ``CliqueIndex`` keeps the maximal cliques that one pivoted Bron-Kerbosch
 search finds, numbered smallest first (equal orders by mask), and, per
 vertex, the bitset of the ids of the cliques that hold it, whose highest bit
 names a largest clique holding the vertex. The bitsets are the transpose of
-the cliques x vertices bit matrix, built block by block with C-level integer
-and string steps, or one incidence at a time where the cliques are small for
-n (see ``_LOOP_RATIO``). One counting walk reads off it, for every order t a
+the cliques x vertices bit matrix, built by ``graph.transpose``, which the
+graph6 decoder shares. One counting walk reads off it, for every order t a
 run asks for at once, the order alpha(T) of the largest clique containing
 each t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t
 the histogram of alpha, whose total is N(G, K_t). At each node, a clique C
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, transpose
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -176,49 +175,6 @@ def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
                 _count(adj, member, cliques, sizes, plan, sub, depth + 1, ids, work)
 
 
-# Above this n / mean clique order ``member`` is built by incidence, not by
-# transpose (see ``CliqueIndex``).
-_LOOP_RATIO = 32
-# Cliques per transposed block, so a block's binary string holds at most
-# _BLOCK * 8 * ceil(n / 8) characters, whatever the clique count.
-_BLOCK = 4096
-
-
-def _member_by_incidence(cliques: Sequence[int], n: int) -> list[int]:
-    """``member`` one incidence at a time: each ``|=`` copies an integer as
-    wide as the current id, so this suits cliques that are small for n."""
-    member = [0] * n
-    bit = 1
-    for clique in cliques:
-        while clique:
-            low = clique & -clique
-            member[low.bit_length() - 1] |= bit
-            clique ^= low
-        bit <<= 1
-    return member
-
-
-def _member_by_transpose(cliques: Sequence[int], n: int) -> list[int]:
-    """``member`` as the transpose of the cliques x vertices bit matrix, block
-    by block, in C-level steps.
-
-    A block's cliques are packed into one integer, clique j at bits
-    ``j * stride`` up, and written as one binary string, most significant bit
-    first. Vertex v's column, read every ``stride``-th character from
-    ``stride - 1 - v``, is then that block's ids holding v, highest first.
-    """
-    width = (n + 7) // 8
-    stride = 8 * width
-    member = [0] * n
-    for start in range(0, len(cliques), _BLOCK):
-        block = cliques[start:start + _BLOCK]
-        packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in block), "little")
-        bits = format(packed, f"0{stride * len(block)}b")
-        for v in range(n):
-            member[v] |= int(bits[stride - 1 - v::stride], 2) << start
-    return member
-
-
 class CliqueIndex:
     """The maximal cliques of one graph, smallest first, and one work meter:
     the one object passed to every function that does clique work on the
@@ -227,22 +183,16 @@ class CliqueIndex:
     One Bron-Kerbosch pass numbers the maximal cliques smallest first, and
     equal orders by mask, so that no walk depends on the order in which the
     pass finds them: ``cliques[i]`` is clique i as a vertex bitmask,
-    ``sizes[i]`` its order,
-    and ``member[v]`` the bitset of the ids of the cliques that hold v, whose
-    highest bit names a largest clique holding v. ``member`` is the
-    transpose of the cliques x vertices bit matrix, read off blocks of
-    ``_BLOCK`` cliques packed into one binary string each, n characters per
-    clique; when n exceeds ``_LOOP_RATIO`` = 32 times the mean clique order
-    it is built one incidence at a time, the cheaper way there (measured:
-    the two break even near 40; the benchmark's dense and phi graphs sit at
-    11.5 or less, its sparse ones at 146 or more). The c(v) profile, the
-    largest-containing-clique order of every t-clique for any t, and the
-    clique counts are then read without a second pass: one counting walk
-    fills the histogram of every order asked for together, and the index
-    keeps each one. The bound and simplex functions read the graph and c(v)
-    from the index and run their clique sums through ``weight_sum``, so the
-    budget caps the total work done on the graph, in nodes: those of the
-    pass, of each walk and of every weighted clique sum.
+    ``sizes[i]`` its order, and ``member[v]`` the bitset of the ids of the
+    cliques that hold v, whose highest bit names a largest clique holding v.
+    ``member`` is ``graph.transpose(cliques, n)``, not charged to the work
+    meter. The c(v) profile, the largest-containing-clique order of every
+    t-clique for any t, and the clique counts are then read without a second
+    pass: one counting walk fills the histogram of every order asked for
+    together, and the index keeps each one. The bound and simplex functions
+    read the graph and c(v) from the index and run their clique sums through
+    ``weight_sum``, so the budget caps the total work done on the graph, in
+    nodes: those of the pass, of each walk and of every weighted clique sum.
     """
 
     __slots__ = ("graph", "work", "cliques", "sizes", "member", "_histograms")
@@ -256,10 +206,7 @@ class CliqueIndex:
         cliques.sort(key=int.bit_count)
         self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]
-        if g.n * len(cliques) > _LOOP_RATIO * sum(self.sizes):
-            self.member = _member_by_incidence(cliques, g.n)
-        else:
-            self.member = _member_by_transpose(cliques, g.n)
+        self.member = transpose(cliques, g.n)
         self._histograms: dict[int, Counter] = {}
 
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
@@ -280,10 +227,11 @@ class CliqueIndex:
         if todo:
             omega = self.sizes[-1] if self.sizes else 0
             hists = {t: [0] * (omega + 1) for t in todo}
+            # No node lies deeper than omega - 1; the root is depth 0.
             plan = [([(hists[t], t - depth) for t in todo if t > depth],
                      hists.get(depth + 1),
                      next((t for t in todo if t > depth + 1), omega + 1))
-                    for depth in range(todo[-1])]
+                    for depth in range(max(1, min(todo[-1], omega)))]
             # Every id may be shared at the root: smaller cliques never
             # change the highest bit.
             _count(self.graph.adjacency, self.member, self.cliques or [0], self.sizes or [0],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from cliquebound import cliques as cliques_mod
+from cliquebound import cliques as cliques_mod, graph as graph_mod
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
     BudgetExceeded,
@@ -19,6 +19,7 @@ from cliquebound.cliques import (
     count_cliques,
     vertex_clique_numbers,
 )
+from cliquebound.corpus import petersen_graph
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
     brute_alpha_histogram,
@@ -46,6 +47,15 @@ class TestCountCliques:
 
     def test_t_above_n(self, k4):
         assert count_cliques(CliqueIndex(k4), 5) == 0
+
+    def test_t_far_above_omega_walks_only_the_root(self):
+        # The walk is planned to depth omega at most, not to depth t, so a
+        # huge t costs what t = omega + 1 does: the root alone.
+        for t in (4, 10**9):
+            index = CliqueIndex(petersen_graph())
+            before = index.work.nodes
+            assert count_cliques(index, t) == 0
+            assert index.work.nodes - before == 1
 
     def test_t_below_one_rejected(self, k4):
         with pytest.raises(ValueError):
@@ -129,7 +139,7 @@ class TestMember:
         index = CliqueIndex(g)
         assert index.member == _member_by_definition(index)
 
-    @pytest.mark.parametrize("g,transposed", [
+    @pytest.mark.parametrize("g,by_strings", [
         (Graph.from_edges(70, []), False),
         (generate_random(300, Fraction(6, 300), seed=1), False),
         (generate_complete_multipartite([2] * 10), True),
@@ -137,11 +147,11 @@ class TestMember:
         # 8,192 cliques: more than one block.
         (generate_complete_multipartite([2] * 13), True),
     ], ids=["edgeless70", "gnp300-sparse", "K2x10", "gnp60-half", "K2x13"])
-    def test_both_builds_match_definition(self, g, transposed):
-        with patch.object(cliques_mod, "_member_by_transpose",
-                          wraps=cliques_mod._member_by_transpose) as transpose:
+    def test_both_builds_match_definition(self, g, by_strings):
+        with patch.object(graph_mod, "_transpose_by_strings",
+                          wraps=graph_mod._transpose_by_strings) as strings:
             index = CliqueIndex(g)
-        assert transpose.called == transposed
+        assert strings.called == by_strings
         assert index.member == _member_by_definition(index)
 
     @given(sparse_graphs())
@@ -151,15 +161,15 @@ class TestMember:
         index = CliqueIndex(g)
         member = _member_by_definition(index)
         assert index.member == member
-        assert cliques_mod._member_by_incidence(index.cliques, g.n) == member
-        assert cliques_mod._member_by_transpose(index.cliques, g.n) == member
+        assert graph_mod._transpose_by_incidence(index.cliques, g.n) == member
+        assert graph_mod._transpose_by_strings(index.cliques, g.n) == member
         # Each order's count against the weighted sum, which reads no member.
         for t in range(1, 6):
             assert index.histogram(t).total() == index.weight_sum(g.full_mask, t, (1,) * g.n)
 
     def test_transpose_spans_blocks(self):
         assert len(CliqueIndex(generate_complete_multipartite([2] * 13)).cliques) \
-            > cliques_mod._BLOCK
+            > graph_mod._BLOCK
 
     @pytest.mark.parametrize("s,r", [(1, 5), (2, 13), (3, 6), (4, 4), (5, 1)])
     def test_multipartite_closed_form(self, s, r):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from cliquebound import graph as graph_mod
 from cliquebound.graph import (
     Graph,
     GraphError,
@@ -18,7 +20,7 @@ from cliquebound.graph import (
     to_edge_list,
     to_graph6,
 )
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 
 def reference_graph6(g: Graph) -> str:
@@ -174,7 +176,9 @@ class TestGraph6:
         g = parse_graph6("D??")
         assert (g.n, g.m) == (5, 0)
 
-    @given(graphs(max_n=12))
+    # graphs() take the decoder's string transpose, sparse_graphs() its
+    # per-incidence one.
+    @given(st.one_of(graphs(max_n=12), sparse_graphs()))
     def test_decoded_rows_pass_the_full_check(self, g):
         decoded = parse_graph6(to_graph6(g))
         assert Graph(decoded.n, decoded.adjacency) == decoded == g
@@ -220,9 +224,19 @@ class TestGraph6:
         with pytest.raises(ParseError, match="mismatch"):
             parse_graph6("D")
 
-    @given(graphs(max_n=8))
+    @given(st.one_of(graphs(max_n=8), sparse_graphs()))
     def test_round_trip(self, g):
         assert parse_graph6(to_graph6(g)) == g
+
+    @pytest.mark.parametrize("g,by_strings", [
+        (generate_random(300, Fraction(6, 300), 1), False),
+        (generate_random(60, Fraction(1, 2), 1), True),
+    ], ids=["gnp300-sparse", "gnp60-half"])
+    def test_transpose_branch_follows_density(self, g, by_strings):
+        with patch.object(graph_mod, "_transpose_by_strings",
+                          wraps=graph_mod._transpose_by_strings) as strings:
+            assert parse_graph6(to_graph6(g)) == g
+        assert strings.called == by_strings
 
     @given(graphs(max_n=8))
     def test_matches_reference_encoder(self, g):

@@ -40,6 +40,7 @@ def test_script_runs(script, args, expected):
     ("kernel_times.py", ["--graph", "gnp:10:3/2:1"]),
     ("kernel_times.py", ["--graph", "gnp:10:1/0:1"]),
     ("kernel_times.py", ["--graph", "gnp:-1:1/2:1"]),
+    ("kernel_times.py", ["--graph", "gnp:0:1/2:1"]),
     ("kernel_times.py", ["--graph", "multipartite:4"]),
     ("kernel_times.py", ["--graph", "multipartite:0x3"]),
     ("kernel_times.py", ["--graph", "multipartite:3x0"]),
