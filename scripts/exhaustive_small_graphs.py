@@ -11,7 +11,7 @@ For each graph it checks, with an exact ``==``:
 - ``histograms(1..n+1)``, one counting walk for every order, and
   ``histogram(t)`` on a fresh index, one walk for order t alone, against
   ``brute_alpha_histogram`` at each order t = 1..n+1;
-- the c(v) profile against ``brute_vertex_clique_numbers``;
+- ``c`` and ``omega`` against ``brute_vertex_clique_numbers``;
 - for 2 <= t <= omega, that the bound is tight (N(G, K_t) equals the
   localized bound) exactly when the graph is regular complete multipartite.
 
@@ -33,7 +33,7 @@ from cliquebound.bounds import (  # noqa: E402
     is_regular_complete_multipartite,
     localized_zykov_bound,
 )
-from cliquebound.cliques import CliqueIndex, vertex_clique_numbers  # noqa: E402
+from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.graph import Graph, to_graph6  # noqa: E402
 from cliquebound.oracles import (  # noqa: E402
     brute_alpha_histogram,
@@ -72,12 +72,11 @@ def check_graph(g: Graph) -> list[str]:
             failures.append(f"histograms(1..{g.n + 1})[{t}]")
         if CliqueIndex(g).histogram(t) != oracle:
             failures.append(f"histogram({t})")
-    profile = vertex_clique_numbers(index)
-    if profile != brute_vertex_clique_numbers(g):
+    if (index.c, index.omega) != brute_vertex_clique_numbers(g):
         failures.append("c(v)")
     regular = is_regular_complete_multipartite(g) is not None
-    for t in range(2, profile.omega + 1):
-        if (hists[t].total() == localized_zykov_bound(g, t, profile)) != regular:
+    for t in range(2, index.omega + 1):
+        if (hists[t].total() == localized_zykov_bound(index, t)) != regular:
             failures.append(f"tight at t = {t}")
     return failures
 

@@ -17,7 +17,6 @@ from .bounds import (
 from .cliques import (
     BudgetExceeded,
     CliqueIndex,
-    CliqueProfile,
     count_cliques,
     vertex_clique_numbers,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "BoundReport",
     "BudgetExceeded",
     "CliqueIndex",
-    "CliqueProfile",
     "DescentTrace",
     "Graph",
     "GraphError",

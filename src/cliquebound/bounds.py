@@ -12,7 +12,7 @@ from itertools import repeat
 from math import comb, floor
 from typing import Iterable, Sequence
 
-from .cliques import CliqueIndex, CliqueProfile, count_cliques, vertex_clique_numbers
+from .cliques import CliqueIndex, count_cliques
 from .graph import Graph, PartSpec
 
 
@@ -53,14 +53,12 @@ def density_sum(terms: dict[int, Fraction], orders: Sequence[int],
     return sum((terms[c] * k for c, k in mass.items() if k), Fraction(0))
 
 
-def localized_zykov_bound(g: Graph, t: int, profile: CliqueProfile) -> Fraction:
-    """n^(t-1) * sum_v C(c(v), t) / c(v)^t, exactly."""
+def localized_zykov_bound(index: CliqueIndex, t: int) -> Fraction:
+    """n^(t-1) * sum_v C(c(v), t) / c(v)^t, exactly, from the index's c(v)."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    if len(profile.c) != g.n:
-        raise ValueError("profile length does not match graph order")
-    total = density_sum(density_terms(profile.c, t), profile.c, repeat(1))
-    return Fraction(g.n) ** (t - 1) * total
+    total = density_sum(density_terms(index.c, t), index.c, repeat(1))
+    return Fraction(index.graph.n) ** (t - 1) * total
 
 
 def zykov_bound(n: int, r: int, t: int) -> Fraction:
@@ -85,10 +83,10 @@ def edge_localized_turan_sum(index: CliqueIndex) -> Fraction:
     return kirsch_nir_sum(index, 2) / 2
 
 
-def vertex_localized_turan_bound(g: Graph, profile: CliqueProfile) -> int:
+def vertex_localized_turan_bound(index: CliqueIndex) -> int:
     """floor((n/2) * sum_v (c(v)-1)/c(v)), the floor of the localized bound
     at t = 2, since (c-1)/(2c) = C(c, 2)/c^2."""
-    return floor(localized_zykov_bound(g, 2, profile))
+    return floor(localized_zykov_bound(index, 2))
 
 
 def kirsch_nir_sum(index: CliqueIndex, t: int) -> Fraction:
@@ -167,7 +165,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     """``bound_report`` for each t of ``ts``, in order, from the graph's
     clique index.
 
-    The index's one maximal-clique pass serves every t. The profile, the
+    The index's one maximal-clique pass serves every t. The c(v) it keeps, the
     certificate, the edge sum and the floored vertex bound do not depend on t
     and are computed once. One walk counts the t-cliques of t = 2 and of
     every t of ``ts`` together; the histograms of largest-containing-clique
@@ -188,29 +186,28 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
             kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
         ) for t in ts]
     index.histograms({2, *ts})
-    profile = vertex_clique_numbers(index)
     certificate = is_regular_complete_multipartite(g)
     edge_sum = edge_localized_turan_sum(index)
-    vertex_turan = vertex_localized_turan_bound(g, profile)
+    vertex_turan = vertex_localized_turan_bound(index)
     reports = []
     for t in ts:
         true_count = count_cliques(index, t)
-        localized = localized_zykov_bound(g, t, profile)
+        localized = localized_zykov_bound(index, t)
         tight = Fraction(true_count) == localized
-        if t <= profile.omega and tight != (certificate is not None):
+        if t <= index.omega and tight != (certificate is not None):
             raise TightnessInvariantError(
                 f"tightness flag {tight} contradicts certificate {certificate} "
-                f"for t={t}, omega={profile.omega}", t
+                f"for t={t}, omega={index.omega}", t
             )
         reports.append(BoundReport(
             t=t,
             n=g.n,
             m=g.m,
-            omega=profile.omega,
+            omega=index.omega,
             true_count=true_count,
             localized_zykov=localized,
-            zykov_classical=zykov_bound(g.n, profile.omega, t),
-            turan=turan_bound(g.n, profile.omega) if t == 2 else None,
+            zykov_classical=zykov_bound(g.n, index.omega, t),
+            turan=turan_bound(g.n, index.omega) if t == 2 else None,
             edge_localized_sum=edge_sum,
             vertex_localized_turan=vertex_turan,
             kirsch_nir_sum=kirsch_nir_sum(index, t),

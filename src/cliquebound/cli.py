@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundReport, TightnessInvariantError, bound_reports, outcome
-from .cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
+from .cliques import BudgetExceeded, CliqueIndex
 from .corpus import named_small_graphs, random_graph_name, seeded_random_corpus
 from .graph import (
     Graph,
@@ -272,7 +272,6 @@ def cmd_phi(args) -> int:
     lines = []
     try:
         index = CliqueIndex(g, args.budget)
-        omega = vertex_clique_numbers(index).omega
         if g.n == 0:
             lines.append("phi_uniform = 0/1 (0)")
             lines.append("min_sampled_phi = 0/1 (0)")
@@ -291,7 +290,7 @@ def cmd_phi(args) -> int:
             lines.append(f"descent_end_phi = {_rat(end_phi)} ({_dec(end_phi)}) "
                          f"support_clique_order={trace.omega_end}")
     except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {paths[0]}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except PhiNegativityError as exc:
         print(f"error: {paths[0]}: t={t}: {exc}", file=sys.stderr)
@@ -299,8 +298,8 @@ def cmd_phi(args) -> int:
     if not _write_output("\n".join(lines) + "\n", args.out):
         return EXIT_USAGE
     # A vacuous phi(uniform) = 0 keeps exit 0.
-    kind = outcome(t, omega, tight)
-    print(f"vacuous, t = {t} > omega = {omega}" if kind == "vacuous" else kind,
+    kind = outcome(t, index.omega, tight)
+    print(f"vacuous, t = {t} > omega = {index.omega}" if kind == "vacuous" else kind,
           file=sys.stderr)
     return EXIT_OK if tight else EXIT_STRICT
 
@@ -324,7 +323,7 @@ def run_selfcheck(budget: int | None = None, seed: int = 0):
     rng = random.Random(seed)
     for name, g in graphs:
         index = CliqueIndex(g, budget)
-        profile = vertex_clique_numbers(index)
+        profile = (index.c, index.omega)
         oracle_profile = brute_vertex_clique_numbers(g)
         yield (f"profile_oracle[{name}]", profile == oracle_profile,
                f"{profile} vs {oracle_profile}")

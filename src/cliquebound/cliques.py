@@ -6,7 +6,8 @@ search finds, numbered smallest first (equal orders by mask), and, per
 vertex, the bitset of the ids of the cliques that hold it, whose highest bit
 names a largest clique holding the vertex. The bitsets are the transpose of
 the cliques x vertices bit matrix, built by ``graph.transpose``, which the
-graph6 decoder shares. One counting walk reads off it, for every order t a
+graph6 decoder shares. The index reads c(v) off them once, as ``c``, with
+omega as ``omega``. One counting walk reads off them, for every order t a
 run asks for at once, the order alpha(T) of the largest clique containing
 each t-clique T (c(v) at t = 1, w(e) at t = 2), and the index keeps per t
 the histogram of alpha, whose total is N(G, K_t). At each node, a clique C
@@ -25,7 +26,6 @@ that does clique work takes the graph's ``CliqueIndex``; none builds its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
@@ -40,18 +40,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, budget: int):
         super().__init__(f"clique enumeration exceeded work budget of {budget} nodes")
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class CliqueProfile:
-    """Per-vertex largest-containing-clique orders and the clique number."""
-
-    c: tuple[int, ...]
-    omega: int
-
-    def __post_init__(self):
-        if self.c and max(self.c) != self.omega:
-            raise ValueError("omega must equal max of the per-vertex profile")
 
 
 class _Work:
@@ -186,16 +174,18 @@ class CliqueIndex:
     ``sizes[i]`` its order, and ``member[v]`` the bitset of the ids of the
     cliques that hold v, whose highest bit names a largest clique holding v.
     ``member`` is ``graph.transpose(cliques, n)``, not charged to the work
-    meter. The c(v) profile, the largest-containing-clique order of every
-    t-clique for any t, and the clique counts are then read without a second
-    pass: one counting walk fills the histogram of every order asked for
-    together, and the index keeps each one. The bound and simplex functions
-    read the graph and c(v) from the index and run their clique sums through
+    meter. ``c[v]`` is c(v), set once from ``member`` by
+    ``vertex_clique_numbers``, and ``omega`` is max c(v), 0 on the empty
+    graph. The largest-containing-clique order of every t-clique for any t,
+    and the clique counts, are then read without a second pass: one counting
+    walk fills the histogram of every order asked for together, and the
+    index keeps each one. The bound and simplex functions read the graph,
+    ``c`` and ``omega`` from the index and run their clique sums through
     ``weight_sum``, so the budget caps the total work done on the graph, in
     nodes: those of the pass, of each walk and of every weighted clique sum.
     """
 
-    __slots__ = ("graph", "work", "cliques", "sizes", "member", "_histograms")
+    __slots__ = ("graph", "work", "cliques", "sizes", "member", "c", "omega", "_histograms")
 
     def __init__(self, g: Graph, budget: int | None = None):
         self.graph = g
@@ -207,6 +197,8 @@ class CliqueIndex:
         self.cliques = cliques
         self.sizes = [clique.bit_count() for clique in cliques]
         self.member = transpose(cliques, g.n)
+        self.c = vertex_clique_numbers(self)
+        self.omega = max(self.c, default=0)
         self._histograms: dict[int, Counter] = {}
 
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
@@ -225,13 +217,12 @@ class CliqueIndex:
                 raise ValueError(f"clique order must be >= 1, got {t}")
         todo = sorted(ts.difference(self._histograms))
         if todo:
-            omega = self.sizes[-1] if self.sizes else 0
-            hists = {t: [0] * (omega + 1) for t in todo}
+            hists = {t: [0] * (self.omega + 1) for t in todo}
             # No node lies deeper than omega - 1; the root is depth 0.
             plan = [([(hists[t], t - depth) for t in todo if t > depth],
                      hists.get(depth + 1),
-                     next((t for t in todo if t > depth + 1), omega + 1))
-                    for depth in range(max(1, min(todo[-1], omega)))]
+                     next((t for t in todo if t > depth + 1), self.omega + 1))
+                    for depth in range(max(1, min(todo[-1], self.omega)))]
             # Every id may be shared at the root: smaller cliques never
             # change the highest bit.
             _count(self.graph.adjacency, self.member, self.cliques or [0], self.sizes or [0],
@@ -261,11 +252,11 @@ def count_cliques(index: CliqueIndex, t: int) -> int:
     return index.histogram(t).total()
 
 
-def vertex_clique_numbers(index: CliqueIndex) -> CliqueProfile:
+def vertex_clique_numbers(index: CliqueIndex) -> tuple[int, ...]:
     """c(v) = order of the largest clique containing v, for every vertex: the
-    highest id that holds v names a largest clique.
+    highest id that holds v names a largest clique. ``CliqueIndex`` calls it
+    once and keeps the result as ``index.c``; read that instead.
 
     Isolated vertices are maximal 1-cliques, so c(v) = 1.
     """
-    c = tuple(index.sizes[ids.bit_length() - 1] for ids in index.member)
-    return CliqueProfile(c, index.sizes[-1] if index.sizes else 0)
+    return tuple(index.sizes[ids.bit_length() - 1] for ids in index.member)

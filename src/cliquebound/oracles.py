@@ -1,16 +1,16 @@
 """Brute-force reference implementations for small graphs.
 
-These deliberately share no clique-expansion code with the fast paths in
-``cliques``: everything here is plain subset enumeration over vertex tuples
-with pairwise adjacency tests. A hard n <= 20 guard keeps cost bounded.
+These deliberately share no code with the fast paths, and import only
+``graph`` of this package: everything here is plain subset enumeration over
+vertex tuples with pairwise adjacency tests. A hard n <= 20 guard caps cost.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
-from .cliques import CliqueProfile
 from .graph import Graph
 
 MAX_ORACLE_N = 20
@@ -37,11 +37,18 @@ def brute_count_cliques(g: Graph, t: int) -> int:
     return sum(1 for combo in combinations(range(g.n), t) if _is_clique(g, combo))
 
 
-def brute_vertex_clique_numbers(g: Graph) -> CliqueProfile:
+class BruteProfile(NamedTuple):
+    """c(v) per vertex and omega, comparable with ``(index.c, index.omega)``."""
+
+    c: tuple[int, ...]
+    omega: int
+
+
+def brute_vertex_clique_numbers(g: Graph) -> BruteProfile:
     """c(v) profile by enumerating every clique subset and updating maxima."""
     _guard(g)
     if g.n == 0:
-        return CliqueProfile((), 0)
+        return BruteProfile((), 0)
     c = [1] * g.n
     for k in range(2, g.n + 1):
         for combo in combinations(range(g.n), k):
@@ -49,7 +56,7 @@ def brute_vertex_clique_numbers(g: Graph) -> CliqueProfile:
                 for v in combo:
                     if k > c[v]:
                         c[v] = k
-    return CliqueProfile(tuple(c), max(c))
+    return BruteProfile(tuple(c), max(c))
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

@@ -7,9 +7,10 @@ phi linearly, which drives a support-shrinking descent that terminates on a
 clique support.
 
 Every function that does clique work takes the graph's ``CliqueIndex``: it
-reads the graph and c(v) from the index, and runs its clique sums
-through ``CliqueIndex.weight_sum``, which charges them to the index's one
-work meter, so one budget caps all the work done on one graph.
+reads the graph and c(v), kept once as ``index.c``, from the index, and runs
+its clique sums through ``CliqueIndex.weight_sum``, which charges them to
+the index's one work meter, so one budget caps all the work done on one
+graph.
 
 A point is held as integer numerators over one common denominator D, so the
 clique polynomial runs on integers: B is one integer clique sum over D^t, and
@@ -26,7 +27,7 @@ from functools import cached_property, reduce
 from math import gcd, lcm
 
 from .bounds import clique_density_term, density_sum, density_terms
-from .cliques import CliqueIndex, vertex_clique_numbers
+from .cliques import CliqueIndex
 
 
 class SimplexError(ValueError):
@@ -141,12 +142,18 @@ class PhiEvaluation:
 
 
 def _check(index: CliqueIndex, t: int, n: int) -> tuple[int, ...]:
-    """c(v) of the index's graph, once t and the point dimension n fit it."""
+    """``index.c``, once t and the point dimension n fit the index's graph."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if n != index.graph.n:
         raise SimplexError(f"point dimension {n} does not match graph order {index.graph.n}")
-    return vertex_clique_numbers(index).c
+    return index.c
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    """Two distinct vertices of 0..n-1, so that no negative index wraps round."""
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise SimplexError(f"need two distinct vertices of 0..{n - 1}, got {i} and {j}")
 
 
 def _phi(index: CliqueIndex, t: int, c, terms: dict[int, Fraction],
@@ -169,9 +176,8 @@ def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fra
     Antisymmetric in (i, j). Equals the phi difference of a transfer only
     when i and j are non-adjacent (no t-clique contains both).
     """
-    if i == j:
-        raise ValueError("delta requires two distinct vertices")
     c = _check(index, t, x.n)
+    _check_pair(x.n, i, j)
     a_part = clique_density_term(c[i], t) - clique_density_term(c[j], t)
     adj, support = index.graph.adjacency, x.support_mask
     s_i = index.weight_sum(adj[i] & support, t - 1, x.nums)
@@ -182,8 +188,7 @@ def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fra
 def transfer(x: SimplexPoint, i: int, j: int, epsilon: Fraction) -> SimplexPoint:
     """Move mass epsilon from coordinate j to coordinate i."""
     epsilon = Fraction(epsilon)
-    if i == j:
-        raise SimplexError("transfer requires two distinct coordinates")
+    _check_pair(x.n, i, j)
     p, q = epsilon.numerator, epsilon.denominator
     if not 0 <= p * x.den <= x.nums[j] * q:
         raise SimplexError(

@@ -18,11 +18,7 @@ from cliquebound.bounds import (
     vertex_localized_turan_bound,
     zykov_bound,
 )
-from cliquebound.cliques import (
-    CliqueIndex,
-    count_cliques,
-    vertex_clique_numbers,
-)
+from cliquebound.cliques import CliqueIndex, count_cliques
 from cliquebound.corpus import (
     named_small_graphs,
     regular_multipartite_family,
@@ -74,11 +70,6 @@ def corpus():
     return out
 
 
-@pytest.fixture(scope="module")
-def profiles(corpus):
-    return {name: vertex_clique_numbers(CliqueIndex(g)) for name, g in corpus}
-
-
 def _report(num, name):
     print(f"ACCEPTANCE {num} {name}: PASS")
 
@@ -88,12 +79,11 @@ def test_criterion_1_tight_case_reproduction():
     for s, r in TIGHT_FAMILY:
         g = generate_complete_multipartite([s] * r)
         index = CliqueIndex(g)
-        profile = vertex_clique_numbers(index)
         cert = is_regular_complete_multipartite(g)
         assert cert is not None and cert.sizes == (s,) * r
         for t in range(2, r + 1):
             true_count = count_cliques(index, t)
-            bound = localized_zykov_bound(g, t, profile)
+            bound = localized_zykov_bound(index, t)
             assert Fraction(true_count) == bound
     elapsed = time.monotonic() - start
     assert elapsed < 10
@@ -105,11 +95,10 @@ def test_criterion_2_soundness_sweep(sweep):
     assert len(sweep) == 200
     for name, g in sweep:
         index = CliqueIndex(g)
-        profile = vertex_clique_numbers(index)
         for t in range(2, 6):
             true_count = count_cliques(index, t)
-            local = localized_zykov_bound(g, t, profile)
-            classical = zykov_bound(g.n, profile.omega, t)
+            local = localized_zykov_bound(index, t)
+            classical = zykov_bound(g.n, index.omega, t)
             assert Fraction(true_count) <= local <= classical, (name, t)
     assert time.monotonic() - start < 120
     _report(2, "soundness sweep")
@@ -118,10 +107,9 @@ def test_criterion_2_soundness_sweep(sweep):
 def test_criterion_3_strictness_direction(sweep):
     for name, g in sweep:
         index = CliqueIndex(g)
-        profile = vertex_clique_numbers(index)
         cert = is_regular_complete_multipartite(g)
         strict_ts = []
-        for t in range(2, min(profile.omega, 5) + 1):
+        for t in range(2, min(index.omega, 5) + 1):
             rep = bound_report(index, t)
             if rep.is_tight:
                 assert rep.extremal_certificate is not None, (name, t)
@@ -130,35 +118,34 @@ def test_criterion_3_strictness_direction(sweep):
         if cert is None:
             # a non-certified graph has an edge, so omega >= 2 and some
             # t <= omega must be strict (t = 2 always is, by the edge bound)
-            assert profile.omega >= 2, name
+            assert index.omega >= 2, name
             assert strict_ts and 2 in strict_ts, name
     _report(3, "strictness direction")
 
 
-def test_criterion_4_t2_recovery(corpus, profiles):
+def test_criterion_4_t2_recovery(corpus):
     for name, g in corpus:
         if g.n == 0:
             continue
-        profile = profiles[name]
+        index = CliqueIndex(g)
         pre_floor = Fraction(g.n, 2) * sum(
-            (Fraction(c - 1, c) for c in profile.c), Fraction(0)
+            (Fraction(c - 1, c) for c in index.c), Fraction(0)
         )
-        assert pre_floor == localized_zykov_bound(g, 2, profile), name
-        floored = vertex_localized_turan_bound(g, profile)
+        assert pre_floor == localized_zykov_bound(index, 2), name
+        floored = vertex_localized_turan_bound(index)
         assert floored == pre_floor.numerator // pre_floor.denominator
         assert g.m <= floored, name
     _report(4, "t=2 recovery")
 
 
-def test_criterion_5_phi_nonnegativity(corpus, profiles):
+def test_criterion_5_phi_nonnegativity(corpus):
     tight_at_uniform = set()
     for name, g in corpus:
-        profile = profiles[name]
         for t in range(2, 6):
             index = CliqueIndex(g)
             report = verify_nonnegativity(index, t, samples=500, seed=42)
             assert report.min_phi >= 0, (name, t)
-            local = localized_zykov_bound(g, t, profile)
+            local = localized_zykov_bound(index, t)
             true_count = count_cliques(index, t)
             # equality bridge: localized - N = n^t * phi(uniform)
             assert local - true_count == g.n**t * report.phi_uniform, (name, t)
@@ -227,7 +214,7 @@ def test_criterion_8_oracle_equivalence(corpus):
         if g.n > 16:
             continue
         index = CliqueIndex(g)
-        assert vertex_clique_numbers(index) == brute_vertex_clique_numbers(g), name
+        assert (index.c, index.omega) == brute_vertex_clique_numbers(g), name
         for t in range(1, 7):
             assert count_cliques(index, t) == brute_count_cliques(g, t), (name, t)
         for t in (2, 3):

@@ -20,7 +20,7 @@ from cliquebound.bounds import (
     vertex_localized_turan_bound,
     zykov_bound,
 )
-from cliquebound.cliques import CliqueIndex, count_cliques, vertex_clique_numbers
+from cliquebound.cliques import CliqueIndex, count_cliques
 from cliquebound.corpus import complete_graph, empty_graph, star_graph
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
@@ -69,22 +69,19 @@ def relabelled_multipartite(draw):
 class TestLocalizedZykov:
     def test_octahedron_tight_t3(self, octa):
         index = CliqueIndex(octa)
-        p = vertex_clique_numbers(index)
-        assert localized_zykov_bound(octa, 3, p) == 8
+        assert localized_zykov_bound(index, 3) == 8
         assert count_cliques(index, 3) == 8
 
     def test_c5_t2(self, c5):
-        p = vertex_clique_numbers(CliqueIndex(c5))
-        assert localized_zykov_bound(c5, 2, p) == Fraction(25, 4)
+        assert localized_zykov_bound(CliqueIndex(c5), 2) == Fraction(25, 4)
         assert c5.m < Fraction(25, 4)
 
     def test_k4_t2_tight(self, k4):
-        p = vertex_clique_numbers(CliqueIndex(k4))
-        assert localized_zykov_bound(k4, 2, p) == 6 == k4.m
+        assert localized_zykov_bound(CliqueIndex(k4), 2) == 6 == k4.m
 
     def test_t_below_two_rejected(self, k4):
         with pytest.raises(ValueError):
-            localized_zykov_bound(k4, 1, vertex_clique_numbers(CliqueIndex(k4)))
+            localized_zykov_bound(CliqueIndex(k4), 1)
 
 
 class TestClassicalBounds:
@@ -119,18 +116,18 @@ class TestEdgeLocalized:
 
 class TestVertexLocalizedTuran:
     def test_c5(self, c5):
-        assert vertex_localized_turan_bound(c5, vertex_clique_numbers(CliqueIndex(c5))) == 6
+        assert vertex_localized_turan_bound(CliqueIndex(c5)) == 6
 
     def test_k4(self, k4):
-        assert vertex_localized_turan_bound(k4, vertex_clique_numbers(CliqueIndex(k4))) == 6 == k4.m
+        assert vertex_localized_turan_bound(CliqueIndex(k4)) == 6 == k4.m
 
     @given(graphs(min_n=1))
     def test_pre_floor_equals_localized_t2(self, g):
         # algebraic identity: C(c,2)/c^2 = (c-1)/(2c)
-        p = vertex_clique_numbers(CliqueIndex(g))
-        pre_floor = Fraction(g.n, 2) * sum(Fraction(c - 1, c) for c in p.c)
-        assert pre_floor == localized_zykov_bound(g, 2, p)
-        assert g.m <= vertex_localized_turan_bound(g, p)
+        index = CliqueIndex(g)
+        pre_floor = Fraction(g.n, 2) * sum(Fraction(c - 1, c) for c in index.c)
+        assert pre_floor == localized_zykov_bound(index, 2)
+        assert g.m <= vertex_localized_turan_bound(index)
 
 
 class TestKirschNir:

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from cliquebound import bounds
+import cliquebound
 from cliquebound.cli import main
 from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_graph6
 
@@ -530,7 +530,7 @@ def test_phi_budget_caps_run_total(tmp_path, capsys):
                          "--budget", "229")
     assert code == 3
     assert out == ""
-    assert "work budget of 229" in err
+    assert err == f"error: {path}: clique enumeration exceeded work budget of 229 nodes\n"
     code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "230")
     assert code == 0
 
@@ -634,31 +634,51 @@ def test_option_not_read_by_subcommand_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _count_calls(monkeypatch, calls, *names):
+    """Patch a counting wrapper of each named function into every cliquebound
+    module that holds it, as a tracer would."""
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "cliquebound"]
+    for name in names:
+        original = getattr(cliquebound, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+
 def test_analyze_reads_each_quantity_through_its_named_function(tmp_path, capsys, monkeypatch):
-    # Counting wrappers patched into cliquebound.bounds by name, as a tracer
-    # would patch them, see every clique quantity that analyze reports.
+    # Counting wrappers patched in by name, as a tracer would patch them, see
+    # every clique quantity that analyze reports.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
         "--out", str(tmp_path))
     argv = ("analyze", str(tmp_path), "--t", "2", "--t-max", "3")
     _, expected, _ = run(capsys, *argv)
     calls = Counter()
-
-    def counting(name):
-        original = getattr(bounds, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in ("vertex_clique_numbers", "count_cliques", "edge_localized_turan_sum",
-                 "kirsch_nir_sum"):
-        monkeypatch.setattr(bounds, name, counting(name))
+    _count_calls(monkeypatch, calls, "vertex_clique_numbers", "count_cliques",
+                 "edge_localized_turan_sum", "kirsch_nir_sum")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
-    # Per graph: one profile and one edge sum, which reads the Kirsch-Nir sum
-    # at t = 2; then one count and one Kirsch-Nir sum per t.
+    # Per graph: c(v) read once, by its index, and one edge sum, which reads
+    # the Kirsch-Nir sum at t = 2; then one count and one Kirsch-Nir sum per t.
     assert calls == {"vertex_clique_numbers": 2, "edge_localized_turan_sum": 2,
                      "count_cliques": 4, "kirsch_nir_sum": 6}
+
+
+def test_phi_reads_c_once(tmp_path, capsys, monkeypatch):
+    # phi's sampling, descent and end-point phi all read c(v) off the one
+    # index of the run.
+    run(capsys, "generate", "random", "--n", "9", "--p", "1/2", "--seed", "4",
+        "--out", str(tmp_path))
+    argv = ("phi", str(tmp_path), "--t", "3", "--samples", "5")
+    _, expected, _ = run(capsys, *argv)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "vertex_clique_numbers")
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    assert out == expected
+    assert calls == {"vertex_clique_numbers": 1}

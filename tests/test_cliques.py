@@ -68,35 +68,37 @@ class TestCountCliques:
 
 class TestVertexCliqueNumbers:
     def test_c5(self, c5):
-        p = vertex_clique_numbers(CliqueIndex(c5))
-        assert p.c == (2,) * 5 and p.omega == 2
+        index = CliqueIndex(c5)
+        assert index.c == (2,) * 5 and index.omega == 2
 
     def test_k4(self, k4):
-        p = vertex_clique_numbers(CliqueIndex(k4))
-        assert p.c == (4,) * 4 and p.omega == 4
+        index = CliqueIndex(k4)
+        assert index.c == (4,) * 4 and index.omega == 4
 
     def test_paw(self, paw):
         # frozen from the brute-force oracle
-        assert vertex_clique_numbers(CliqueIndex(paw)).c == (3, 3, 3, 2)
+        assert CliqueIndex(paw).c == (3, 3, 3, 2)
 
     def test_isolated_vertices_get_one(self):
         g = Graph.from_edges(4, [(0, 1)])
-        assert vertex_clique_numbers(CliqueIndex(g)).c == (2, 2, 1, 1)
+        assert CliqueIndex(g).c == (2, 2, 1, 1)
 
     def test_empty_graph(self):
-        p = vertex_clique_numbers(CliqueIndex(Graph(0, ())))
-        assert p.c == () and p.omega == 0
+        index = CliqueIndex(Graph(0, ()))
+        assert index.c == () and index.omega == 0
 
     @given(graphs())
     def test_matches_oracle(self, g):
-        assert vertex_clique_numbers(CliqueIndex(g)) == brute_vertex_clique_numbers(g)
+        index = CliqueIndex(g)
+        assert (index.c, index.omega) == brute_vertex_clique_numbers(g)
+        assert vertex_clique_numbers(index) == index.c
 
     @given(graphs(min_n=1))
     def test_profile_invariants(self, g):
-        p = vertex_clique_numbers(CliqueIndex(g))
-        assert max(p.c) == p.omega
-        for v, c in enumerate(p.c):
-            assert 1 <= c <= p.omega
+        index = CliqueIndex(g)
+        assert max(index.c) == index.omega == index.sizes[-1]
+        for v, c in enumerate(index.c):
+            assert 1 <= c <= index.omega
             assert (c == 1) == (g.degree(v) == 0)
 
     @given(graphs(min_n=2))
@@ -104,10 +106,10 @@ class TestVertexCliqueNumbers:
         edges = list(g.edges())
         if not edges:
             return
-        before = vertex_clique_numbers(CliqueIndex(g)).c
+        before = CliqueIndex(g).c
         u, v = edges[0]
         smaller = Graph.from_edges(g.n, edges[1:])
-        after = vertex_clique_numbers(CliqueIndex(smaller)).c
+        after = CliqueIndex(smaller).c
         assert all(a <= b for a, b in zip(after, before))
 
 
@@ -326,7 +328,7 @@ class TestSmallestFirst:
         index = CliqueIndex(_K5_WITH_K4)
         assert index.histograms((3, 4)) == {3: Counter({5: 10, 4: 3}),
                                             4: Counter({5: 5, 4: 1})}
-        assert vertex_clique_numbers(index).c == (5, 5, 5, 5, 5, 4)
+        assert index.c == (5, 5, 5, 5, 5, 4)
         # The pass's 7 nodes and a walk of 2: the root counts every clique
         # inside the K_5 in one step, and vertex 5, the one candidate outside
         # it, every clique of its K_4 that holds it.
@@ -346,12 +348,12 @@ class TestSmallestFirst:
 def _readings(g):
     """What a fresh index gives out: the histograms at t = 2..4 with the
     nodes of the one walk that ``bound_reports`` runs for them, the reports
-    at t = 2..4, c(v), and each histogram(t) for t = 1..5 with the nodes its
+    at t = 2..4, c(v) and omega, and each histogram(t) for t = 1..5 with the nodes its
     walk charged."""
     index = CliqueIndex(g)
     walk = _walked(index, (2, 3, 4))
     reports = bound_reports(index, (2, 3, 4))
-    return (walk, reports, vertex_clique_numbers(index),
+    return (walk, reports, (index.c, index.omega),
             [_walked(index, [t]) for t in range(1, 6)])
 
 

@@ -1,7 +1,10 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from cliquebound import oracles
 from cliquebound.corpus import complete_graph, empty_graph, octahedron, path_graph
 from cliquebound.graph import Graph
 from cliquebound.oracles import (
@@ -30,7 +33,13 @@ def test_paw_profile_frozen(paw):
 
 
 def test_k4_profile(k4):
-    assert brute_vertex_clique_numbers(k4).c == (4, 4, 4, 4)
+    profile = brute_vertex_clique_numbers(k4)
+    assert profile.c == (4, 4, 4, 4) and profile.omega == 4
+    assert profile == ((4, 4, 4, 4), 4)
+
+
+def test_empty_graph_profile():
+    assert brute_vertex_clique_numbers(Graph(0, ())) == ((), 0)
 
 
 def test_edgeless_profile():
@@ -68,3 +77,15 @@ def test_size_guard_is_hard_error():
         brute_count_cliques(g, 2)
     with pytest.raises(OracleSizeError):
         brute_vertex_clique_numbers(g)
+
+
+def test_oracles_import_only_graph_from_the_package():
+    # The reference shares no code with the paths it checks: of this package
+    # it imports only the graph type.
+    imports = []
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imports.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imports.extend(alias.name for alias in node.names)
+    assert [name for name in imports if name.startswith((".", "cliquebound"))] == [".graph"]

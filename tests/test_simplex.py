@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from cliquebound.bounds import clique_density_term
-from cliquebound.cliques import BudgetExceeded, CliqueIndex, vertex_clique_numbers
-from cliquebound.corpus import empty_graph, paw_graph
+from cliquebound.cliques import BudgetExceeded, CliqueIndex
+from cliquebound.corpus import empty_graph, path_graph, paw_graph
 from cliquebound.graph import Graph
 from cliquebound.simplex import (
     SimplexPoint,
@@ -24,9 +24,9 @@ from cliquebound.simplex import (
 from strategies import graph_and_point, graphs
 
 
-def reference_phi(g, t, profile, x):
+def reference_phi(g, t, c, x):
     """Direct itertools evaluation of (A, B), independent of the bitset paths."""
-    a = sum(x.x[v] * Fraction(comb(profile.c[v], t), profile.c[v] ** t)
+    a = sum(x.x[v] * Fraction(comb(c[v], t), c[v] ** t)
             for v in range(g.n))
     b = Fraction(0)
     for combo in combinations(range(g.n), t):
@@ -38,12 +38,12 @@ def reference_phi(g, t, profile, x):
     return a, b
 
 
-def naive_descent(g, t, profile, x0):
+def naive_descent(g, t, c, x0):
     """Reference descent: rescan every support pair each round and take phi,
     and delta from the phi difference of a full transfer, from reference_phi."""
 
     def phi(coords):
-        a, b = reference_phi(g, t, profile, SimpleNamespace(x=tuple(coords)))
+        a, b = reference_phi(g, t, c, SimpleNamespace(x=tuple(coords)))
         return a - b
 
     coords = list(x0.x)
@@ -135,7 +135,7 @@ class TestEvalPhi:
         for v in range(4):
             ev = eval_phi(index, 2, SimplexPoint.concentrated(4, v))
             assert ev.b == 0
-            assert ev.phi == clique_density_term(vertex_clique_numbers(index).c[v], 2)
+            assert ev.phi == clique_density_term(index.c[v], 2)
 
     def test_dimension_mismatch(self, k4):
         with pytest.raises(SimplexError):
@@ -147,7 +147,7 @@ class TestEvalPhi:
         g, x = gp
         index = CliqueIndex(g)
         ev = eval_phi(index, t, x)
-        a, b = reference_phi(g, t, vertex_clique_numbers(index), x)
+        a, b = reference_phi(g, t, index.c, x)
         assert (ev.a, ev.b) == (a, b)
         assert ev.phi == ev.a - ev.b
 
@@ -159,6 +159,12 @@ class TestDelta:
     def test_same_vertex_rejected(self, c5):
         with pytest.raises(ValueError):
             delta_ij(CliqueIndex(c5), 2, SimplexPoint.uniform(5), 1, 1)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (2, -1), (4, 0), (2, 4)])
+    def test_vertex_out_of_range_rejected(self, i, j):
+        # On P4, -1 would otherwise read vertex 3 and 4 raise an IndexError.
+        with pytest.raises(SimplexError, match="distinct vertices of 0..3"):
+            delta_ij(CliqueIndex(path_graph(4)), 2, SimplexPoint.uniform(4), i, j)
 
     @given(graph_and_point(min_n=2), st.integers(min_value=2, max_value=4))
     @settings(max_examples=80)
@@ -179,6 +185,12 @@ class TestTransfer:
         y = transfer(x, 0, 1, Fraction(1, 3))
         assert y.support == {0, 2}
         assert y.x[0] == Fraction(2, 3)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_rejects_vertex_out_of_range(self, i, j):
+        # On 4 vertices, -1 would otherwise move mass to or from vertex 3.
+        with pytest.raises(SimplexError, match="distinct vertices of 0..3"):
+            transfer(SimplexPoint.uniform(4), i, j, Fraction(1, 4))
 
     def test_rejects_excess(self):
         x = SimplexPoint.uniform(3)
@@ -256,7 +268,7 @@ class TestDescent:
         g, x0 = gp
         index = CliqueIndex(g)
         trace = descend_to_clique_support(index, t, x0)
-        steps, end = naive_descent(g, t, vertex_clique_numbers(index), x0)
+        steps, end = naive_descent(g, t, index.c, x0)
         assert [(s.i, s.j, s.epsilon, s.delta_ij, s.phi_after) for s in trace.steps] == steps
         assert trace.end == SimplexPoint(end) and trace.end.x == end
 
