@@ -42,6 +42,8 @@ def main():
         ap.error(f"--t must be >= 2, got {args.t}")
     if args.starts < 1:
         ap.error(f"--starts must be >= 1, got {args.starts}")
+    if args.seed < 0:  # Random(-s) seeds like Random(s)
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     g = named_small_graphs()[args.graph]
     index = CliqueIndex(g)

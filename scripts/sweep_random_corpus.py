@@ -23,6 +23,8 @@ def main():
     args = ap.parse_args()
     if args.count < 1:
         ap.error(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:  # Random(-s) seeds like Random(s)
+        ap.error(f"--seed must be >= 0, got {args.seed}")
     if not 2 <= args.t <= args.t_max <= 16:
         ap.error(f"--t and --t-max must satisfy 2 <= t <= t_max <= 16, "
                  f"got {args.t} and {args.t_max}")

@@ -431,6 +431,8 @@ def usage_error(args) -> str | None:
     if "t" in args and not 2 <= args.t <= args.t_max <= 16:
         return (f"error: t range must satisfy 2 <= t <= t_max <= 16, "
                 f"got [{args.t}, {args.t_max}]")
+    if "seed" in args and args.seed < 0:  # Random(-s) seeds like Random(s)
+        return f"error: seed must be >= 0, got {args.seed}"
     if "samples" in args and args.samples < 1:
         return f"error: sample count must be >= 1, got {args.samples}"
     if "budget" in args and args.budget is not None and args.budget < 1:

@@ -9,6 +9,7 @@ and the clique index.
 from __future__ import annotations
 
 import base64
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -380,18 +381,20 @@ def generate_complete_multipartite(parts: PartSpec | Iterable[int]) -> Graph:
 def generate_random(n: int, p: Fraction, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with exact rational p.
 
-    PRNG: Python's ``random.Random`` (Mersenne Twister) seeded with ``seed``.
-    Pairs are visited in lexicographic order; the pair (u, v) is an edge iff
-    getrandbits(64) / 2^64 < p, so identical seeds reproduce identical graphs.
+    PRNG: Python's ``random.Random`` (Mersenne Twister) seeded with a
+    ``seed`` >= 0 (``Random`` seeds -s like s, so negative seeds are refused).
+    Pairs are visited in lexicographic order and each takes one draw; the
+    pair (u, v) is an edge iff getrandbits(64) / 2^64 < p, evaluated exactly
+    as getrandbits(64) < ceil(p * 2^64), since an integer lies below a
+    rational exactly when it lies below that rational's ceiling. Identical
+    seeds reproduce identical graphs.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise GraphError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    scaled = p * (1 << 64)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.getrandbits(64) < scaled:
-                edges.append((u, v))
+    if seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
+    draw = random.Random(seed).getrandbits
+    threshold = math.ceil(p * (1 << 64))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(64) < threshold]
     return Graph.from_edges(n, edges)

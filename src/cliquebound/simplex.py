@@ -326,6 +326,8 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     with no clique sum."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     n = index.graph.n
     if n == 0:
         raise ValueError("nonnegativity check needs n >= 1")

@@ -271,6 +271,23 @@ def test_option_out_of_range_rejected(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "random", "--n", "5", "--p", "1/2", "--seed", "-3", "--count", "7",
+     "--out", "o"],
+    ["phi", "x.el", "--seed", "-3"],
+    ["selfcheck", "--seed", "-3"],
+], ids=["generate", "phi", "selfcheck"])
+def test_negative_seed_rejected(tmp_path, capsys, monkeypatch, argv):
+    # Random(-s) seeds like Random(s): seed -3 would silently repeat seed 3.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.el").write_text("0 1\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_unparsable_file(tmp_path, capsys):
     (tmp_path / "bad.el").write_text("0 1 2 3\n")
     code, _, err = run(capsys, "analyze", str(tmp_path / "bad.el"), "--t", "2")

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from cliquebound import graph as graph_mod
@@ -273,6 +274,9 @@ class TestGraph6:
         assert parse_graph6(s) == g
 
 
+_SEED_0_DRAW = random.Random(0).getrandbits(64)  # the first draw of seed 0
+
+
 class TestGenerators:
     def test_octahedron(self):
         g = generate_complete_multipartite([2, 2, 2])
@@ -311,3 +315,42 @@ class TestGenerators:
     def test_random_p_out_of_range(self):
         with pytest.raises(GraphError):
             generate_random(5, Fraction(3, 2), 1)
+
+    def test_random_rejects_negative_seed(self):
+        # Random(-s) seeds like Random(s), so seed -3 would repeat seed 3.
+        with pytest.raises(GraphError, match="seed must be >= 0, got -3"):
+            generate_random(5, Fraction(1, 2), -3)
+
+    @given(
+        n=st.integers(0, 12),
+        p=st.integers(1, 1 << 80).flatmap(
+            lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
+        seed=st.integers(0, 1 << 64),
+    )
+    @example(n=12, p=Fraction(0), seed=0)
+    @example(n=12, p=Fraction(1), seed=0)
+    @example(n=12, p=Fraction(1, 2), seed=3)  # p * 2^64 is an integer
+    @example(n=12, p=Fraction(1, 1 << 64), seed=0)
+    @example(n=12, p=1 - Fraction(1, 1 << 65), seed=0)
+    # The one pair of n = 2 at p = r / 2^64 and at p = (r + 1/2) / 2^64, r
+    # the draw: no edge and an edge, the rule's two sides at its boundary.
+    @example(n=2, p=Fraction(_SEED_0_DRAW, 1 << 64), seed=0)
+    @example(n=2, p=Fraction(2 * _SEED_0_DRAW + 1, 1 << 65), seed=0)
+    def test_random_follows_documented_rule(self, n, p, seed):
+        # One 64-bit draw per pair, pairs in lexicographic order, and the
+        # pair is an edge iff draw / 2^64 < p, compared as exact rationals.
+        draw = random.Random(seed).getrandbits
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if Fraction(draw(64), 1 << 64) < p]
+        assert generate_random(n, p, seed) == Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("n, p, seed, sha256", [
+        (300, Fraction(6, 300), 1,
+         "12c0d20bff285a891ee34964befd070248a5c2c9547eae56fabaecf9c20bae32"),
+        (48, Fraction(1, 2), 5,
+         "7662f28d647f76f0c44d1631d0b884e28d3cddce535d7b27663580977402a7d0"),
+    ])
+    def test_random_graph6_pinned(self, n, p, seed, sha256):
+        # Pins the draw order across Python versions and generator rewrites.
+        g6 = to_graph6(generate_random(n, p, seed))
+        assert hashlib.sha256(g6.encode()).hexdigest() == sha256

@@ -45,6 +45,10 @@ def test_script_runs(script, args, expected):
     ("kernel_times.py", ["--graph", "multipartite:0x3"]),
     ("kernel_times.py", ["--graph", "multipartite:3x0"]),
     ("kernel_times.py", ["--graph", "kn:5"]),
+    # Random(-s) seeds like Random(s), so a negative seed is refused.
+    ("descent_demo.py", ["--seed", "-1"]),
+    ("sweep_random_corpus.py", ["--seed", "-1"]),
+    ("kernel_times.py", ["--graph", "gnp:10:1/2:-1"]),
 ])
 def test_script_rejects_bad_arguments(script, args):
     # A usage error: exit 2 and one error line, no traceback and no records.

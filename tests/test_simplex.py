@@ -327,6 +327,11 @@ class TestNonnegativity:
         with pytest.raises(ValueError):
             verify_nonnegativity(CliqueIndex(c5), 2, samples=0, seed=1)
 
+    def test_rejects_negative_seed(self, c5):
+        # Random(-s) seeds like Random(s), so seed -1 would repeat seed 1.
+        with pytest.raises(ValueError, match="seed >= 0"):
+            verify_nonnegativity(CliqueIndex(c5), 2, samples=1, seed=-1)
+
     def test_budget_caps_whole_call(self, octa):
         # The index's pass takes 15 nodes. No single evaluation needs the 85
         # left of a 100-node budget, but the 21 clique sums of the call do:
