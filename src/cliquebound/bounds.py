@@ -63,9 +63,12 @@ def localized_zykov_bound(index: CliqueIndex, t: int) -> Fraction:
 
 def zykov_bound(n: int, r: int, t: int) -> Fraction:
     """C(r, t) * (n / r)^t, the classical clique-count bound: the localized
-    bound with c(v) = r for every vertex."""
+    bound with c(v) = r for every vertex. The empty graph alone has r = 0,
+    and its bound is 0."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
+    if n == r == 0:
+        return Fraction(0)
     if r < 1:
         raise ValueError(f"clique bound r must be >= 1, got {r}")
     return n**t * clique_density_term(r, t)
@@ -170,21 +173,14 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     and are computed once. One walk counts the t-cliques of t = 2 and of
     every t of ``ts`` together; the histograms of largest-containing-clique
     orders it leaves in the index give the clique counts, the Kirsch-Nir sums
-    and the edge sum. The index's budget caps the total work.
+    and the edge sum. The index's budget caps the total work. The empty
+    graph takes the same path: its walk is the root alone, and all is 0.
     """
     ts = list(ts)
     for t in ts:
         if t < 2:
             raise ValueError(f"clique order t must be >= 2, got {t}")
     g = index.graph
-    if g.n == 0:
-        return [BoundReport(
-            t=t, n=0, m=0, omega=0, true_count=0,
-            localized_zykov=Fraction(0), zykov_classical=Fraction(0),
-            turan=Fraction(0) if t == 2 else None,
-            edge_localized_sum=Fraction(0), vertex_localized_turan=0,
-            kirsch_nir_sum=Fraction(0), is_tight=True, extremal_certificate=None,
-        ) for t in ts]
     index.histograms({2, *ts})
     certificate = is_regular_complete_multipartite(g)
     edge_sum = edge_localized_turan_sum(index)

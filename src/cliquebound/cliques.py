@@ -45,9 +45,9 @@ class BudgetExceeded(RuntimeError):
 class _Work:
     __slots__ = ("nodes", "budget")
 
-    def __init__(self, budget: int | None):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
         self.nodes = 0
-        self.budget = DEFAULT_BUDGET if budget is None else budget
+        self.budget = budget
 
     def tick(self):
         self.nodes += 1
@@ -183,11 +183,12 @@ class CliqueIndex:
     ``c`` and ``omega`` from the index and run their clique sums through
     ``weight_sum``, so the budget caps the total work done on the graph, in
     nodes: those of the pass, of each walk and of every weighted clique sum.
+    The budget defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
 
     __slots__ = ("graph", "work", "cliques", "sizes", "member", "c", "omega", "_histograms")
 
-    def __init__(self, g: Graph, budget: int | None = None):
+    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
         self.graph = g
         self.work = _Work(budget)
         cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)

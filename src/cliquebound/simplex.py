@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 
-from .bounds import clique_density_term, density_sum, density_terms
+from .bounds import density_sum, density_terms
 from .cliques import CliqueIndex
 
 
@@ -141,13 +141,14 @@ class PhiEvaluation:
     phi: Fraction
 
 
-def _check(index: CliqueIndex, t: int, n: int) -> tuple[int, ...]:
-    """``index.c``, once t and the point dimension n fit the index's graph."""
+def _check(index: CliqueIndex, t: int, n: int) -> dict[int, Fraction]:
+    """The density terms of ``index.c`` at t, once t and the point dimension
+    n fit the index's graph."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if n != index.graph.n:
         raise SimplexError(f"point dimension {n} does not match graph order {index.graph.n}")
-    return index.c
+    return density_terms(index.c, t)
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -156,18 +157,17 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise SimplexError(f"need two distinct vertices of 0..{n - 1}, got {i} and {j}")
 
 
-def _phi(index: CliqueIndex, t: int, c, terms: dict[int, Fraction],
+def _phi(index: CliqueIndex, t: int, terms: dict[int, Fraction],
          nums, den: int) -> PhiEvaluation:
     """(A, B, phi) at the point nums / den."""
-    a = density_sum(terms, c, nums) / den
+    a = density_sum(terms, index.c, nums) / den
     b = Fraction(index.weight_sum(_support_mask(nums), t, nums), den**t)
     return PhiEvaluation(a, b, a - b)
 
 
 def eval_phi(index: CliqueIndex, t: int, x: SimplexPoint) -> PhiEvaluation:
     """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
-    c = _check(index, t, x.n)
-    return _phi(index, t, c, density_terms(c, t), x.nums, x.den)
+    return _phi(index, t, _check(index, t, x.n), x.nums, x.den)
 
 
 def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fraction:
@@ -176,9 +176,9 @@ def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fra
     Antisymmetric in (i, j). Equals the phi difference of a transfer only
     when i and j are non-adjacent (no t-clique contains both).
     """
-    c = _check(index, t, x.n)
+    terms = _check(index, t, x.n)
     _check_pair(x.n, i, j)
-    a_part = clique_density_term(c[i], t) - clique_density_term(c[j], t)
+    a_part = terms[index.c[i]] - terms[index.c[j]]
     adj, support = index.graph.adjacency, x.support_mask
     s_i = index.weight_sum(adj[i] & support, t - 1, x.nums)
     s_j = index.weight_sum(adj[j] & support, t - 1, x.nums)
@@ -213,7 +213,6 @@ class TransferStep:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    start: SimplexPoint
     steps: tuple[TransferStep, ...]
     end: SimplexPoint
     end_support_is_clique: bool
@@ -234,17 +233,15 @@ def _rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _first_nonadjacent_pair(adj, support: int, a: int, b: int):
-    """First non-adjacent pair (u, w), u < w, of ``support`` at or after
-    (a, b) in lexicographic order, or None."""
+def _first_nonadjacent_pair(adj, support: int, a: int):
+    """First non-adjacent pair (u, w), u < w, of ``support`` with u >= a in
+    lexicographic order, or None."""
     rest = support >> a << a
     while rest:
         low = rest & -rest
         u = low.bit_length() - 1
         rest ^= low
         far = rest & ~adj[u]
-        if u == a:
-            far &= -1 << b
         if far:
             return u, (far & -far).bit_length() - 1
     return None
@@ -259,21 +256,20 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
     per step. Ties (delta = 0) send mass to the lower-indexed vertex.
 
     A transfer only removes pairs, so every support pair before (i, j) stays
-    adjacent and the scan resumes after (i, j). The (t-1)-clique sum s_v over
-    N(v) changes only for v in N(i) | N(j), so only those are recomputed, and
-    only when a later pair needs them.
+    adjacent, and (i, j) itself loses a vertex: the scan resumes at row i.
+    The (t-1)-clique sum s_v over N(v) changes only for v in N(i) | N(j), so
+    only those are recomputed, and only when a later pair needs them.
     """
-    c = _check(index, t, x0.n)
-    terms = density_terms(c, t)
-    adj = index.graph.adjacency
+    terms = _check(index, t, x0.n)
+    adj, c = index.graph.adjacency, index.c
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
-    phi = _phi(index, t, c, terms, nums, den).phi
+    phi = _phi(index, t, terms, nums, den).phi
     s = [0] * x0.n
     fresh = 0  # vertices whose s_v is current
     steps = []
-    pair = _first_nonadjacent_pair(adj, support, 0, 0)
+    pair = _first_nonadjacent_pair(adj, support, 0)
     while pair is not None:
         i, j = pair
         for v in pair:
@@ -293,9 +289,8 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
         phi = phi + eps * rate
         steps.append(TransferStep(i=recv, j=donor, epsilon=eps,
                                   delta_ij=rate, phi_after=phi))
-        pair = _first_nonadjacent_pair(adj, support, i, j + 1)
+        pair = _first_nonadjacent_pair(adj, support, i)
     return DescentTrace(
-        start=x0,
         steps=tuple(steps),
         end=SimplexPoint._from_ints(nums, den),
         end_support_is_clique=index.graph.induces_clique(support),
@@ -331,9 +326,8 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     n = index.graph.n
     if n == 0:
         raise ValueError("nonnegativity check needs n >= 1")
-    c = _check(index, t, n)
-    terms = density_terms(c, t)
-    phi_uniform = _phi(index, t, c, terms, [1] * n, n).phi
+    terms, c = _check(index, t, n), index.c
+    phi_uniform = _phi(index, t, terms, [1] * n, n).phi
     best, argmin = phi_uniform, SimplexPoint.uniform(n)
     # B(e_v) = 0: one vertex holds no t-clique for t >= 2.
     v = min(range(n), key=lambda v: terms[c[v]])
@@ -343,7 +337,7 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     for _ in range(samples):
         weights = _random_weights(n, rng)
         total = sum(weights)
-        phi = _phi(index, t, c, terms, weights, total).phi
+        phi = _phi(index, t, terms, weights, total).phi
         if phi < best:
             best, argmin = phi, SimplexPoint._from_ints(weights, total)
     if best < 0:

@@ -98,6 +98,19 @@ class TestClassicalBounds:
     def test_turan_is_zykov_at_t2(self, n, r):
         assert turan_bound(n, r) == zykov_bound(n, r, 2)
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_zykov_is_zero_on_the_empty_graph(self, t):
+        assert zykov_bound(0, 0, t) == 0
+
+    def test_turan_is_zero_on_the_empty_graph(self):
+        assert turan_bound(0, 0) == 0
+
+    def test_zero_clique_order_needs_the_empty_graph(self):
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+            zykov_bound(5, 0, 2)
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+            turan_bound(5, 0)
+
 
 class TestEdgeLocalized:
     def test_k4_tight(self, k4):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -487,6 +488,51 @@ def test_budget_below_one_rejected(tmp_path, capsys, budget):
         assert err == f"error: budget must be >= 1, got {budget}\n"
 
 
+def test_budget_default_is_written_once(capsys):
+    from cliquebound.cli import build_parser, run_selfcheck
+    from cliquebound.cliques import DEFAULT_BUDGET, CliqueIndex
+    from cliquebound.corpus import petersen_graph
+
+    parser = build_parser()
+    for argv in (["analyze"], ["phi"], ["selfcheck"]):
+        assert parser.parse_args(argv).budget == DEFAULT_BUDGET
+    assert CliqueIndex(petersen_graph()).work.budget == DEFAULT_BUDGET
+    assert inspect.signature(run_selfcheck).parameters["budget"].default == DEFAULT_BUDGET
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert f"(default {DEFAULT_BUDGET})" in " ".join(capsys.readouterr().out.split())
+    code, _, err = run(capsys, "analyze", "g.g6", "--budget", "0")
+    assert (code, err) == (2, "error: budget must be >= 1, got 0\n")
+
+
+# The records of the empty graph (graph6 "?") at t = 2..3, byte for byte;
+# only their turan fields differ: "0/1" at t = 2, null at t = 3.
+EMPTY_GRAPH_RECORDS = (
+    '{"certificate": null, "edge_localized_sum": "0/1", "file": "empty.g6", '
+    '"graph_hash": "8a8de823d5ed3e12", "kirsch_nir_sum": "0/1", "localized_zykov": "0/1", '
+    '"localized_zykov_dec": "0", "m": 0, "n": 0, "omega": 0, "t": 2, "tight": true, '
+    '"true_count": 0, "turan": "0/1", "version": "0.1.0", "vertex_localized_turan": 0, '
+    '"zykov_classical": "0/1"}\n'
+    '{"certificate": null, "edge_localized_sum": "0/1", "file": "empty.g6", '
+    '"graph_hash": "8a8de823d5ed3e12", "kirsch_nir_sum": "0/1", "localized_zykov": "0/1", '
+    '"localized_zykov_dec": "0", "m": 0, "n": 0, "omega": 0, "t": 3, "tight": true, '
+    '"true_count": 0, "turan": null, "version": "0.1.0", "vertex_localized_turan": 0, '
+    '"zykov_classical": "0/1"}\n'
+)
+
+
+def test_analyze_empty_graph_records_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.g6").write_text("?\n")
+    # The empty graph's walk is its root alone, one work node.
+    for budget in ("5000000", "1"):
+        code, out, err = run(capsys, "analyze", "empty.g6", "--t", "2", "--t-max", "3",
+                             "--budget", budget)
+        assert code == 0
+        assert out == EMPTY_GRAPH_RECORDS
+        assert err == "analyzed 1 graphs, 2 records, 0 tight, 0 strict, 2 vacuous\n"
+
+
 def test_phi_tight_exit(tmp_path, capsys):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"),
@@ -631,6 +677,41 @@ def test_selfcheck_detects_corrupted_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert any(line.startswith("FAIL soundness[") for line in out.splitlines())
+
+
+def test_selfcheck_reports_tightness_invariant_error(capsys, monkeypatch):
+    # A certificate that never matches contradicts every tight graph's flag;
+    # each such graph gets one FAIL line, not a traceback.
+    import cliquebound.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "is_regular_complete_multipartite", lambda g: None)
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0] == ("FAIL tightness[K4,t=2]: tightness flag True contradicts "
+                        "certificate None for t=2, omega=4")
+    assert all(line.startswith("FAIL tightness[") for line in fails)
+    assert out.endswith(f"selfcheck: {len(fails)} failures\n")
+
+
+def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
+    import cliquebound.simplex as simplex_mod
+
+    real = simplex_mod._phi
+
+    def shifted(*args):
+        e = real(*args)
+        return simplex_mod.PhiEvaluation(e.a, e.b, e.phi - 1)
+
+    monkeypatch.setattr(simplex_mod, "_phi", shifted)
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0] == ("FAIL phi_nonneg[K4,t=2]: phi((Fraction(1, 4), Fraction(1, 4), "
+                        "Fraction(1, 4), Fraction(1, 4))) = -1 < 0 on a graph where it "
+                        "must be >= 0")
+    assert all(line.startswith("FAIL phi_nonneg[") for line in fails)
+    assert out.endswith(f"selfcheck: {len(fails)} failures\n")
 
 
 @pytest.mark.parametrize("argv", [

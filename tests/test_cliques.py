@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from cliquebound import cliques as cliques_mod, graph as graph_mod
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CliqueIndex,
     _Work,
@@ -119,7 +120,7 @@ class TestMaximalCliques:
     @example(Graph.from_edges(4, [(0, 1)]))
     def test_matches_oracle(self, g):
         oracle = brute_maximal_cliques(g)
-        found = _maximal_cliques(g.adjacency, g.full_mask, _Work(None))
+        found = _maximal_cliques(g.adjacency, g.full_mask, _Work(DEFAULT_BUDGET))
         # Each oracle clique exactly once, and nothing else.
         assert sorted(found) == sorted(sum(1 << v for v in clique) for clique in oracle)
         assert CliqueIndex(g).sizes == sorted(map(len, oracle))
