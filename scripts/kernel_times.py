@@ -8,8 +8,8 @@ three as ``analyze --t 3 --t-max 4`` does, one ``verify_nonnegativity`` and
 one transfer descent from the uniform point, both at the phi-simplex
 workload's t and sample count. It prints, per pass
 over the corpus, the best-of-``--reps`` milliseconds and the work nodes
-that each one charged to its index's work meter. Node counts do not depend on
-the machine; the milliseconds do.
+that each one charged to its index, read off ``index.nodes``. Node counts
+do not depend on the machine; the milliseconds do.
 
 The corpus comes from ``perfbench/workloads.py``, read from this checkout,
 and the program timed is this checkout's ``src/``. Instead of a workload,
@@ -60,13 +60,13 @@ def time_graph(g) -> dict[str, tuple[float, int]]:
     """Seconds and work nodes of each kernel on one graph."""
     start = time.perf_counter()
     index = CliqueIndex(g)
-    times = {PASS: (time.perf_counter() - start, index.work.nodes)}
+    times = {PASS: (time.perf_counter() - start, index.nodes)}
     for name, kernel in KERNELS.items():
         index = CliqueIndex(g)
-        before = index.work.nodes
+        before = index.nodes
         start = time.perf_counter()
         kernel(index)
-        times[name] = (time.perf_counter() - start, index.work.nodes - before)
+        times[name] = (time.perf_counter() - start, index.nodes - before)
     return times
 
 

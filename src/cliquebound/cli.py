@@ -137,7 +137,7 @@ def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
 def cmd_analyze(args) -> int:
     paths = collect_inputs(args.inputs)
     if not paths:
-        print("no inputs", file=sys.stderr)
+        print("error: no inputs", file=sys.stderr)
         return EXIT_USAGE
     ts = range(args.t, args.t_max + 1)
     records = []
@@ -261,7 +261,7 @@ def cmd_generate(args) -> int:
 def cmd_phi(args) -> int:
     paths = collect_inputs(args.inputs)
     if len(paths) != 1:
-        print("phi takes exactly one input graph", file=sys.stderr)
+        print("error: phi takes exactly one input graph", file=sys.stderr)
         return EXIT_USAGE
     try:
         g = load_graph_file(paths[0])
@@ -433,24 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def usage_error(args) -> str | None:
-    """The first out-of-range or missing option of ``args``, as the one line
-    to print, or None."""
+    """The first out-of-range or missing option of ``args``, as the message of
+    the one ``error: `` line to print, or None."""
     if "t" in args and not 2 <= args.t <= args.t_max <= 16:
-        return (f"error: t range must satisfy 2 <= t <= t_max <= 16, "
-                f"got [{args.t}, {args.t_max}]")
+        return f"t range must satisfy 2 <= t <= t_max <= 16, got [{args.t}, {args.t_max}]"
     if "seed" in args and args.seed < 0:  # Random(-s) seeds like Random(s)
-        return f"error: seed must be >= 0, got {args.seed}"
+        return f"seed must be >= 0, got {args.seed}"
     if "samples" in args and args.samples < 1:
-        return f"error: sample count must be >= 1, got {args.samples}"
+        return f"sample count must be >= 1, got {args.samples}"
     if "budget" in args and args.budget < 1:
-        return f"error: budget must be >= 1, got {args.budget}"
+        return f"budget must be >= 1, got {args.budget}"
     if args.command == "generate":
         if args.kind == "multipartite" and not args.parts:
             return "generate multipartite requires --parts"
         if args.kind == "random" and (args.n is None or args.p is None):
             return "generate random requires --n and --p"
         if args.count < 1:
-            return f"error: count must be >= 1, got {args.count}"
+            return f"count must be >= 1, got {args.count}"
     return None
 
 
@@ -460,7 +459,7 @@ def main(argv=None) -> int:
         args.t_max = args.t  # --t-max defaults to --t; phi reads one t
     message = usage_error(args)
     if message is not None:
-        print(message, file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     return args.run(args)
 

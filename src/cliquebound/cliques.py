@@ -17,10 +17,11 @@ candidates outside K: the pivot rule of Jain and Seshadhri, "The power of
 pivoting for exact clique counting" (WSDM 2020). So K_n is one node. The
 walk visits only nodes that the walk for one of those orders alone would
 visit, so it is charged at most the sum of theirs. The index also runs the
-simplex's integer-weighted clique sums, and charges all of it to its one
-work meter, whose budget, counted in nodes (the pass's stack nodes and the
-calls of the other kernels), caps the work done on one graph. Every function
-that does clique work takes the graph's ``CliqueIndex``; none builds its own.
+simplex's integer-weighted clique sums, and counts its own work as ``nodes``:
+each kernel charges the index it serves one node per stack node of the pass
+or call of the others, and past ``budget`` nodes the work on one graph stops.
+Every function that does clique work takes the graph's ``CliqueIndex``; none
+builds its own.
 """
 
 from __future__ import annotations
@@ -42,22 +43,9 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-class _Work:
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget: int = DEFAULT_BUDGET):
-        self.nodes = 0
-        self.budget = budget
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(self.budget)
-
-
 def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
-                work: _Work) -> int:
-    work.tick()
+                index: CliqueIndex) -> int:
+    index.tick()
     total = 0
     if r == 1:
         while cand:
@@ -71,11 +59,11 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
         cand ^= low
         sub = cand & adj[v]
         if sub.bit_count() >= r - 1:
-            total += weights[v] * _weight_rec(adj, sub, r - 1, weights, work)
+            total += weights[v] * _weight_rec(adj, sub, r - 1, weights, index)
     return total
 
 
-def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
+def _maximal_cliques(adj: Sequence[int], mask: int, index: CliqueIndex) -> list[int]:
     """The maximal cliques on ``mask`` as bitmasks in the order found, none if it
     is empty: one Tomita-pivoted Bron-Kerbosch search, worst-case optimal alone,
     over an explicit stack of (r, p, x) nodes, so its depth is not bounded by
@@ -85,7 +73,7 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
     stack = [(0, mask, 0)] if mask else []
     while stack:
         r, p, x = stack.pop()
-        work.tick()
+        index.tick()
         # Tomita pivot: the first vertex of p | x with the most neighbours in p.
         pivot, best = -1, -1
         scan = p | x
@@ -105,7 +93,7 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
             if sub:
                 stack.append((r | low, sub, x & adj[v]))
             else:
-                work.tick()
+                index.tick()
                 if not x & adj[v]:
                     out.append(r | low)
             p ^= low
@@ -115,7 +103,7 @@ def _maximal_cliques(adj: Sequence[int], mask: int, work: _Work) -> list[int]:
 
 def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
            sizes: Sequence[int], plan: Sequence[tuple], cand: int, depth: int,
-           shared: int, work: _Work) -> None:
+           shared: int, index: CliqueIndex) -> None:
     """Count the cliques of every requested order that extend a clique C of
     ``depth`` vertices by vertices of ``cand``, the candidates adjacent to
     all of C.
@@ -140,7 +128,7 @@ def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
     requested order above d alone, and with one order requested the calls
     are exactly that walk's.
     """
-    work.tick()
+    index.tick()
     bulk, hist, target = plan[depth]
     top = shared.bit_length() - 1
     inside = cand & cliques[top]
@@ -160,38 +148,42 @@ def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
         if alpha >= target:
             sub = (outside | inside) & adj[v]
             if sub.bit_count() >= need:
-                _count(adj, member, cliques, sizes, plan, sub, depth + 1, ids, work)
+                _count(adj, member, cliques, sizes, plan, sub, depth + 1, ids, index)
 
 
 class CliqueIndex:
-    """The maximal cliques of one graph, smallest first, and one work meter:
-    the one object passed to every function that does clique work on the
-    graph.
+    """The maximal cliques of one graph, smallest first, and the count of the
+    work done on them: the one object passed to every function that does
+    clique work on the graph.
 
     One Bron-Kerbosch pass numbers the maximal cliques smallest first, and
     equal orders by mask, so that no walk depends on the order in which the
     pass finds them: ``cliques[i]`` is clique i as a vertex bitmask,
     ``sizes[i]`` its order, and ``member[v]`` the bitset of the ids of the
     cliques that hold v, whose highest bit names a largest clique holding v.
-    ``member`` is ``graph.transpose(cliques, n)``, not charged to the work
-    meter. ``c[v]`` is c(v), set once from ``member`` by
-    ``vertex_clique_numbers``, and ``omega`` is max c(v), 0 on the empty
-    graph. The largest-containing-clique order of every t-clique for any t,
-    and the clique counts, are then read without a second pass: one counting
-    walk fills the histogram of every order asked for together, and the
-    index keeps each one. The bound and simplex functions read the graph,
-    ``c`` and ``omega`` from the index and run their clique sums through
-    ``weight_sum``, so the budget caps the total work done on the graph, in
-    nodes: those of the pass, of each walk and of every weighted clique sum.
-    The budget defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
+    ``member`` is ``graph.transpose(cliques, n)``, not charged to ``nodes``.
+    ``c[v]`` is c(v), set once from ``member`` by ``vertex_clique_numbers``,
+    and ``omega`` is max c(v), 0 on the empty graph. The
+    largest-containing-clique order of every t-clique for any t, and the
+    clique counts, are then read without a second pass: one counting walk
+    fills the histogram of every order asked for together, and the index
+    keeps each one. The bound and simplex functions read the graph, ``c`` and
+    ``omega`` from the index and run their clique sums through
+    ``weight_sum``. ``nodes`` counts the work done on the graph, in nodes:
+    those of the pass, of each walk and of every weighted clique sum, each
+    charged by ``tick``, which raises ``BudgetExceeded`` once ``nodes`` passes
+    ``budget``. So the budget caps the total work done on the graph. It
+    defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
 
-    __slots__ = ("graph", "work", "cliques", "sizes", "member", "c", "omega", "_histograms")
+    __slots__ = ("nodes", "budget", "graph", "cliques", "sizes", "member", "c", "omega",
+                 "_histograms")
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
+        self.nodes = 0
+        self.budget = budget
         self.graph = g
-        self.work = _Work(budget)
-        cliques = _maximal_cliques(g.adjacency, g.full_mask, self.work)
+        cliques = _maximal_cliques(g.adjacency, g.full_mask, self)
         # By mask, then stably by order: smallest first, equal orders by mask.
         cliques.sort()
         cliques.sort(key=int.bit_count)
@@ -201,6 +193,12 @@ class CliqueIndex:
         self.c = vertex_clique_numbers(self)
         self.omega = max(self.c, default=0)
         self._histograms: dict[int, Counter] = {}
+
+    def tick(self):
+        """Charge one node; BudgetExceeded once ``nodes`` passes ``budget``."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(self.budget)
 
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:
         """``histogram(t)`` for each t of ``ts``; the orders not yet kept are
@@ -227,7 +225,7 @@ class CliqueIndex:
             # Every id may be shared at the root: smaller cliques never
             # change the highest bit.
             _count(self.graph.adjacency, self.member, self.cliques or [0], self.sizes or [0],
-                   plan, self.graph.full_mask, 0, (1 << len(self.sizes)) - 1, self.work)
+                   plan, self.graph.full_mask, 0, (1 << len(self.sizes)) - 1, self)
             for t, hist in hists.items():
                 self._histograms[t] = Counter({a: k for a, k in enumerate(hist) if k})
         return {t: self._histograms[t] for t in ts}
@@ -245,7 +243,7 @@ class CliqueIndex:
         """Sum over the t-cliques within ``mask`` of their vertex weights' product."""
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
-        return _weight_rec(self.graph.adjacency, mask, t, weights, self.work)
+        return _weight_rec(self.graph.adjacency, mask, t, weights, self)
 
 
 def count_cliques(index: CliqueIndex, t: int) -> int:

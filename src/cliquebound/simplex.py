@@ -9,7 +9,7 @@ clique support.
 Every function that does clique work takes the graph's ``CliqueIndex``: it
 reads the graph and c(v), kept once as ``index.c``, from the index, and runs
 its clique sums through ``CliqueIndex.weight_sum``, which charges them to
-the index's one work meter, so one budget caps all the work done on one
+the index's own node count, so one budget caps all the work done on one
 graph.
 
 A point is held as integer numerators over one common denominator D, so the
@@ -342,7 +342,8 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
             best, argmin = phi, SimplexPoint._from_ints(weights, total)
     if best < 0:
         raise PhiNegativityError(
-            f"phi({argmin.x}) = {best} < 0 on a graph where it must be >= 0"
+            f"phi({', '.join(map(_rat, argmin.x))}) = {_rat(best)} < 0 on a graph where it "
+            "must be >= 0"
         )
     return NonnegativityReport(
         min_phi=best, argmin=argmin, phi_uniform=phi_uniform,

@@ -301,16 +301,16 @@ class TestBoundReports:
         g = generate_random(12, Fraction(1, 2), seed=5)
         index = CliqueIndex(g)
         reports = bound_reports(index, (2, 3, 4))
-        nodes = index.work.nodes
+        nodes = index.nodes
         one_walk = CliqueIndex(g)
         one_walk.histograms({2, 3, 4})
-        assert nodes == one_walk.work.nodes
+        assert nodes == one_walk.nodes
         for rep in reports:
             assert count_cliques(index, rep.t) == rep.true_count
             assert kirsch_nir_sum(index, rep.t) == rep.kirsch_nir_sum
             assert edge_localized_turan_sum(index) == rep.edge_localized_sum
             assert bound_report(index, rep.t) == rep
-        assert index.work.nodes == nodes
+        assert index.nodes == nodes
 
 
 def test_localizations_are_independent_fixture():

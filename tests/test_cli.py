@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import inspect
 import io
@@ -161,9 +162,37 @@ def test_analyze_c5_range(tmp_path, capsys):
 
 
 def test_analyze_empty_directory(tmp_path, capsys):
-    code, _, err = run(capsys, "analyze", str(tmp_path))
+    code, out, err = run(capsys, "analyze", str(tmp_path))
     assert code == 2
-    assert "no inputs" in err
+    assert (out, err) == ("", "error: no inputs\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "a.el", "b.el"], "phi takes exactly one input graph"),
+    (["phi", "empty"], "phi takes exactly one input graph"),
+    (["generate", "multipartite", "--out", "o"], "generate multipartite requires --parts"),
+    (["generate", "random", "--p", "1/2", "--out", "o"], "generate random requires --n and --p"),
+    (["generate", "random", "--n", "5", "--out", "o"], "generate random requires --n and --p"),
+], ids=["phi-two-inputs", "phi-no-inputs", "multipartite-no-parts", "random-no-n",
+        "random-no-p"])
+def test_missing_input_or_option_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                                   message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.el").write_text("0 1\n")
+    (tmp_path / "b.el").write_text("0 1\n")
+    (tmp_path / "empty").mkdir()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_unknown_extension(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("0 1\n")
+    code, out, err = run(capsys, "analyze", "a.txt")
+    assert code == 2
+    assert (out, err) == ("", "error: a.txt: unknown extension (expected .g6 or .el)\n")
 
 
 def test_analyze_csv_format(tmp_path, capsys):
@@ -191,6 +220,19 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
     assert code == 3
     assert "error" in json.loads(out.splitlines()[0])
+
+
+def test_analyze_budget_exceeded_csv(tmp_path, capsys):
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3",
+                       "--format", "csv", "--budget", "1")
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["file", "n", "m", "t", "N", "localized_bound", "zykov_bound", "tight",
+                       "certificate"]
+    path = str(tmp_path / "multipartite_2x3.g6")
+    error = "error: clique enumeration exceeded work budget of 1 nodes"
+    assert rows[1:] == [[path, "", "", str(t), "", "", "", "", error] for t in (2, 3)]
 
 
 def test_analyze_budget_caps_graph_total(tmp_path, capsys):
@@ -496,7 +538,7 @@ def test_budget_default_is_written_once(capsys):
     parser = build_parser()
     for argv in (["analyze"], ["phi"], ["selfcheck"]):
         assert parser.parse_args(argv).budget == DEFAULT_BUDGET
-    assert CliqueIndex(petersen_graph()).work.budget == DEFAULT_BUDGET
+    assert CliqueIndex(petersen_graph()).budget == DEFAULT_BUDGET
     assert inspect.signature(run_selfcheck).parameters["budget"].default == DEFAULT_BUDGET
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
@@ -629,8 +671,10 @@ def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"), "--t", "3")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "< 0 on a graph where it must be >= 0" in err
+    # -B is least where the parts weigh alike; the uniform point, first, wins.
+    assert err == (f"error: {tmp_path / 'multipartite_2x3.g6'}: t=3: phi(1/6, 1/6, 1/6, 1/6, "
+                   "1/6, 1/6) = -1/27 < 0 on a graph where it must be >= 0\n")
+    assert "Fraction(" not in err
 
 
 def test_phi_single_vertex(tmp_path, capsys):
@@ -707,9 +751,8 @@ def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fails[0] == ("FAIL phi_nonneg[K4,t=2]: phi((Fraction(1, 4), Fraction(1, 4), "
-                        "Fraction(1, 4), Fraction(1, 4))) = -1 < 0 on a graph where it "
-                        "must be >= 0")
+    assert fails[0] == ("FAIL phi_nonneg[K4,t=2]: phi(1/4, 1/4, 1/4, 1/4) = -1/1 < 0 "
+                        "on a graph where it must be >= 0")
     assert all(line.startswith("FAIL phi_nonneg[") for line in fails)
     assert out.endswith(f"selfcheck: {len(fails)} failures\n")
 

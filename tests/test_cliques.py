@@ -12,11 +12,8 @@ import hypothesis.strategies as st
 from cliquebound import cliques as cliques_mod, graph as graph_mod
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     CliqueIndex,
-    _Work,
-    _maximal_cliques,
     count_cliques,
     vertex_clique_numbers,
 )
@@ -54,9 +51,9 @@ class TestCountCliques:
         # huge t costs what t = omega + 1 does: the root alone.
         for t in (4, 10**9):
             index = CliqueIndex(petersen_graph())
-            before = index.work.nodes
+            before = index.nodes
             assert count_cliques(index, t) == 0
-            assert index.work.nodes - before == 1
+            assert index.nodes - before == 1
 
     def test_t_below_one_rejected(self, k4):
         with pytest.raises(ValueError):
@@ -120,10 +117,10 @@ class TestMaximalCliques:
     @example(Graph.from_edges(4, [(0, 1)]))
     def test_matches_oracle(self, g):
         oracle = brute_maximal_cliques(g)
-        found = _maximal_cliques(g.adjacency, g.full_mask, _Work(DEFAULT_BUDGET))
+        index = CliqueIndex(g)
         # Each oracle clique exactly once, and nothing else.
-        assert sorted(found) == sorted(sum(1 << v for v in clique) for clique in oracle)
-        assert CliqueIndex(g).sizes == sorted(map(len, oracle))
+        assert sorted(index.cliques) == sorted(sum(1 << v for v in clique) for clique in oracle)
+        assert index.sizes == sorted(map(len, oracle))
 
 
 def _member_by_definition(index):
@@ -236,8 +233,8 @@ _K5_WITH_K4_FANS = Graph.from_edges(14, [
 
 def _walked(index, ts):
     """The histograms of one ``histograms(ts)`` call and the nodes it charged."""
-    before = index.work.nodes
-    return index.histograms(ts), index.work.nodes - before
+    before = index.nodes
+    return index.histograms(ts), index.nodes - before
 
 
 def _single_order_walks(g, ts):
@@ -275,9 +272,9 @@ class TestHistograms:
         # Edges and triangles of K_{2x2x2}: one walk of 7 nodes, the
         # triangles' walk, against 4 + 7 for one walk per order.
         index = CliqueIndex(generate_complete_multipartite([2, 2, 2]))
-        before = index.work.nodes
+        before = index.nodes
         assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
-        assert index.work.nodes - before == 7
+        assert index.nodes - before == 7
 
     @pytest.mark.parametrize("n", [1, 5, 400])
     def test_complete_graph_one_node(self, n):
@@ -300,13 +297,13 @@ class TestHistograms:
     def test_budget_exceeded_keeps_nothing(self, octa):
         # A walk cut by the budget keeps no partial histogram: once the
         # budget is raised, both orders are walked again, in full.
-        index = CliqueIndex(octa, budget=CliqueIndex(octa).work.nodes + 1)
+        index = CliqueIndex(octa, budget=CliqueIndex(octa).nodes + 1)
         with pytest.raises(BudgetExceeded):
             index.histograms([2, 3])
-        index.work.budget += 100
-        before = index.work.nodes
+        index.budget += 100
+        before = index.nodes
         assert index.histograms([2, 3]) == {2: Counter({3: 12}), 3: Counter({3: 8})}
-        assert index.work.nodes - before == 7
+        assert index.nodes - before == 7
 
 
 # K_5 on 0..4 and vertex 5 joined to 0, 1 and 2. The largest clique holding
@@ -333,7 +330,7 @@ class TestSmallestFirst:
         # The pass's 7 nodes and a walk of 2: the root counts every clique
         # inside the K_5 in one step, and vertex 5, the one candidate outside
         # it, every clique of its K_4 that holds it.
-        assert index.work.nodes == 9
+        assert index.nodes == 9
         assert all(index.histogram(t) == brute_alpha_histogram(_K5_WITH_K4, t)
                    for t in (3, 4))
 
@@ -401,9 +398,9 @@ class TestNeighborhoodCounts:
     def test_charges_the_index_meter(self, k4):
         # N(0) = {1, 2, 3}: the root, then one leaf below 1 and one below 2.
         index = CliqueIndex(k4)
-        before = index.work.nodes
+        before = index.nodes
         assert _neighborhood_count(index, 0, 2) == 3
-        assert index.work.nodes == before + 3
+        assert index.nodes == before + 3
         with pytest.raises(BudgetExceeded):
             _neighborhood_count(CliqueIndex(k4, budget=before + 2), 0, 2)
 
@@ -451,7 +448,7 @@ class TestEnumerationAndBudget:
         with pytest.raises(BudgetExceeded):
             CliqueIndex(g, budget=1)
         # The walk is charged to the same meter as the pass.
-        index = CliqueIndex(g, budget=CliqueIndex(g).work.nodes)
+        index = CliqueIndex(g, budget=CliqueIndex(g).nodes)
         with pytest.raises(BudgetExceeded):
             index.histogram(3)
 
@@ -462,7 +459,7 @@ class TestEnumerationAndBudget:
         n = sys.getrecursionlimit() + 10
         index = CliqueIndex(generate_complete_multipartite([1] * n))
         assert index.sizes == [n]
-        assert index.work.nodes == n + 1
+        assert index.nodes == n + 1
 
     @pytest.mark.parametrize("g,expected", [
         (generate_complete_multipartite([2, 2, 2]), (15, 19, 26, 35)),
@@ -473,10 +470,10 @@ class TestEnumerationAndBudget:
         # histogram(2) and histogram(3), and after one full-mask weighted
         # sum at t = 3. A faster kernel must charge exactly these.
         index = CliqueIndex(g)
-        nodes = [index.work.nodes]
+        nodes = [index.nodes]
         for t in (2, 3):
             index.histogram(t)
-            nodes.append(index.work.nodes)
+            nodes.append(index.nodes)
         index.weight_sum(g.full_mask, 3, (1,) * g.n)
-        nodes.append(index.work.nodes)
+        nodes.append(index.nodes)
         assert tuple(nodes) == expected

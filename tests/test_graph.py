@@ -207,6 +207,20 @@ class TestGraph6:
         with pytest.raises(ParseError, match="offset 1: ' '"):
             parse_graph6(">>graph6<<A _")
 
+    def test_header_alone_is_empty_input(self):
+        with pytest.raises(ParseError, match="^empty graph6 input$"):
+            parse_graph6(">>graph6<<")
+
+    @pytest.mark.parametrize("text", ["~", "~?", "~~???"])
+    def test_truncated_size_field(self, text):
+        with pytest.raises(ParseError, match="^truncated graph6 size field$"):
+            parse_graph6(text)
+
+    def test_size_field_cap(self):
+        # "??@???" is n = 2^18 in the eight-character form.
+        with pytest.raises(ParseError, match=r"^graph6 decoding capped at n < 262144$"):
+            parse_graph6("~~??@???")
+
     def test_eight_character_size_form_for_small_n(self):
         # "~~" then n = 2 in 36 bits, then the K2 body.
         assert parse_graph6("~~?????A_") == parse_graph6("A_")

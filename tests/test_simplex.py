@@ -336,7 +336,7 @@ class TestNonnegativity:
         # The index's pass takes 15 nodes. No single evaluation needs the 85
         # left of a 100-node budget, but the 21 clique sums of the call do:
         # the uniform point's and the 20 random points'.
-        assert CliqueIndex(octa).work.nodes == 15
+        assert CliqueIndex(octa).nodes == 15
         for v in range(octa.n):
             eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.concentrated(octa.n, v))
         eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.uniform(octa.n))
@@ -347,7 +347,7 @@ class TestNonnegativity:
 def test_budget_reaches_simplex_work(c5):
     # An index whose budget its own pass uses up has no node left for
     # simplex work.
-    pass_nodes = CliqueIndex(c5).work.nodes
+    pass_nodes = CliqueIndex(c5).nodes
     x = SimplexPoint.uniform(5)
     with pytest.raises(BudgetExceeded):
         eval_phi(CliqueIndex(c5, pass_nodes), 2, x)
