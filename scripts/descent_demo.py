@@ -24,7 +24,7 @@ def verdict(rep) -> tuple[str, str]:
         return (f"vacuous, t = {rep.t} > omega = {rep.omega}",
                 "N = localized bound = 0, so phi(uniform) = 0 certifies nothing")
     if rep.outcome == "tight":
-        return (f"tight, certificate {rep.extremal_certificate.sizes}",
+        return (f"tight, certificate {rep.extremal_certificate}",
                 f"N = localized bound = {rep.localized_zykov}, "
                 "so phi(uniform) = 0 is the minimum of phi")
     return (f"strict, N = {rep.true_count} < localized bound {rep.localized_zykov}",

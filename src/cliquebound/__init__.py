@@ -24,7 +24,6 @@ from .graph import (
     Graph,
     GraphError,
     ParseError,
-    PartSpec,
     generate_complete_multipartite,
     generate_random,
     parse_edge_list,
@@ -51,7 +50,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "ParseError",
-    "PartSpec",
     "PhiEvaluation",
     "SimplexPoint",
     "TransferStep",

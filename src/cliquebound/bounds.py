@@ -13,7 +13,7 @@ from math import comb, floor
 from typing import Iterable, Sequence
 
 from .cliques import CliqueIndex, count_cliques
-from .graph import Graph, PartSpec
+from .graph import Graph
 
 
 class TightnessInvariantError(AssertionError):
@@ -102,22 +102,25 @@ def kirsch_nir_sum(index: CliqueIndex, t: int) -> Fraction:
                Fraction(0))
 
 
-def is_regular_complete_multipartite(g: Graph) -> PartSpec | None:
-    """Part sizes if g is complete multipartite with equal parts, else None.
+def is_regular_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
+    """The part sizes (s, ..., s) if g is complete multipartite with equal
+    parts, else None: the equality certificate of the localized bound.
 
     K_n qualifies (n parts of size 1); an edgeless graph on n >= 1 vertices
     qualifies as a single part.
     """
     parts = complete_multipartite_parts(g)
-    return parts if parts is not None and parts.is_regular else None
+    return parts if parts is not None and len(set(parts)) == 1 else None
 
 
-def complete_multipartite_parts(g: Graph) -> PartSpec | None:
-    """Part sizes if g is complete multipartite (parts need not be equal).
+def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
+    """The part sizes, a tuple of integers >= 1, if g is complete
+    multipartite (parts need not be equal), else None.
 
     The parts are the classes of vertices with equal adjacency rows, in
     order of their lowest vertex; g is complete multipartite exactly when
-    each class's row is the complement of the class.
+    each class's row is the complement of the class. The empty graph has
+    no part and is not complete multipartite.
     """
     if g.n == 0:
         return None
@@ -127,7 +130,7 @@ def complete_multipartite_parts(g: Graph) -> PartSpec | None:
     full = g.full_mask
     if any(row != full & ~part for row, part in classes.items()):
         return None
-    return PartSpec(tuple(part.bit_count() for part in classes.values()))
+    return tuple(part.bit_count() for part in classes.values())
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ class BoundReport:
     vertex_localized_turan: int
     kirsch_nir_sum: Fraction
     is_tight: bool
-    extremal_certificate: PartSpec | None
+    extremal_certificate: tuple[int, ...] | None  # part sizes (s, ..., s)
 
     @property
     def outcome(self) -> str:

@@ -37,7 +37,6 @@ from .graph import (
     MAX_GRAPH6_N,
     GraphError,
     ParseError,
-    PartSpec,
     generate_complete_multipartite,
     generate_random,
     parse_edge_list,
@@ -112,7 +111,6 @@ def collect_inputs(paths) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
-    cert = list(rep.extremal_certificate.sizes) if rep.extremal_certificate else None
     return {
         "file": str(path),
         "graph_hash": g_hash,
@@ -130,7 +128,7 @@ def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
         "vertex_localized_turan": rep.vertex_localized_turan,
         "kirsch_nir_sum": _rat(rep.kirsch_nir_sum),
         "tight": rep.is_tight,
-        "certificate": cert,
+        "certificate": list(rep.extremal_certificate) if rep.extremal_certificate else None,
     }
 
 
@@ -215,13 +213,13 @@ def _render_records(records, fmt: str) -> str:
 def cmd_generate(args) -> int:
     try:
         if args.kind == "multipartite":
-            spec = PartSpec(tuple(int(s) for s in args.parts.split(",")))
-            n = spec.n
+            sizes = tuple(int(s) for s in args.parts.split(","))
+            n = sum(sizes)
             # Runs of equal parts as SxR, R parts of S vertices: 2,2,2 -> 2x3.
             runs = "-".join(f"{size}x{len(list(run))}"
-                            for size, run in itertools.groupby(spec.sizes))
+                            for size, run in itertools.groupby(sizes))
             names = [f"multipartite_{runs}.g6"]
-            graphs = ((names[0], generate_complete_multipartite(spec)) for _ in [spec])
+            graphs = ((names[0], generate_complete_multipartite(sizes)) for _ in [sizes])
         else:
             p = Fraction(args.p)
             n = args.n
@@ -448,6 +446,8 @@ def usage_error(args) -> str | None:
             return "generate multipartite requires --parts"
         if args.kind == "random" and (args.n is None or args.p is None):
             return "generate random requires --n and --p"
+        if args.kind == "random" and args.n < 0:
+            return f"n must be >= 0, got {args.n}"
         if args.count < 1:
             return f"count must be >= 1, got {args.count}"
     return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -86,28 +87,6 @@ def _transpose_by_strings(masks: Sequence[int], n: int) -> list[int]:
         for v in range(n):
             result[v] |= int(text[stride - 1 - v::stride], 2) << start
     return result
-
-
-@dataclass(frozen=True)
-class PartSpec:
-    """Part sizes of a complete multipartite graph, all >= 1."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not self.sizes:
-            raise GraphError("PartSpec needs at least one part")
-        if any(s < 1 for s in self.sizes):
-            raise GraphError(f"part sizes must be >= 1, got {self.sizes}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def is_regular(self) -> bool:
-        return len(set(self.sizes)) == 1
 
 
 @dataclass(frozen=True)
@@ -362,15 +341,28 @@ def parse_graph6(text: str) -> Graph:
 # Generators
 # ---------------------------------------------------------------------------
 
-def generate_complete_multipartite(parts: PartSpec | Iterable[int]) -> Graph:
-    """Complete multipartite graph: adjacent iff in different parts."""
-    if not isinstance(parts, PartSpec):
-        parts = PartSpec(tuple(parts))
-    n = parts.n
+def generate_complete_multipartite(parts: Iterable[int]) -> Graph:
+    """Complete multipartite graph on the given part sizes, parts in order:
+    two vertices are adjacent iff they lie in different parts.
+
+    At least one part is needed, and each size must be an integer >= 1.
+    Sizes are read by ``operator.index``, so 2.5 or "2" is an error, not a
+    truncated size.
+    """
+    parts = tuple(parts)
+    try:
+        sizes = tuple(map(operator.index, parts))
+    except TypeError:
+        raise GraphError(f"part sizes must be integers, got {parts}") from None
+    if not sizes:
+        raise GraphError("a complete multipartite graph needs at least one part")
+    if min(sizes) < 1:
+        raise GraphError(f"part sizes must be >= 1, got {sizes}")
+    n = sum(sizes)
     full = (1 << n) - 1
     rows = []
     start = 0
-    for size in parts.sizes:
+    for size in sizes:
         part_mask = ((1 << size) - 1) << start
         for v in range(start, start + size):
             rows.append(full & ~part_mask)

@@ -10,6 +10,7 @@ from cliquebound.bounds import (
     BoundReport,
     bound_report,
     bound_reports,
+    clique_density_term,
     complete_multipartite_parts,
     edge_localized_turan_sum,
     is_regular_complete_multipartite,
@@ -105,6 +106,15 @@ class TestClassicalBounds:
     def test_turan_is_zero_on_the_empty_graph(self):
         assert turan_bound(0, 0) == 0
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: clique_density_term(0, 2), "clique order must be >= 1, got 0"),
+        (lambda: zykov_bound(4, 2, 1), "clique order t must be >= 2, got 1"),
+    ], ids=["density-term", "zykov-t"])
+    def test_order_errors(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert (exc.type, str(exc.value)) == (ValueError, message)
+
     def test_zero_clique_order_needs_the_empty_graph(self):
         with pytest.raises(ValueError, match="r must be >= 1, got 0"):
             zykov_bound(5, 0, 2)
@@ -157,23 +167,28 @@ class TestKirschNir:
     def test_at_most_n_to_t(self, g, t):
         assert kirsch_nir_sum(CliqueIndex(g), t) <= g.n**t
 
+    def test_t_below_two_rejected(self, k4):
+        with pytest.raises(ValueError) as exc:
+            kirsch_nir_sum(CliqueIndex(k4), 1)
+        assert (exc.type, str(exc.value)) == (ValueError, "clique order t must be >= 2, got 1")
+
 
 class TestMultipartiteRecognition:
     def test_octahedron(self, octa):
-        assert is_regular_complete_multipartite(octa).sizes == (2, 2, 2)
+        assert is_regular_complete_multipartite(octa) == (2, 2, 2)
 
     def test_c5_absent(self, c5):
         assert is_regular_complete_multipartite(c5) is None
 
     def test_unbalanced_star_absent(self):
         assert is_regular_complete_multipartite(star_graph(2)) is None
-        assert complete_multipartite_parts(star_graph(2)).sizes == (1, 2)
+        assert complete_multipartite_parts(star_graph(2)) == (1, 2)
 
     def test_complete_graph(self):
-        assert is_regular_complete_multipartite(complete_graph(4)).sizes == (1,) * 4
+        assert is_regular_complete_multipartite(complete_graph(4)) == (1,) * 4
 
     def test_edgeless_single_part(self):
-        assert is_regular_complete_multipartite(empty_graph(3)).sizes == (3,)
+        assert is_regular_complete_multipartite(empty_graph(3)) == (3,)
 
     def test_n_zero(self):
         assert is_regular_complete_multipartite(Graph(0, ())) is None
@@ -181,10 +196,8 @@ class TestMultipartiteRecognition:
     @given(st.one_of(graphs(), relabelled_multipartite()))
     def test_matches_definition(self, g):
         expected = brute_multipartite_sizes(g) or None  # n = 0 has no parts
-        parts = complete_multipartite_parts(g)
-        assert (parts and parts.sizes) == expected
-        regular = is_regular_complete_multipartite(g)
-        assert (regular and regular.sizes) == (
+        assert complete_multipartite_parts(g) == expected
+        assert is_regular_complete_multipartite(g) == (
             expected if expected and len(set(expected)) == 1 else None
         )
 
@@ -195,7 +208,7 @@ class TestBoundReport:
         assert rep.true_count == 8
         assert rep.localized_zykov == 8
         assert rep.is_tight
-        assert rep.extremal_certificate.sizes == (2, 2, 2)
+        assert rep.extremal_certificate == (2, 2, 2)
 
     def test_c5_strict(self, c5):
         rep = bound_report(CliqueIndex(c5), 2)

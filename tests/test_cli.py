@@ -3,15 +3,19 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import cliquebound
 from cliquebound.cli import main
+from cliquebound.corpus import random_graph_name
 from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_graph6
 
 
@@ -71,6 +75,7 @@ def test_generate_rejects_zero_part(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "multipartite", "--parts", "2,0",
                        "--out", str(tmp_path))
     assert code == 2
+    assert err == "error: part sizes must be >= 1, got (2, 0)\n"
 
 
 @pytest.mark.parametrize("count", ["-3", "0"])
@@ -84,19 +89,20 @@ def test_generate_count_below_one_rejected(tmp_path, capsys, count):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("random", "--n", "-3", "--p", "1/2"),
-    ("random", "--n", "5", "--p", "3/2"),
-    ("multipartite", "--parts", "2,x"),
+@pytest.mark.parametrize("argv, message", [
+    (("random", "--n", "-5", "--p", "1/2"), "n must be >= 0, got -5"),
+    (("random", "--n", "5", "--p", "3/2"), "edge probability must lie in [0, 1], got 3/2"),
+    (("multipartite", "--parts", "2,x"), "invalid literal for int() with base 10: 'x'"),
     # A --p of 241 digits makes a file name of 263 bytes.
-    ("random", "--n", "5", "--p", "1/1" + "0" * 240),
+    (("random", "--n", "5", "--p", "1/1" + "0" * 240),
+     "file name of 263 bytes exceeds the 255-byte limit: "
+     + random_graph_name(5, Fraction(1, 10**240), 0)[:64] + "..."),
 ], ids=["n", "p", "parts", "random-name"])
-def test_generate_validates_before_making_out(tmp_path, capsys, argv):
+def test_generate_validates_before_making_out(tmp_path, capsys, argv, message):
     outdir = tmp_path / "o"
     code, out, err = run(capsys, "generate", *argv, "--out", str(outdir))
     assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (out, err) == ("", f"error: {message}\n")
     assert not outdir.exists()
 
 
@@ -661,6 +667,20 @@ def test_analyze_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
     assert "tightness flag True contradicts certificate None" in err
 
 
+def test_analyze_tightness_error_prints_the_part_sizes(tmp_path, capsys, monkeypatch):
+    import cliquebound.bounds as bounds_mod
+
+    real = bounds_mod.localized_zykov_bound
+    monkeypatch.setattr(bounds_mod, "localized_zykov_bound", lambda index, t: real(index, t) + 1)
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {tmp_path / 'multipartite_2x3.g6'}: t=2: tightness flag False "
+                   "contradicts certificate (2, 2, 2) for t=2, omega=3\n")
+    assert "PartSpec(" not in err
+
+
 def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
     import cliquebound.simplex as simplex_mod
 
@@ -823,3 +843,19 @@ def test_phi_reads_c_once(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == expected
     assert calls == {"vertex_clique_numbers": 1}
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m cliquebound` runs cli.entrypoint, whose exit code is main's.
+    def cliquebound(*args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run([sys.executable, "-m", "cliquebound", *args], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+
+    version = cliquebound("--version")
+    assert (version.returncode, version.stdout, version.stderr) == (0, "0.1.0\n", "")
+    missing = cliquebound("analyze", "missing.g6")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert missing.stderr == ("error: missing.g6: [Errno 2] No such file or directory: "
+                              "'missing.g6'\n")

@@ -8,11 +8,12 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from cliquebound import graph as graph_mod
+from cliquebound.corpus import cycle_graph
 from cliquebound.graph import (
     Graph,
     GraphError,
+    MAX_GRAPH6_N,
     ParseError,
-    PartSpec,
     bits,
     generate_complete_multipartite,
     generate_random,
@@ -65,6 +66,22 @@ class TestGraphInvariants:
         assert Graph(g.n, g.adjacency) == g
         with pytest.raises(GraphError, match="asymmetric"):
             Graph(g.n, (g.adjacency[0] & ~0b010,) + g.adjacency[1:])
+
+    def test_row_count_must_be_n(self):
+        with pytest.raises(GraphError) as exc:
+            Graph(2, (0,))
+        assert (exc.type, str(exc.value)) == (GraphError,
+                                              "adjacency must have one row per vertex")
+
+    @pytest.mark.parametrize("edge, message", [
+        ((1, 1), "self-loop at vertex 1"),
+        ((-1, 1), "edge (-1, 1) out of range for n=3"),
+        ((0, 3), "edge (0, 3) out of range for n=3"),
+    ], ids=["loop", "negative", "past-n"])
+    def test_from_edges_rejects(self, edge, message):
+        with pytest.raises(GraphError) as exc:
+            Graph.from_edges(3, [edge])
+        assert (exc.type, str(exc.value)) == (GraphError, message)
 
     def test_edge_count(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -216,6 +233,13 @@ class TestGraph6:
         with pytest.raises(ParseError, match="^truncated graph6 size field$"):
             parse_graph6(text)
 
+    def test_encoder_cap(self):
+        g = Graph(MAX_GRAPH6_N, (0,) * MAX_GRAPH6_N)
+        with pytest.raises(GraphError) as exc:
+            to_graph6(g)
+        assert (exc.type, str(exc.value)) == (GraphError,
+                                              "graph6 encoding capped at n < 262144")
+
     def test_size_field_cap(self):
         # "??@???" is n = 2^18 in the eight-character form.
         with pytest.raises(ParseError, match=r"^graph6 decoding capped at n < 262144$"):
@@ -309,11 +333,27 @@ class TestGenerators:
         g = generate_complete_multipartite([s] * r)
         assert all(g.degree(v) == g.n - s for v in range(g.n))
 
-    def test_part_spec_rejects_invalid(self):
-        with pytest.raises(GraphError):
-            PartSpec(())
-        with pytest.raises(GraphError):
-            PartSpec((2, 0))
+    @pytest.mark.parametrize("parts, message", [
+        ((), "a complete multipartite graph needs at least one part"),
+        ((2, 0), "part sizes must be >= 1, got (2, 0)"),
+        # Sizes are read as integers, never truncated: 2.9 is not 2.
+        ((2.5, 2), "part sizes must be integers, got (2.5, 2)"),
+        ((2.9, 1), "part sizes must be integers, got (2.9, 1)"),
+        (("2", 2), "part sizes must be integers, got ('2', 2)"),
+    ], ids=["no-parts", "zero", "half", "float", "str"])
+    def test_rejects_invalid_part_sizes(self, parts, message):
+        with pytest.raises(GraphError) as exc:
+            generate_complete_multipartite(parts)
+        assert (exc.type, str(exc.value)) == (GraphError, message)
+
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(ValueError) as exc:
+            cycle_graph(2)
+        assert (exc.type, str(exc.value)) == (ValueError, "cycle needs n >= 3")
+
+    def test_part_sizes_from_any_iterable(self):
+        assert generate_complete_multipartite(iter([2, 2, 2])) \
+            == generate_complete_multipartite((2, 2, 2))
 
     def test_random_p_zero(self):
         assert generate_random(5, Fraction(0), 1).m == 0

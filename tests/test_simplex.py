@@ -94,6 +94,17 @@ class TestSimplexPoint:
         assert SimplexPoint.uniform(4).x == (Fraction(1, 4),) * 4
         assert SimplexPoint.concentrated(3, 1).support == {1}
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SimplexPoint.uniform(0), "uniform point needs n >= 1"),
+        (lambda: SimplexPoint.concentrated(3, 3), "vertex 3 out of range for n=3"),
+        (lambda: SimplexPoint.from_weights([0, 0]), "weights must have positive sum"),
+        (lambda: SimplexPoint.random_point(0, random.Random(0)), "random point needs n >= 1"),
+    ], ids=["uniform", "concentrated", "from-weights", "random-point"])
+    def test_constructors_reject(self, make, message):
+        with pytest.raises(SimplexError) as exc:
+            make()
+        assert (exc.type, str(exc.value)) == (SimplexError, message)
+
     @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12),
                     min_size=2, max_size=6),
            st.data())
@@ -136,6 +147,11 @@ class TestEvalPhi:
             ev = eval_phi(index, 2, SimplexPoint.concentrated(4, v))
             assert ev.b == 0
             assert ev.phi == clique_density_term(index.c[v], 2)
+
+    def test_t_below_two_rejected(self, k4):
+        with pytest.raises(ValueError) as exc:
+            eval_phi(CliqueIndex(k4), 1, SimplexPoint.uniform(4))
+        assert (exc.type, str(exc.value)) == (ValueError, "clique order t must be >= 2, got 1")
 
     def test_dimension_mismatch(self, k4):
         with pytest.raises(SimplexError):
@@ -322,6 +338,12 @@ class TestNonnegativity:
         assert rep.argmin == points[k]
         assert rep.phi_uniform == values[0]
         assert rep.points_checked == len(points)
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError) as exc:
+            verify_nonnegativity(CliqueIndex(Graph(0, ())), 2, samples=1, seed=0)
+        assert (exc.type, str(exc.value)) == (ValueError,
+                                              "nonnegativity check needs n >= 1")
 
     def test_rejects_zero_samples(self, c5):
         with pytest.raises(ValueError):
