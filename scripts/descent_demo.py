@@ -15,6 +15,7 @@ import random
 from cliquebound.bounds import bound_report
 from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import named_small_graphs
+from cliquebound.graph import integer
 from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi
 
 
@@ -34,9 +35,9 @@ def verdict(rep) -> tuple[str, str]:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--graph", default="C5", choices=sorted(named_small_graphs()))
-    ap.add_argument("--t", type=int, default=2)
-    ap.add_argument("--starts", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--t", type=integer, default=2)
+    ap.add_argument("--starts", type=integer, default=3)
+    ap.add_argument("--seed", type=integer, default=0)
     args = ap.parse_args()
     if args.t < 2:
         ap.error(f"--t must be >= 2, got {args.t}")

@@ -34,7 +34,7 @@ from cliquebound.bounds import (  # noqa: E402
     localized_zykov_bound,
 )
 from cliquebound.cliques import CliqueIndex  # noqa: E402
-from cliquebound.graph import Graph, to_graph6  # noqa: E402
+from cliquebound.graph import Graph, integer, to_graph6  # noqa: E402
 from cliquebound.oracles import (  # noqa: E402
     brute_alpha_histogram,
     brute_maximal_cliques,
@@ -83,7 +83,7 @@ def check_graph(g: Graph) -> list[str]:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--max-n", type=int, required=True)
+    ap.add_argument("--max-n", type=integer, required=True)
     args = ap.parse_args()
     if not 0 <= args.max_n <= 7:
         ap.error(f"--max-n must be 0..7, got {args.max_n}")

@@ -15,7 +15,10 @@ The corpus comes from ``perfbench/workloads.py``, read from this checkout,
 and the program timed is this checkout's ``src/``. Instead of a workload,
 one or more ``--graph`` specs time the same kernels at scale, one table per
 graph: ``gnp:N:P:SEED`` is the seeded G(N, P), P a fraction such as 1/2, and
-``multipartite:SxR`` is K_{SxR}, R parts of S vertices. Examples:
+``multipartite:SxR`` is K_{SxR}, R parts of S vertices; their numbers are
+read by ``graph.integer`` and ``graph.rational``. A kernel whose work
+passes the default budget ends the run with one error line and exit 3, as
+the CLI does. Examples:
 
     python3 scripts/kernel_times.py --workload phi-simplex --seed 0 --reps 3
     python3 scripts/kernel_times.py --graph multipartite:4x9 --graph gnp:140:1/2:1
@@ -25,17 +28,18 @@ import argparse
 import platform
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from cliquebound.cliques import CliqueIndex  # noqa: E402
+from cliquebound.cliques import BudgetExceeded, CliqueIndex  # noqa: E402
 from cliquebound.graph import (  # noqa: E402
     Graph,
     generate_complete_multipartite,
     generate_random,
+    integer,
+    rational,
 )
 from cliquebound.simplex import (  # noqa: E402
     SimplexPoint,
@@ -75,15 +79,13 @@ def parse_graph_spec(spec: str) -> Graph:
     kind, _, rest = spec.partition(":")
     fields = rest.split(":")
     if kind == "gnp" and len(fields) == 3:
-        n, p, seed = fields
-        if "/" in p and not int(p.partition("/")[2]):
-            raise ValueError(f"edge probability {p} has a zero denominator")
-        if int(n) >= 1:
-            return generate_random(int(n), Fraction(p), int(seed))
+        n, p, seed = integer(fields[0]), rational(fields[1]), integer(fields[2])
+        if n >= 1:
+            return generate_random(n, p, seed)
     if kind == "multipartite" and len(fields) == 1:
         s, x, r = fields[0].partition("x")
-        if x and int(r) >= 1:
-            return generate_complete_multipartite([int(s)] * int(r))
+        if x and integer(r) >= 1:
+            return generate_complete_multipartite([integer(s)] * integer(r))
     raise ValueError("expected gnp:N:P:SEED with N >= 1 or multipartite:SxR with R >= 1")
 
 
@@ -109,8 +111,8 @@ def main():
     source.add_argument("--workload", choices=sorted(WORKLOADS))
     source.add_argument("--graph", action="append", metavar="SPEC",
                         help="gnp:N:P:SEED or multipartite:SxR; repeatable")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--seed", type=integer, default=0)
+    ap.add_argument("--reps", type=integer, default=3)
     args = ap.parse_args()
     if args.reps < 1:
         ap.error(f"--reps must be >= 1, got {args.reps}")
@@ -118,7 +120,7 @@ def main():
     python = f"best of {args.reps} (Python {platform.python_version()})"
     if args.workload:
         graphs = [item.graph for item in WORKLOADS[args.workload].corpus(args.seed)]
-        tables = [(f"workload {args.workload}, seed {args.seed}, {len(graphs)} graphs, "
+        tables = [(f"workload {args.workload}", f"seed {args.seed}, {len(graphs)} graphs, "
                    f"{python}", graphs)]
     else:
         tables = []
@@ -127,13 +129,16 @@ def main():
                 g = parse_graph_spec(spec)
             except ValueError as e:
                 ap.error(f"--graph {spec}: {e}")
-            tables.append((f"graph {spec}, n {g.n}, m {g.m}, {python}", [g]))
+            tables.append((f"graph {spec}", f"n {g.n}, m {g.m}, {python}", [g]))
 
-    for k, (title, graphs) in enumerate(tables):
-        best, nodes = time_corpus(graphs, args.reps)
+    for k, (title, details, graphs) in enumerate(tables):
+        try:
+            best, nodes = time_corpus(graphs, args.reps)
+        except BudgetExceeded as e:  # exit 3, as the CLI does
+            ap.exit(3, f"{ap.prog}: error: {title}: {e}\n")
         if k:
             print()
-        print(title)
+        print(f"{title}, {details}")
         print(f"{'kernel':<22} {'ms/pass':>10} {'nodes/pass':>12}")
         for name in best:
             print(f"{name:<22} {1000 * best[name]:>10.1f} {nodes[name]:>12}")

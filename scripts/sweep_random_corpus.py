@@ -12,14 +12,15 @@ from fractions import Fraction
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import seeded_random_corpus
+from cliquebound.graph import integer
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=60)
-    ap.add_argument("--seed", type=int, default=2000)
-    ap.add_argument("--t", type=int, default=2)
-    ap.add_argument("--t-max", type=int, default=4)
+    ap.add_argument("--count", type=integer, default=60)
+    ap.add_argument("--seed", type=integer, default=2000)
+    ap.add_argument("--t", type=integer, default=2)
+    ap.add_argument("--t-max", type=integer, default=4)
     args = ap.parse_args()
     if args.count < 1:
         ap.error(f"--count must be >= 1, got {args.count}")

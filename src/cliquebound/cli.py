@@ -7,7 +7,8 @@ both the tight and the vacuous (t > omega) outcome. ``bounds.outcome`` names
 the outcome of a record, in the ``analyze`` summary and the ``phi`` verdict.
 
 Each command takes the parsed ``argparse.Namespace``: ``build_parser`` sets
-every option's default, and ``usage_error`` checks every option's value.
+every option's default and reads every number with ``graph.integer`` or
+``graph.rational``, and ``usage_error`` checks every option's range.
 
 Rationals serialize as "p/q" strings; a display-only decimal column with 10
 significant digits rides along for human scanning.
@@ -39,8 +40,10 @@ from .graph import (
     ParseError,
     generate_complete_multipartite,
     generate_random,
+    integer,
     parse_edge_list,
     parse_graph6,
+    rational,
     to_graph6,
 )
 from .oracles import (
@@ -140,7 +143,7 @@ def cmd_analyze(args) -> int:
     ts = range(args.t, args.t_max + 1)
     records = []
     failures = 0
-    budget_hit = False
+    over_budget = 0
     for path in paths:
         try:
             g = load_graph_file(path)
@@ -153,7 +156,7 @@ def cmd_analyze(args) -> int:
             reports = bound_reports(CliqueIndex(g, args.budget), ts)
         except BudgetExceeded as exc:
             records.extend({"file": str(path), "t": t, "error": str(exc)} for t in ts)
-            budget_hit = True
+            over_budget += 1
             continue
         except TightnessInvariantError as exc:
             print(f"error: {path}: t={exc.t}: {exc}", file=sys.stderr)
@@ -166,11 +169,12 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     ok = [r for r in records if "error" not in r]
     kinds = Counter(outcome(r["t"], r["omega"], r["tight"]) for r in ok)
-    print(f"analyzed {len(paths) - failures} graphs, {len(ok)} records, {kinds['tight']} "
-          f"tight, {kinds['strict']} strict, {kinds['vacuous']} vacuous", file=sys.stderr)
+    print(f"analyzed {len(paths) - failures - over_budget} graphs, {len(ok)} records, "
+          f"{kinds['tight']} tight, {kinds['strict']} strict, {kinds['vacuous']} vacuous, "
+          f"{failures} failed to load, {over_budget} over budget", file=sys.stderr)
     if failures:
         return EXIT_USAGE
-    if budget_hit:
+    if over_budget:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -213,24 +217,22 @@ def _render_records(records, fmt: str) -> str:
 def cmd_generate(args) -> int:
     try:
         if args.kind == "multipartite":
-            sizes = tuple(int(s) for s in args.parts.split(","))
-            n = sum(sizes)
+            n = sum(args.parts)
             # Runs of equal parts as SxR, R parts of S vertices: 2,2,2 -> 2x3.
             runs = "-".join(f"{size}x{len(list(run))}"
-                            for size, run in itertools.groupby(sizes))
+                            for size, run in itertools.groupby(args.parts))
             names = [f"multipartite_{runs}.g6"]
-            graphs = ((names[0], generate_complete_multipartite(sizes)) for _ in [sizes])
+            graphs = ((names[0], generate_complete_multipartite(args.parts)) for _ in [args.parts])
         else:
-            p = Fraction(args.p)
             n = args.n
 
             def file_name(seed):
-                return random_graph_name(n, p, seed) + ".g6"
+                return random_graph_name(n, args.p, seed) + ".g6"
             seeds = range(args.seed, args.seed + args.count)
             # Names differ only in the seed, whose longest form is at an end of
             # the range, so the two ends stand for all --count names.
             names = [file_name(seeds[0]), file_name(seeds[-1])]
-            graphs = ((file_name(seed), generate_random(n, p, seed)) for seed in seeds)
+            graphs = ((file_name(seed), generate_random(n, args.p, seed)) for seed in seeds)
         longest = max(names, key=len)
         if len(longest) > NAME_MAX:  # ASCII: one byte per character
             raise ValueError(f"file name of {len(longest)} bytes exceeds the "
@@ -246,7 +248,7 @@ def cmd_generate(args) -> int:
         for name, g in itertools.chain([first], graphs):
             (args.out / name).write_text(to_graph6(g) + "\n", encoding="ascii")
             print(args.out / name)
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -381,6 +383,11 @@ def cmd_selfcheck(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def integers(text: str) -> tuple[int, ...]:
+    """Comma-separated ``integer`` values, as ``--parts`` takes them."""
+    return tuple(map(integer, text.split(",")))
+
+
 # Built once per process: parse_args does not change the parser, a build takes
 # about 1 ms (Python 3.11, 2 vCPUs), and each parser is a reference cycle left
 # for the cyclic garbage collector, which a caller making many main() calls
@@ -397,18 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "inputs": dict(nargs="*", help="graph files or directories"),
         "kind": dict(choices=["multipartite", "random"]),
-        "--t": dict(type=int, default=2, help="clique order (default 2)"),
-        "--t-max": dict(type=int, default=None, help="analyze a range t..t_max"),
+        "--t": dict(type=integer, default=2, help="clique order (default 2)"),
+        "--t-max": dict(type=integer, default=None, help="analyze a range t..t_max"),
         "--format": dict(choices=["json", "csv"], default="json"),
-        "--seed": dict(type=int, default=0),
-        "--samples": dict(type=int, default=100),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+        "--seed": dict(type=integer, default=0),
+        "--samples": dict(type=integer, default=100),
+        "--budget": dict(type=integer, default=DEFAULT_BUDGET,
                          help="max clique work per graph, in work nodes (default %(default)s)"),
         "--out": dict(type=Path, default=None),
-        "--parts": dict(default=None, help="comma-separated part sizes"),
-        "--n": dict(type=int, default=None),
-        "--p": dict(default=None, help="edge probability as p/q"),
-        "--count": dict(type=int, default=1),
+        "--parts": dict(type=integers, default=None, help="comma-separated part sizes"),
+        "--n": dict(type=integer, default=None),
+        "--p": dict(type=rational, default=None, help="edge probability as p/q"),
+        "--count": dict(type=integer, default=1),
     }
 
     def command(name, run, help, *flags):

@@ -167,6 +167,36 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
+# Numbers: the one grammar for every number the tool reads from text.
+# ---------------------------------------------------------------------------
+
+_INTEGER = re.compile(r"-?[0-9]+")  # not \d, which matches "\u0663" too
+
+
+def integer(text: str) -> int:
+    """The integer that ``text`` writes as ASCII digits with an optional
+    leading minus sign.
+
+    ValueError on anything else, though int() reads "1_0", "+2", " 2" and
+    "\u0663", and on more digits than int() converts.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def rational(text: str) -> Fraction:
+    """The rational that ``text`` writes as ``p/q`` or ``p``, each part an
+    ``integer`` and q >= 1; ValueError on anything else, "0.5", "1e-1" and
+    "1/0" included. It reads back every ``p/q`` the tool writes."""
+    numerator, slash, denominator = text.partition("/")
+    q = integer(denominator) if slash else 1
+    if q < 1:
+        raise ValueError(f"denominator must be >= 1, got {text!r}")
+    return Fraction(integer(numerator), q)
+
+
+# ---------------------------------------------------------------------------
 # Edge-list format: UTF-8 lines "u v", "#" comments, optional "p edge n m" header.
 # ---------------------------------------------------------------------------
 
@@ -179,28 +209,34 @@ def parse_edge_list(text: str) -> Graph:
     but a bare first line that could be an ``n m`` header (its first value
     exceeds every later index and its second equals the distinct edge count
     of the later lines) is an error, since it reads either way. Values are
-    ASCII digits with an optional minus sign (not all that int() reads).
+    read by ``integer``.
     Negative values and self-loops are errors, duplicate edges collapse, and
     n is capped below ``MAX_GRAPH6_N`` as graph6 is.
     """
     pairs: list[tuple[int, int, int]] = []  # (u, v, line number)
     header: tuple[int, int] | None = None
-    integer = re.compile(r"-?[0-9]+").fullmatch  # int() also reads "1_0", "+2", "\u0663"
-    count = re.compile(r"[0-9]+").fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if not pairs and header is None and tokens[0] == "p":
-            if (len(tokens) != 4 or tokens[1] != "edge"
-                    or not all(map(count, tokens[2:]))):
-                raise ParseError(f"line {lineno}: expected 'p edge n m', got {raw!r}")
-            header = _edge_list_ints(tokens[2:], lineno, raw)
+            try:
+                if len(tokens) != 4 or tokens[1] != "edge":
+                    raise ValueError
+                header = integer(tokens[2]), integer(tokens[3])
+                if min(header) < 0:
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected 'p edge n m', got {raw!r}") from None
             continue
-        if len(tokens) != 2 or not all(map(integer, tokens)):
-            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        pairs.append((*_edge_list_ints(tokens, lineno, raw), lineno))
+        try:
+            u, v = map(integer, tokens)  # ValueError unless two integers
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative vertex index")
+        pairs.append((u, v, lineno))
 
     if header is None:
         if not pairs:
@@ -226,17 +262,6 @@ def parse_edge_list(text: str) -> Graph:
     if edges and max(v for _, v in edges) >= n:
         raise ParseError(f"edge index exceeds declared vertex count {n}")
     return Graph.from_edges(n, edges)
-
-
-def _edge_list_ints(tokens: list[str], lineno: int, raw: str) -> tuple[int, int]:
-    """Two non-negative integers from ASCII-digit tokens."""
-    try:
-        u, v = int(tokens[0]), int(tokens[1])
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
-    if u < 0 or v < 0:
-        raise ParseError(f"line {lineno}: negative vertex index")
-    return u, v
 
 
 def to_edge_list(g: Graph) -> str:

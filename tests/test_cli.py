@@ -20,9 +20,19 @@ from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_g
 
 
 def run(capsys, *args):
-    code = main(list(args))
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # argparse refuses an option value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def error_line(err):
+    """The one line of ``err`` that is not argparse's usage block."""
+    lines = [line for line in err.splitlines() if not line.startswith(("usage: ", " "))]
+    assert len(lines) == 1, err
+    return lines[0]
 
 
 def test_generate_multipartite(tmp_path, capsys):
@@ -89,21 +99,77 @@ def test_generate_count_below_one_rejected(tmp_path, capsys, count):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("random", "--n", "-5", "--p", "1/2"), "n must be >= 0, got -5"),
-    (("random", "--n", "5", "--p", "3/2"), "edge probability must lie in [0, 1], got 3/2"),
-    (("multipartite", "--parts", "2,x"), "invalid literal for int() with base 10: 'x'"),
+@pytest.mark.parametrize("argv, line, usage", [
+    (("random", "--n", "-5", "--p", "1/2"), "error: n must be >= 0, got -5", False),
+    (("random", "--n", "5", "--p", "3/2"),
+     "error: edge probability must lie in [0, 1], got 3/2", False),
+    # argparse reads --parts, so its usage block comes before the line.
+    (("multipartite", "--parts", "2,x"),
+     "cliquebound generate: error: argument --parts: invalid integers value: '2,x'", True),
     # A --p of 241 digits makes a file name of 263 bytes.
     (("random", "--n", "5", "--p", "1/1" + "0" * 240),
-     "file name of 263 bytes exceeds the 255-byte limit: "
-     + random_graph_name(5, Fraction(1, 10**240), 0)[:64] + "..."),
+     "error: file name of 263 bytes exceeds the 255-byte limit: "
+     + random_graph_name(5, Fraction(1, 10**240), 0)[:64] + "...", False),
 ], ids=["n", "p", "parts", "random-name"])
-def test_generate_validates_before_making_out(tmp_path, capsys, argv, message):
+def test_generate_validates_before_making_out(tmp_path, capsys, argv, line, usage):
     outdir = tmp_path / "o"
     code, out, err = run(capsys, "generate", *argv, "--out", str(outdir))
     assert code == 2
-    assert (out, err) == ("", f"error: {message}\n")
+    assert out == ""
+    if usage:
+        assert error_line(err) == line
+    else:
+        assert err == line + "\n"
     assert not outdir.exists()
+
+
+# Each option that takes a number, with a command that reads it; the number
+# goes last. ``--budget`` is read by analyze and phi too, and ``--seed`` by
+# generate and selfcheck, through the same option table.
+NUMBER_OPTIONS = [
+    (("analyze", "g.g6", "--t"), "integer"),
+    (("analyze", "g.g6", "--t", "2", "--t-max"), "integer"),
+    (("phi", "g.g6", "--seed"), "integer"),
+    (("phi", "g.g6", "--samples"), "integer"),
+    (("selfcheck", "--budget"), "integer"),
+    (("generate", "random", "--out", "o", "--p", "1/2", "--n"), "integer"),
+    (("generate", "random", "--out", "o", "--n", "5", "--p", "1/2", "--count"), "integer"),
+    (("generate", "multipartite", "--out", "o", "--parts"), "integers"),
+    (("generate", "random", "--out", "o", "--n", "5", "--p"), "rational"),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", " 2", "\u0663", "0x1"],
+                         ids=["underscore", "plus", "space", "arabic-indic", "hex"])
+@pytest.mark.parametrize("argv, kind", NUMBER_OPTIONS,
+                         ids=[argv[-1] for argv, _ in NUMBER_OPTIONS])
+def test_loose_number_is_refused_naming_its_option(tmp_path, capsys, monkeypatch,
+                                                    argv, kind, token):
+    # int() reads each token as 10, 2, 2, 3 and (base 0) 1.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, token)
+    assert (code, out) == (2, "")
+    assert error_line(err) == (f"cliquebound {argv[0]}: error: argument {argv[-1]}: "
+                               f"invalid {kind} value: {token!r}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("p", ["0.5", "1e-1", "1/0", "1/-2", "1/2/3"])
+def test_p_is_a_fraction_p_over_q(tmp_path, capsys, p):
+    outdir = tmp_path / "o"
+    code, out, err = run(capsys, "generate", "random", "--n", "5", "--p", p,
+                         "--out", str(outdir))
+    assert (code, out) == (2, "")
+    assert error_line(err) == (
+        f"cliquebound generate: error: argument --p: invalid rational value: '{p}'")
+    assert not outdir.exists()
+
+
+def test_p_may_be_an_integer(tmp_path, capsys):
+    code, out, _ = run(capsys, "generate", "random", "--n", "3", "--p", "1",
+                       "--out", str(tmp_path))
+    assert (code, out) == (0, f"{tmp_path / 'random_n3_p1-1_seed0.g6'}\n")
+    assert parse_graph6((tmp_path / "random_n3_p1-1_seed0.g6").read_text()).m == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,7 +194,8 @@ def test_analyze_summary_counts_vacuous_records(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "2", "--t-max", "3")
     assert code == 0
     assert [json.loads(line)["tight"] for line in out.splitlines()] == [True, True]
-    assert err == "analyzed 1 graphs, 2 records, 1 tight, 0 strict, 1 vacuous\n"
+    assert err == ("analyzed 1 graphs, 2 records, 1 tight, 0 strict, 1 vacuous, "
+                   "0 failed to load, 0 over budget\n")
 
 
 def test_analyze_octahedron(tmp_path, capsys):
@@ -223,9 +290,12 @@ def test_analyze_deterministic_output(tmp_path, capsys):
 
 def test_analyze_budget_exceeded(tmp_path, capsys):
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
-    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
     assert code == 3
     assert "error" in json.loads(out.splitlines()[0])
+    # The graph over budget is not counted as analyzed.
+    assert err == ("analyzed 0 graphs, 0 records, 0 tight, 0 strict, 0 vacuous, "
+                   "0 failed to load, 1 over budget\n")
 
 
 def test_analyze_budget_exceeded_csv(tmp_path, capsys):
@@ -359,11 +429,15 @@ def test_analyze_partial_parse_failure_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3")
     assert code == 2
     assert [json.loads(line)["true_count"] for line in out.splitlines()] == [8]
-    assert "bad.el" in err
-    # A parse failure outranks a budget hit.
-    code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
+    load_error = f"error: {tmp_path / 'bad.el'}: line 1: expected two integers, got '0 1 2 3'\n"
+    assert err == load_error + ("analyzed 1 graphs, 1 records, 1 tight, 0 strict, "
+                                "0 vacuous, 1 failed to load, 0 over budget\n")
+    # A parse failure outranks a budget hit; the summary names both.
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3", "--budget", "1")
     assert code == 2
     assert "error" in json.loads(out)
+    assert err == load_error + ("analyzed 0 graphs, 0 records, 0 tight, 0 strict, "
+                                "0 vacuous, 1 failed to load, 1 over budget\n")
 
 
 @pytest.mark.parametrize("name, data", [
@@ -411,6 +485,26 @@ def test_analyze_edge_list_loose_integer_is_input_error(tmp_path, capsys):
     assert err == f"error: {loose}: line 1: expected two integers, got '0 1_0'\n"
 
 
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "0x1"],
+                         ids=["underscore", "plus", "arabic-indic", "hex"])
+@pytest.mark.parametrize("template, lineno, expected", [
+    ("0 1\n0 {}\n", 2, "expected two integers"),
+    ("p edge {} 0\n", 1, "expected 'p edge n m'"),
+    ("p edge 2 {}\n0 1\n", 1, "expected 'p edge n m'"),
+], ids=["edge", "header-n", "header-m"])
+def test_edge_list_loose_number_names_its_line(tmp_path, capsys, template, lineno,
+                                               expected, token):
+    # A value padded with a space, " 2", is two fields apart: the format
+    # splits a line on whitespace.
+    path = tmp_path / "loose.el"
+    text = template.format(token)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--t", "2")
+    assert (code, out) == (2, "")
+    line = text.splitlines()[lineno - 1]
+    assert err == f"error: {path}: line {lineno}: {expected}, got {line!r}\n"
+
+
 def test_analyze_edge_list_bare_header_is_input_error(tmp_path, capsys):
     # "5 1" could be the header of a 5-vertex graph or the edge (5, 1).
     both = tmp_path / "both.el"
@@ -438,7 +532,8 @@ def test_analyze_k400_tight(tmp_path, capsys):
     recs = [json.loads(line) for line in out.splitlines()]
     assert [(r["t"], r["true_count"], r["tight"]) for r in recs] == [
         (t, comb(400, t), True) for t in (2, 3, 4)]
-    assert err == "analyzed 1 graphs, 3 records, 3 tight, 0 strict, 0 vacuous\n"
+    assert err == ("analyzed 1 graphs, 3 records, 3 tight, 0 strict, 0 vacuous, "
+                   "0 failed to load, 0 over budget\n")
 
 
 @pytest.fixture(scope="module")
@@ -578,7 +673,8 @@ def test_analyze_empty_graph_records_pinned(tmp_path, capsys, monkeypatch):
                              "--budget", budget)
         assert code == 0
         assert out == EMPTY_GRAPH_RECORDS
-        assert err == "analyzed 1 graphs, 2 records, 0 tight, 0 strict, 2 vacuous\n"
+        assert err == ("analyzed 1 graphs, 2 records, 0 tight, 0 strict, 2 vacuous, "
+                       "0 failed to load, 0 over budget\n")
 
 
 def test_phi_tight_exit(tmp_path, capsys):

@@ -17,11 +17,14 @@ from cliquebound.graph import (
     bits,
     generate_complete_multipartite,
     generate_random,
+    integer,
     parse_edge_list,
     parse_graph6,
+    rational,
     to_edge_list,
     to_graph6,
 )
+from cliquebound.simplex import _rat
 from strategies import graphs, sparse_graphs
 
 
@@ -97,6 +100,33 @@ class TestGraphInvariants:
                 assert g.has_edge(u, v)
 
 
+class TestNumbers:
+    @given(st.integers())
+    def test_integer_round_trip(self, k):
+        assert integer(str(k)) == k
+        assert rational(str(k)) == k
+
+    @given(st.fractions())
+    def test_rational_reads_back_p_over_q(self, f):
+        # The "p/q" that every report of the tool writes.
+        assert rational(_rat(f)) == f
+
+    @pytest.mark.parametrize("text", ["", "-", "--1", "1-", "1_0", "+2", " 2", "2 ",
+                                      "\u0663", "0x1", "1.0", "1e3", "1" * 5000])
+    def test_integer_refuses(self, text):
+        # int() reads "1_0", "+2", " 2", "2 " and "\u0663".
+        with pytest.raises(ValueError):
+            integer(text)
+
+    @pytest.mark.parametrize("text", ["", "0.5", "1e-1", "1/0", "1/-2", "1/", "/2",
+                                      "1/2/3", " 1/2", "1 /2", "1_0/2", "\u0661/2"])
+    def test_rational_refuses(self, text):
+        # Fraction() reads "0.5", "1e-1", " 1/2" and "1_0/2", and raises
+        # ZeroDivisionError on "1/0".
+        with pytest.raises(ValueError):
+            rational(text)
+
+
 class TestEdgeList:
     def test_path_with_header(self):
         g = parse_edge_list("p edge 3 2\n0 1\n1 2")
@@ -128,8 +158,9 @@ class TestEdgeList:
         ("p col 3 0", "^line 1: expected 'p edge n m'"),
         ("p edge -1 0", "^line 1: expected 'p edge n m'"),
         ("0 1\np edge 2 1", "^line 2: expected two integers"),
+        ("p edge " + "1" * 5000 + " 0", "^line 1: expected 'p edge n m'"),
     ], ids=["too-few-edges", "too-many-edges", "index-past-n", "short", "not-edge",
-            "negative", "not-first"])
+            "negative", "not-first", "past-int-digit-limit"])
     def test_header_errors(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_edge_list(text)

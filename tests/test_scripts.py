@@ -1,5 +1,7 @@
 """The experiment scripts run end to end on small inputs."""
 
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +9,25 @@ from pathlib import Path
 
 import pytest
 
+from cliquebound.cliques import CliqueIndex
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_in_process(monkeypatch, capsys, script, args, patch=None):
+    """Run ``script``'s main() with ``args`` in this process; its exit code,
+    stdout and stderr. ``patch`` may replace names in the script's module."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # a script may prepend to it
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    spec = importlib.util.spec_from_file_location(script[:-3], ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, value in (patch or {}).items():
+        monkeypatch.setattr(module, name, value)
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("script,args,expected", [
@@ -61,6 +81,66 @@ def test_script_rejects_bad_arguments(script, args):
     assert result.stdout == ""
     assert result.stderr.splitlines()[-1].startswith(f"{script}: error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", " 2", "\u0663", "0x1"],
+                         ids=["underscore", "plus", "space", "arabic-indic", "hex"])
+@pytest.mark.parametrize("script,args", [
+    ("descent_demo.py", ["--t"]),
+    ("descent_demo.py", ["--starts"]),
+    ("descent_demo.py", ["--seed"]),
+    ("sweep_random_corpus.py", ["--count"]),
+    ("sweep_random_corpus.py", ["--seed"]),
+    ("sweep_random_corpus.py", ["--t"]),
+    ("sweep_random_corpus.py", ["--t-max"]),
+    ("exhaustive_small_graphs.py", ["--max-n"]),
+    ("kernel_times.py", ["--workload", "phi-simplex", "--seed"]),
+    ("kernel_times.py", ["--workload", "phi-simplex", "--reps"]),
+], ids=lambda v: v if isinstance(v, str) else v[-1])
+def test_script_refuses_loose_integer(monkeypatch, capsys, script, args, token):
+    # int() reads each token as 10, 2, 2, 3 and (base 0) 1.
+    code, out, err = run_in_process(monkeypatch, capsys, script, [*args, token])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"{script}: error: argument {args[-1]}: "
+                                    f"invalid integer value: {token!r}")
+
+
+@pytest.mark.parametrize("spec,field", [
+    *((template.format(token), token)
+      for template in ("gnp:{}:1/2:1", "gnp:10:{}/2:1", "gnp:10:1/{}:1", "gnp:10:1/2:{}",
+                       "multipartite:{}x2", "multipartite:2x{}")
+      for token in ("1_0", "+2", " 2", "\u0663", "0x1")
+      if (template, token) != ("multipartite:{}x2", "0x1")),
+    # S and R are split at the first "x", so R reads "1x2" here.
+    ("multipartite:0x1x2", "1x2"),
+    ("gnp:10:0.5:1", "0.5"),
+    ("gnp:10:1e-1:1", "1e-1"),
+])
+def test_graph_spec_refuses_loose_number(monkeypatch, capsys, spec, field):
+    code, out, err = run_in_process(monkeypatch, capsys, "kernel_times.py",
+                                    ["--graph", spec])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"kernel_times.py: error: --graph {spec}: not an integer: {field!r}")
+
+
+def test_graph_spec_refuses_zero_denominator(monkeypatch, capsys):
+    code, out, err = run_in_process(monkeypatch, capsys, "kernel_times.py",
+                                    ["--graph", "gnp:10:1/0:1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("kernel_times.py: error: --graph gnp:10:1/0:1: "
+                                    "denominator must be >= 1, got '1/0'")
+
+
+def test_kernel_times_budget_hit_is_one_error_line(monkeypatch, capsys):
+    # K_{2x2x2}'s maximal-clique pass takes 15 work nodes, past a budget of
+    # 10; the script's own default budget would take seconds to reach.
+    code, out, err = run_in_process(
+        monkeypatch, capsys, "kernel_times.py", ["--graph", "multipartite:2x3", "--reps", "1"],
+        patch={"CliqueIndex": functools.partial(CliqueIndex, budget=10)})
+    assert (code, out) == (3, "")
+    assert err == ("kernel_times.py: error: graph multipartite:2x3: clique enumeration "
+                   "exceeded work budget of 10 nodes\n")
 
 
 _KERNELS = ("maximal-clique pass", "histogram(2)", "histogram(3)", "histogram(4)",
