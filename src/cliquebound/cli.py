@@ -162,10 +162,10 @@ def cmd_analyze(args) -> int:
             print(f"error: {path}: t={exc.t}: {exc}", file=sys.stderr)
             return EXIT_FAILURE
         records.extend(_report_record(path, g_hash, rep) for rep in reports)
-    if failures == len(paths):
-        return EXIT_USAGE
-
-    if not _write_output(_render_records(records, args.format), args.out):
+    # With no graph loaded there is no report to write, but the summary
+    # still names the failures.
+    if failures < len(paths) and not _write_output(_render_records(records, args.format),
+                                                   args.out):
         return EXIT_USAGE
     ok = [r for r in records if "error" not in r]
     kinds = Counter(outcome(r["t"], r["omega"], r["tight"]) for r in ok)

@@ -17,9 +17,12 @@ candidates outside K: the pivot rule of Jain and Seshadhri, "The power of
 pivoting for exact clique counting" (WSDM 2020). So K_n is one node. The
 walk visits only nodes that the walk for one of those orders alone would
 visit, so it is charged at most the sum of theirs. The index also runs the
-simplex's integer-weighted clique sums, and counts its own work as ``nodes``:
-each kernel charges the index it serves one node per stack node of the pass
-or call of the others, and past ``budget`` nodes the work on one graph stops.
+simplex's integer-weighted clique sums, at one point or at many points in
+one walk per ``CHUNK`` points, so the sampled simplex points share one walk.
+It counts its own work as ``nodes``: each kernel charges the index it serves
+one node per stack node of the pass or call of the others, a call of the
+batched sum once for all its points, and past ``budget`` nodes the work on
+one graph stops.
 Every function that does clique work takes the graph's ``CliqueIndex``; none
 builds its own.
 """
@@ -28,11 +31,14 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .graph import Graph, transpose
 
 DEFAULT_BUDGET = 5_000_000
+# Points per walk of ``CliqueIndex.weight_sums``: its memory is O(n * CHUNK).
+CHUNK = 64
 
 
 class BudgetExceeded(RuntimeError):
@@ -61,6 +67,31 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
         if sub.bit_count() >= r - 1:
             total += weights[v] * _weight_rec(adj, sub, r - 1, weights, index)
     return total
+
+
+def _weight_sums_rec(adj: Sequence[int], cand: int, r: int, columns: Sequence[Sequence[int]],
+                     zero: Sequence[int], index: CliqueIndex) -> Sequence[int]:
+    """``_weight_rec`` at several points in one walk, each node charged once
+    for all of them: ``columns[v]`` holds v's weight at each point, and the
+    result is the sum at each point, ``zero`` if there is no r-clique."""
+    index.tick()
+    if r == 1:
+        rows = []
+        while cand:
+            low = cand & -cand
+            rows.append(columns[low.bit_length() - 1])
+            cand ^= low
+        return list(map(sum, zip(*rows))) if rows else zero
+    terms = []
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        sub = cand & adj[v]
+        if sub.bit_count() >= r - 1:
+            terms.append(map(mul, columns[v],
+                             _weight_sums_rec(adj, sub, r - 1, columns, zero, index)))
+    return list(map(sum, zip(*terms))) if terms else zero
 
 
 def _maximal_cliques(adj: Sequence[int], mask: int, index: CliqueIndex) -> list[int]:
@@ -169,8 +200,10 @@ class CliqueIndex:
     fills the histogram of every order asked for together, and the index
     keeps each one. The bound and simplex functions read the graph, ``c`` and
     ``omega`` from the index and run their clique sums through
-    ``weight_sum``. ``nodes`` counts the work done on the graph, in nodes:
-    those of the pass, of each walk and of every weighted clique sum, each
+    ``weight_sum``, or through ``weight_sums`` at many points at once, as
+    the simplex's sampled points do. ``nodes`` counts the work done on the
+    graph, in nodes: those of the pass, of each walk and of every weighted
+    clique sum, a node of a batched sum once for all its points, each
     charged by ``tick``, which raises ``BudgetExceeded`` once ``nodes`` passes
     ``budget``. So the budget caps the total work done on the graph. It
     defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
@@ -244,6 +277,19 @@ class CliqueIndex:
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
         return _weight_rec(self.graph.adjacency, mask, t, weights, self)
+
+    def weight_sums(self, mask: int, t: int, points: Sequence[Sequence[int]]) -> list[int]:
+        """``weight_sum(mask, t, p)`` for each p of ``points``, in order, from
+        one walk over the t-cliques of ``mask`` per ``CHUNK`` points: each
+        node of a walk is charged once for every point of its chunk."""
+        if t < 1:
+            raise ValueError(f"clique order must be >= 1, got {t}")
+        sums: list[int] = []
+        for start in range(0, len(points), CHUNK):
+            chunk = points[start:start + CHUNK]
+            sums += _weight_sums_rec(self.graph.adjacency, mask, t, list(zip(*chunk)),
+                                     [0] * len(chunk), self)
+        return sums
 
 
 def count_cliques(index: CliqueIndex, t: int) -> int:

@@ -10,7 +10,9 @@ Every function that does clique work takes the graph's ``CliqueIndex``: it
 reads the graph and c(v), kept once as ``index.c``, from the index, and runs
 its clique sums through ``CliqueIndex.weight_sum``, which charges them to
 the index's own node count, so one budget caps all the work done on one
-graph.
+graph. The nonnegativity check's uniform and random points all have full
+support, so they share one ``CliqueIndex.weight_sums`` walk per ``CHUNK``
+points, each node charged once for all of them.
 
 A point is held as integer numerators over one common denominator D, so the
 clique polynomial runs on integers: B is one integer clique sum over D^t, and
@@ -24,10 +26,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain, islice
 from math import gcd, lcm
+from typing import Iterator
 
 from .bounds import density_sum, density_terms
-from .cliques import CliqueIndex
+from .cliques import CHUNK, CliqueIndex
 
 
 class SimplexError(ValueError):
@@ -163,6 +167,18 @@ def _phi(index: CliqueIndex, t: int, terms: dict[int, Fraction],
     a = density_sum(terms, index.c, nums) / den
     b = Fraction(index.weight_sum(_support_mask(nums), t, nums), den**t)
     return PhiEvaluation(a, b, a - b)
+
+
+def _phis(index: CliqueIndex, t: int, terms: dict[int, Fraction],
+          points: Iterator[list[int]]) -> Iterator[tuple[Fraction, list[int]]]:
+    """(phi, weights) at each full-support point of ``points``, each given by
+    positive integer weights over their sum. The points are taken ``CHUNK``
+    at a time, and B for every point of a chunk comes from one walk."""
+    c, full = index.c, index.graph.full_mask
+    while chunk := list(islice(points, CHUNK)):
+        for weights, b in zip(chunk, index.weight_sums(full, t, chunk)):
+            den = sum(weights)
+            yield density_sum(terms, c, weights) / den - Fraction(b, den**t), weights
 
 
 def eval_phi(index: CliqueIndex, t: int, x: SimplexPoint) -> PhiEvaluation:
@@ -318,7 +334,9 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     inequality, i.e. expose a bug).
 
     The vertex points are read in closed form, phi(e_v) = C(c(v), t)/c(v)^t,
-    with no clique sum."""
+    with no clique sum. The other points are drawn ``CHUNK`` at a time, in
+    the order above, and B at all the points of a chunk comes from one
+    walk."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if seed < 0:
@@ -327,19 +345,18 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     if n == 0:
         raise ValueError("nonnegativity check needs n >= 1")
     terms, c = _check(index, t, n), index.c
-    phi_uniform = _phi(index, t, terms, [1] * n, n).phi
+    rng = random.Random(seed)
+    phis = _phis(index, t, terms,
+                 chain([[1] * n], (_random_weights(n, rng) for _ in range(samples))))
+    phi_uniform, _ = next(phis)
     best, argmin = phi_uniform, SimplexPoint.uniform(n)
     # B(e_v) = 0: one vertex holds no t-clique for t >= 2.
     v = min(range(n), key=lambda v: terms[c[v]])
     if terms[c[v]] < best:
         best, argmin = terms[c[v]], SimplexPoint.concentrated(n, v)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        weights = _random_weights(n, rng)
-        total = sum(weights)
-        phi = _phi(index, t, terms, weights, total).phi
+    for phi, weights in phis:
         if phi < best:
-            best, argmin = phi, SimplexPoint._from_ints(weights, total)
+            best, argmin = phi, SimplexPoint._from_ints(weights, sum(weights))
     if best < 0:
         raise PhiNegativityError(
             f"phi({', '.join(map(_rat, argmin.x))}) = {_rat(best)} < 0 on a graph where it "

@@ -28,6 +28,11 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+# analyze's stderr summary when its one input fails to load.
+ONE_FAILED = ("analyzed 0 graphs, 0 records, 0 tight, 0 strict, 0 vacuous, "
+              "1 failed to load, 0 over budget\n")
+
+
 def error_line(err):
     """The one line of ``err`` that is not argparse's usage block."""
     lines = [line for line in err.splitlines() if not line.startswith(("usage: ", " "))]
@@ -265,7 +270,8 @@ def test_analyze_unknown_extension(tmp_path, capsys, monkeypatch):
     (tmp_path / "a.txt").write_text("0 1\n")
     code, out, err = run(capsys, "analyze", "a.txt")
     assert code == 2
-    assert (out, err) == ("", "error: a.txt: unknown extension (expected .g6 or .el)\n")
+    assert (out, err) == ("", "error: a.txt: unknown extension (expected .g6 or .el)\n"
+                          + ONE_FAILED)
 
 
 def test_analyze_csv_format(tmp_path, capsys):
@@ -419,7 +425,8 @@ def test_analyze_rejects_multi_graph_g6(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(tmp_path / "two.g6"))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 2
+    assert err.endswith("\n" + ONE_FAILED)
     assert "two.g6" in err and "found 2" in err
 
 
@@ -438,6 +445,21 @@ def test_analyze_partial_parse_failure_exits_2(tmp_path, capsys):
     assert "error" in json.loads(out)
     assert err == load_error + ("analyzed 0 graphs, 0 records, 0 tight, 0 strict, "
                                 "0 vacuous, 1 failed to load, 1 over budget\n")
+
+
+def test_analyze_every_input_failing_still_prints_the_summary(tmp_path, capsys):
+    (tmp_path / "a.el").write_text("0 1 2 3\n")
+    (tmp_path / "b.g6").write_text("Bw\nDQc\n")
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, "analyze", str(tmp_path), "--t", "3", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    # No graph loaded, so no report is written, not even an empty one.
+    assert not out_file.exists()
+    lines = err.splitlines()
+    assert [line.split(": ")[:2] for line in lines[:2]] == [
+        ["error", str(tmp_path / "a.el")], ["error", str(tmp_path / "b.g6")]]
+    assert lines[2:] == ["analyzed 0 graphs, 0 records, 0 tight, 0 strict, 0 vacuous, "
+                         "2 failed to load, 0 over budget"]
 
 
 @pytest.mark.parametrize("name, data", [
@@ -482,7 +504,7 @@ def test_analyze_edge_list_loose_integer_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(loose), "--t", "2")
     assert code == 2
     assert out == ""
-    assert err == f"error: {loose}: line 1: expected two integers, got '0 1_0'\n"
+    assert err == f"error: {loose}: line 1: expected two integers, got '0 1_0'\n" + ONE_FAILED
 
 
 @pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "0x1"],
@@ -502,7 +524,7 @@ def test_edge_list_loose_number_names_its_line(tmp_path, capsys, template, linen
     code, out, err = run(capsys, "analyze", str(path), "--t", "2")
     assert (code, out) == (2, "")
     line = text.splitlines()[lineno - 1]
-    assert err == f"error: {path}: line {lineno}: {expected}, got {line!r}\n"
+    assert err == f"error: {path}: line {lineno}: {expected}, got {line!r}\n" + ONE_FAILED
 
 
 def test_analyze_edge_list_bare_header_is_input_error(tmp_path, capsys):
@@ -513,7 +535,7 @@ def test_analyze_edge_list_bare_header_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == (f"error: {both}: line 1: '5 1' reads as an 'n m' header or as an "
-                   "edge; write a header as 'p edge n m'\n")
+                   "edge; write a header as 'p edge n m'\n" + ONE_FAILED)
     both.write_text("p edge 5 1\n0 1\n")
     code, out, _ = run(capsys, "analyze", str(both), "--t", "2")
     assert code == 0
@@ -717,10 +739,11 @@ def test_phi_vacuous_on_empty_graph(tmp_path, capsys):
 
 
 def test_phi_budget_reaches_sampling(tmp_path, capsys):
-    # 100 nodes cover the c(v) pass (15) but not the sampled phi values (195).
+    # 20 nodes cover the c(v) pass (15) but not the one walk (9) that sums
+    # the sampled phi values.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"),
-                         "--t", "3", "--samples", "20", "--budget", "100")
+                         "--t", "3", "--samples", "20", "--budget", "20")
     assert code == 3
     assert out == ""
     assert "budget" in err
@@ -728,17 +751,17 @@ def test_phi_budget_reaches_sampling(tmp_path, capsys):
 
 def test_phi_budget_caps_run_total(tmp_path, capsys):
     # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 15
-    # nodes, the sampled phi values 189 (the six vertex points take none), the
-    # descent 23 and the phi at its end 3. The one budget of the run caps
-    # their 230 together.
+    # nodes, the sampled phi values 9 (one walk for the uniform point and the
+    # 20 random ones; the six vertex points take none), the descent 23 and
+    # the phi at its end 3. The one budget of the run caps their 50 together.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     path = str(tmp_path / "multipartite_2x3.g6")
     code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
-                         "--budget", "229")
+                         "--budget", "49")
     assert code == 3
     assert out == ""
-    assert err == f"error: {path}: clique enumeration exceeded work budget of 229 nodes\n"
-    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "230")
+    assert err == f"error: {path}: clique enumeration exceeded work budget of 49 nodes\n"
+    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "50")
     assert code == 0
 
 
@@ -857,13 +880,13 @@ def test_selfcheck_reports_tightness_invariant_error(capsys, monkeypatch):
 def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
     import cliquebound.simplex as simplex_mod
 
-    real = simplex_mod._phi
+    real = simplex_mod._phis
 
     def shifted(*args):
-        e = real(*args)
-        return simplex_mod.PhiEvaluation(e.a, e.b, e.phi - 1)
+        for phi, weights in real(*args):
+            yield phi - 1, weights
 
-    monkeypatch.setattr(simplex_mod, "_phi", shifted)
+    monkeypatch.setattr(simplex_mod, "_phis", shifted)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -954,4 +977,4 @@ def test_module_entry_point(tmp_path):
     missing = cliquebound("analyze", "missing.g6")
     assert (missing.returncode, missing.stdout) == (2, "")
     assert missing.stderr == ("error: missing.g6: [Errno 2] No such file or directory: "
-                              "'missing.g6'\n")
+                              "'missing.g6'\n" + ONE_FAILED)

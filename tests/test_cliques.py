@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from cliquebound import cliques as cliques_mod, graph as graph_mod
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
+    CHUNK,
     BudgetExceeded,
     CliqueIndex,
     count_cliques,
@@ -392,8 +393,12 @@ class TestNeighborhoodCounts:
         assert total == t * index.histogram(t).total()
 
     def test_order_below_one_rejected(self, k4):
-        with pytest.raises(ValueError):
-            CliqueIndex(k4).weight_sum(k4.full_mask, 0, (1,) * k4.n)
+        index, weights = CliqueIndex(k4), (1,) * k4.n
+        message = "clique order must be >= 1, got 0"
+        with pytest.raises(ValueError, match=message):
+            index.weight_sum(k4.full_mask, 0, weights)
+        with pytest.raises(ValueError, match=message):
+            index.weight_sums(k4.full_mask, 0, [weights])
 
     def test_charges_the_index_meter(self, k4):
         # N(0) = {1, 2, 3}: the root, then one leaf below 1 and one below 2.
@@ -437,6 +442,27 @@ class TestWeightSum:
         index = CliqueIndex(g)
         for mask in (g.full_mask, sub):
             assert index.weight_sum(mask, t, weights) == _brute_weight_sum(g, mask, t, weights)
+
+    @given(weighted_graphs(), st.lists(st.lists(_WEIGHTS, min_size=10, max_size=10),
+                                       min_size=1, max_size=3),
+           st.integers(min_value=1, max_value=5),
+           st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]))
+    def test_batch_matches_per_point(self, gws, rows, t, count):
+        # Point i is a drawn row times i + 1, so the points differ from
+        # their neighbours unless the row is all zeros.
+        g, _, sub = gws
+        points = [[w * (i + 1) for w in rows[i % len(rows)][:g.n]] for i in range(count)]
+        for mask in (g.full_mask, sub):
+            one = CliqueIndex(g)
+            before = one.nodes
+            one.weight_sum(mask, t, points[0])
+            walk = one.nodes - before
+            index = CliqueIndex(g)
+            before = index.nodes
+            assert index.weight_sums(mask, t, points) == [
+                one.weight_sum(mask, t, p) for p in points]
+            # One walk per chunk, whatever the weights.
+            assert index.nodes - before == -(-count // CHUNK) * walk
 
 
 class TestEnumerationAndBudget:

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from cliquebound.bounds import clique_density_term
-from cliquebound.cliques import BudgetExceeded, CliqueIndex
+from cliquebound.cliques import CHUNK, BudgetExceeded, CliqueIndex
 from cliquebound.corpus import empty_graph, path_graph, paw_graph
 from cliquebound.graph import Graph
 from cliquebound.simplex import (
@@ -355,15 +355,19 @@ class TestNonnegativity:
             verify_nonnegativity(CliqueIndex(c5), 2, samples=1, seed=-1)
 
     def test_budget_caps_whole_call(self, octa):
-        # The index's pass takes 15 nodes. No single evaluation needs the 85
-        # left of a 100-node budget, but the 21 clique sums of the call do:
-        # the uniform point's and the 20 random points'.
+        # The index's pass takes 15 nodes and one clique sum over the whole
+        # octahedron 9. No single evaluation needs more than the 15 left of a
+        # 30-node budget, but the call's two walks do: the uniform point and
+        # CHUNK random points fill two chunks.
         assert CliqueIndex(octa).nodes == 15
         for v in range(octa.n):
-            eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.concentrated(octa.n, v))
-        eval_phi(CliqueIndex(octa, 100), 3, SimplexPoint.uniform(octa.n))
+            eval_phi(CliqueIndex(octa, 30), 3, SimplexPoint.concentrated(octa.n, v))
+        index = CliqueIndex(octa, 30)
+        eval_phi(index, 3, SimplexPoint.uniform(octa.n))
+        assert index.nodes == 24
+        verify_nonnegativity(CliqueIndex(octa, 30), 3, samples=CHUNK - 1, seed=1)
         with pytest.raises(BudgetExceeded):
-            verify_nonnegativity(CliqueIndex(octa, 100), 3, samples=20, seed=1)
+            verify_nonnegativity(CliqueIndex(octa, 30), 3, samples=CHUNK, seed=1)
 
 
 def test_budget_reaches_simplex_work(c5):
