@@ -6,11 +6,11 @@ exact rational comparison, so equality cases are decided without tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import comb, floor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cliques import CliqueIndex, count_cliques
 from .graph import Graph
@@ -35,29 +35,13 @@ def clique_density_term(c: int, t: int) -> Fraction:
     return Fraction(comb(c, t), c**t)
 
 
-def density_terms(orders: Iterable[int], t: int) -> dict[int, Fraction]:
-    """clique_density_term(c, t) for each distinct order c."""
-    return {c: clique_density_term(c, t) for c in set(orders)}
-
-
-def density_sum(terms: dict[int, Fraction], orders: Sequence[int],
-                weights: Iterable[int]) -> Fraction:
-    """sum_v weights[v] * terms[orders[v]] for integer weights.
-
-    The weights are added up per distinct order first, so the sum makes one
-    Fraction product per order instead of one per vertex.
-    """
-    mass = dict.fromkeys(terms, 0)
-    for c, w in zip(orders, weights):
-        mass[c] += w
-    return sum((terms[c] * k for c, k in mass.items() if k), Fraction(0))
-
-
 def localized_zykov_bound(index: CliqueIndex, t: int) -> Fraction:
-    """n^(t-1) * sum_v C(c(v), t) / c(v)^t, exactly, from the index's c(v)."""
+    """n^(t-1) * sum_v C(c(v), t) / c(v)^t, exactly, from the index's c(v):
+    one term per distinct c(v), times the number of vertices that have it."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
-    total = density_sum(density_terms(index.c, t), index.c, repeat(1))
+    total = sum((k * clique_density_term(c, t) for c, k in Counter(index.c).items()),
+                Fraction(0))
     return Fraction(index.graph.n) ** (t - 1) * total
 
 

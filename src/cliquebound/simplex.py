@@ -14,10 +14,13 @@ graph. The nonnegativity check's uniform and random points all have full
 support, so they share one ``CliqueIndex.weight_sums`` walk per ``CHUNK``
 points, each node charged once for all of them.
 
-A point is held as integer numerators over one common denominator D, so the
-clique polynomial runs on integers: B is one integer clique sum over D^t, and
-A adds one Fraction per distinct c(v). Fractions appear only at the API
-boundary.
+A point is held as integer numerators w over one common denominator D, so
+the clique polynomial runs on integers: B is one integer clique sum b over
+D^t. Each call reads the density terms C(c(v), t)/c(v)^t once, as integers
+a[v] over their least common denominator L, so A is the integer a . w over
+L D, and phi is the one integer D^(t-1) (a . w) - L b over L D^t. The
+descent and the sampled points compare and add these numerators; a Fraction
+is built only for a value a function returns.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from typing import Iterator
+from operator import mul
 
-from .bounds import density_sum, density_terms
+from .bounds import clique_density_term
 from .cliques import CHUNK, CliqueIndex
 
 
@@ -135,7 +138,16 @@ def _support_mask(nums) -> int:
 
 
 def _random_weights(n: int, rng: random.Random) -> list[int]:
-    return [rng.randrange(1, 1000) for _ in range(n)]
+    """n weights from 1..999: the first n 10-bit draws below 999, each plus 1.
+
+    This is exactly the stream of ``rng.randrange(1, 1000)`` drawn n times.
+    """
+    weights = [r + 1 for r in map(rng.getrandbits, repeat(10, n)) if r < 999]
+    while len(weights) < n:
+        r = rng.getrandbits(10)
+        if r < 999:
+            weights.append(r + 1)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -145,14 +157,18 @@ class PhiEvaluation:
     phi: Fraction
 
 
-def _check(index: CliqueIndex, t: int, n: int) -> dict[int, Fraction]:
-    """The density terms of ``index.c`` at t, once t and the point dimension
-    n fit the index's graph."""
+def _check(index: CliqueIndex, t: int, n: int) -> tuple[list[int], int]:
+    """The density terms C(c(v), t)/c(v)^t of ``index.c`` as integers a[v]
+    over their least common denominator L, and L, once t and the point
+    dimension n fit the index's graph."""
     if t < 2:
         raise ValueError(f"clique order t must be >= 2, got {t}")
     if n != index.graph.n:
         raise SimplexError(f"point dimension {n} does not match graph order {index.graph.n}")
-    return density_terms(index.c, t)
+    orders = set(index.c)
+    nums, lcd = _common_denominator([clique_density_term(c, t) for c in orders])
+    a = dict(zip(orders, nums))
+    return [a[c] for c in index.c], lcd
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -161,29 +177,19 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise SimplexError(f"need two distinct vertices of 0..{n - 1}, got {i} and {j}")
 
 
-def _phi(index: CliqueIndex, t: int, terms: dict[int, Fraction],
-         nums, den: int) -> PhiEvaluation:
-    """(A, B, phi) at the point nums / den."""
-    a = density_sum(terms, index.c, nums) / den
-    b = Fraction(index.weight_sum(_support_mask(nums), t, nums), den**t)
-    return PhiEvaluation(a, b, a - b)
-
-
-def _phis(index: CliqueIndex, t: int, terms: dict[int, Fraction],
-          points: Iterator[list[int]]) -> Iterator[tuple[Fraction, list[int]]]:
-    """(phi, weights) at each full-support point of ``points``, each given by
-    positive integer weights over their sum. The points are taken ``CHUNK``
-    at a time, and B for every point of a chunk comes from one walk."""
-    c, full = index.c, index.graph.full_mask
-    while chunk := list(islice(points, CHUNK)):
-        for weights, b in zip(chunk, index.weight_sums(full, t, chunk)):
-            den = sum(weights)
-            yield density_sum(terms, c, weights) / den - Fraction(b, den**t), weights
+def _parts(index: CliqueIndex, t: int, a: list[int], nums) -> tuple[int, int]:
+    """The integers a . w and b at the point with numerators w = ``nums``
+    over D: A = (a . w) / (L D) and B = b / D^t."""
+    return sum(map(mul, a, nums)), index.weight_sum(_support_mask(nums), t, nums)
 
 
 def eval_phi(index: CliqueIndex, t: int, x: SimplexPoint) -> PhiEvaluation:
     """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
-    return _phi(index, t, _check(index, t, x.n), x.nums, x.den)
+    a, lcd = _check(index, t, x.n)
+    dot, b = _parts(index, t, a, x.nums)
+    scale = x.den ** (t - 1)
+    return PhiEvaluation(Fraction(dot, lcd * x.den), Fraction(b, scale * x.den),
+                         Fraction(scale * dot - lcd * b, lcd * scale * x.den))
 
 
 def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fraction:
@@ -192,13 +198,13 @@ def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fra
     Antisymmetric in (i, j). Equals the phi difference of a transfer only
     when i and j are non-adjacent (no t-clique contains both).
     """
-    terms = _check(index, t, x.n)
+    a, lcd = _check(index, t, x.n)
     _check_pair(x.n, i, j)
-    a_part = terms[index.c[i]] - terms[index.c[j]]
     adj, support = index.graph.adjacency, x.support_mask
     s_i = index.weight_sum(adj[i] & support, t - 1, x.nums)
     s_j = index.weight_sum(adj[j] & support, t - 1, x.nums)
-    return a_part - Fraction(s_i - s_j, x.den ** (t - 1))
+    scale = x.den ** (t - 1)
+    return Fraction((a[i] - a[j]) * scale - lcd * (s_i - s_j), lcd * scale)
 
 
 def transfer(x: SimplexPoint, i: int, j: int, epsilon: Fraction) -> SimplexPoint:
@@ -275,13 +281,18 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
     adjacent, and (i, j) itself loses a vertex: the scan resumes at row i.
     The (t-1)-clique sum s_v over N(v) changes only for v in N(i) | N(j), so
     only those are recomputed, and only when a later pair needs them.
+
+    The point keeps its denominator D throughout, so the delta of a step
+    is one integer over L D^(t-1) and phi one integer over L D^t; each step
+    builds only the three Fractions it prints.
     """
-    terms = _check(index, t, x0.n)
-    adj, c = index.graph.adjacency, index.c
+    a, lcd = _check(index, t, x0.n)
+    adj = index.graph.adjacency
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
-    phi = _phi(index, t, terms, nums, den).phi
+    dot, b = _parts(index, t, a, nums)
+    phi, phi_den, delta_den = scale * dot - lcd * b, lcd * scale * den, lcd * scale
     s = [0] * x0.n
     fresh = 0  # vertices whose s_v is current
     steps = []
@@ -292,19 +303,20 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
             if not fresh >> v & 1:
                 s[v] = index.weight_sum(adj[v] & support, t - 1, nums)
                 fresh |= 1 << v
-        d = terms[c[i]] - terms[c[j]] - Fraction(s[i] - s[j], scale)
+        d = (a[i] - a[j]) * scale - lcd * (s[i] - s[j])
         if d <= 0:
             recv, donor, rate = i, j, d
         else:
             recv, donor, rate = j, i, -d
-        eps = Fraction(nums[donor], den)
-        nums[recv] += nums[donor]
+        moved = nums[donor]
+        nums[recv] += moved
         nums[donor] = 0
         support ^= 1 << donor
         fresh &= ~(adj[recv] | adj[donor])
-        phi = phi + eps * rate
-        steps.append(TransferStep(i=recv, j=donor, epsilon=eps,
-                                  delta_ij=rate, phi_after=phi))
+        phi += moved * rate
+        steps.append(TransferStep(i=recv, j=donor, epsilon=Fraction(moved, den),
+                                  delta_ij=Fraction(rate, delta_den),
+                                  phi_after=Fraction(phi, phi_den)))
         pair = _first_nonadjacent_pair(adj, support, i)
     return DescentTrace(
         steps=tuple(steps),
@@ -336,7 +348,10 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     The vertex points are read in closed form, phi(e_v) = C(c(v), t)/c(v)^t,
     with no clique sum. The other points are drawn ``CHUNK`` at a time, in
     the order above, and B at all the points of a chunk comes from one
-    walk."""
+    walk. Each phi is kept as its integer numerator over L D^t, D the sum
+    of the point's weights, and the running minimum is compared by
+    cross-multiplying, so Fractions are built only for phi(uniform), the
+    minimum and its point."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if seed < 0:
@@ -344,25 +359,33 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     n = index.graph.n
     if n == 0:
         raise ValueError("nonnegativity check needs n >= 1")
-    terms, c = _check(index, t, n), index.c
+    a, lcd = _check(index, t, n)
     rng = random.Random(seed)
-    phis = _phis(index, t, terms,
-                 chain([[1] * n], (_random_weights(n, rng) for _ in range(samples))))
-    phi_uniform, _ = next(phis)
-    best, argmin = phi_uniform, SimplexPoint.uniform(n)
-    # B(e_v) = 0: one vertex holds no t-clique for t >= 2.
-    v = min(range(n), key=lambda v: terms[c[v]])
-    if terms[c[v]] < best:
-        best, argmin = terms[c[v]], SimplexPoint.concentrated(n, v)
-    for phi, weights in phis:
-        if phi < best:
-            best, argmin = phi, SimplexPoint._from_ints(weights, sum(weights))
-    if best < 0:
+    points = chain([[1] * n], (_random_weights(n, rng) for _ in range(samples)))
+    full = index.graph.full_mask
+    # phi(e_v) = a[v] / L: one vertex holds no t-clique for t >= 2, so B(e_v) = 0.
+    v = min(range(n), key=a.__getitem__)
+    phi_uniform = None
+    while chunk := list(islice(points, CHUNK)):
+        for weights, b in zip(chunk, index.weight_sums(full, t, chunk)):
+            total = sum(weights)
+            scale = total ** (t - 1)
+            num, den = scale * sum(map(mul, a, weights)) - lcd * b, lcd * scale * total
+            if phi_uniform is None:  # the uniform point comes first, then e_v
+                phi_uniform = Fraction(num, den)
+                best, best_den, best_w = num, den, weights
+                if a[v] * den < num * lcd:
+                    best, best_den, best_w = a[v], lcd, [int(u == v) for u in range(n)]
+            elif num * best_den < best * den:
+                best, best_den, best_w = num, den, weights
+    argmin = SimplexPoint._from_ints(best_w, sum(best_w))
+    min_phi = Fraction(best, best_den)
+    if min_phi < 0:
         raise PhiNegativityError(
-            f"phi({', '.join(map(_rat, argmin.x))}) = {_rat(best)} < 0 on a graph where it "
+            f"phi({', '.join(map(_rat, argmin.x))}) = {_rat(min_phi)} < 0 on a graph where it "
             "must be >= 0"
         )
     return NonnegativityReport(
-        min_phi=best, argmin=argmin, phi_uniform=phi_uniform,
+        min_phi=min_phi, argmin=argmin, phi_uniform=phi_uniform,
         points_checked=1 + n + samples,
     )

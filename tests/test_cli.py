@@ -15,6 +15,7 @@ import pytest
 
 import cliquebound
 from cliquebound.cli import main
+from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import random_graph_name
 from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_graph6
 
@@ -655,7 +656,7 @@ def test_budget_below_one_rejected(tmp_path, capsys, budget):
 
 def test_budget_default_is_written_once(capsys):
     from cliquebound.cli import build_parser, run_selfcheck
-    from cliquebound.cliques import DEFAULT_BUDGET, CliqueIndex
+    from cliquebound.cliques import DEFAULT_BUDGET
     from cliquebound.corpus import petersen_graph
 
     parser = build_parser()
@@ -804,8 +805,7 @@ def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
     import cliquebound.simplex as simplex_mod
 
     # Zero A-terms leave phi = -B, negative wherever the support holds a triangle.
-    monkeypatch.setattr(simplex_mod, "density_terms",
-                        lambda orders, t: dict.fromkeys(orders, Fraction(0)))
+    monkeypatch.setattr(simplex_mod, "clique_density_term", lambda c, t: Fraction(0))
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"), "--t", "3")
     assert code == 1
@@ -878,15 +878,15 @@ def test_selfcheck_reports_tightness_invariant_error(capsys, monkeypatch):
 
 
 def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
-    import cliquebound.simplex as simplex_mod
+    # Adding 16 to every batched B sum lowers phi at a point with weights
+    # summing to S by 16 / S^t: by 1 at the uniform point of K4 at t = 2,
+    # where phi is 0, and by no more at a sampled point, whose S is at least 4.
+    real = CliqueIndex.weight_sums
 
-    real = simplex_mod._phis
+    def shifted(self, mask, t, points):
+        return [b + 16 for b in real(self, mask, t, points)]
 
-    def shifted(*args):
-        for phi, weights in real(*args):
-            yield phi - 1, weights
-
-    monkeypatch.setattr(simplex_mod, "_phis", shifted)
+    monkeypatch.setattr(CliqueIndex, "weight_sums", shifted)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -11,10 +11,11 @@ import hypothesis.strategies as st
 from cliquebound.bounds import clique_density_term
 from cliquebound.cliques import CHUNK, BudgetExceeded, CliqueIndex
 from cliquebound.corpus import empty_graph, path_graph, paw_graph
-from cliquebound.graph import Graph
+from cliquebound.graph import Graph, generate_random
 from cliquebound.simplex import (
     SimplexPoint,
     SimplexError,
+    _random_weights,
     delta_ij,
     descend_to_clique_support,
     eval_phi,
@@ -315,8 +316,10 @@ class TestNonnegativity:
         assert rep.phi_uniform == Fraction(1, 20)
 
     def test_empty_graph_phi_identically_zero(self):
-        rep = verify_nonnegativity(CliqueIndex(empty_graph(4)), 3, samples=50, seed=2)
+        # Every point ties at 0, across three chunks: the uniform point wins.
+        rep = verify_nonnegativity(CliqueIndex(empty_graph(4)), 3, samples=2 * CHUNK + 1, seed=2)
         assert rep.min_phi == 0 and rep.phi_uniform == 0
+        assert rep.argmin == SimplexPoint.uniform(4)
 
     @given(graphs(min_n=1), st.integers(min_value=2, max_value=5),
            st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=99))
@@ -338,6 +341,27 @@ class TestNonnegativity:
         assert rep.argmin == points[k]
         assert rep.phi_uniform == values[0]
         assert rep.points_checked == len(points)
+
+    @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    def test_chunk_edges_match_naive_minimum(self, n, t, samples):
+        """Around one and two chunks of points, the minimum compared as integer
+        numerators is eval_phi's exact minimum over the same points, drawn
+        here by randrange, the first minimum in uniform, vertex, sample order."""
+        g = generate_random(n, Fraction(1, 2), seed=n + t)
+        rng = random.Random(samples)
+        points = [SimplexPoint.uniform(n)]
+        points += [SimplexPoint.concentrated(n, v) for v in range(n)]
+        points += [SimplexPoint.from_weights([rng.randrange(1, 1000) for _ in range(n)])
+                   for _ in range(samples)]
+        index = CliqueIndex(g)
+        values = [eval_phi(index, t, x).phi for x in points]
+        k = values.index(min(values))
+        rep = verify_nonnegativity(CliqueIndex(g), t, samples, samples)
+        assert rep.min_phi == values[k]
+        assert rep.argmin == points[k]
+        assert rep.phi_uniform == values[0]
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError) as exc:
@@ -368,6 +392,16 @@ class TestNonnegativity:
         verify_nonnegativity(CliqueIndex(octa, 30), 3, samples=CHUNK - 1, seed=1)
         with pytest.raises(BudgetExceeded):
             verify_nonnegativity(CliqueIndex(octa, 30), 3, samples=CHUNK, seed=1)
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**64))
+@example(1, 52)  # Random(52)'s first 10-bit draw is 999 or more, so it is redrawn
+def test_random_weights_is_the_randrange_stream(n, seed):
+    """The sampled points' weights are n calls of randrange(1, 1000), and
+    the generator ends in the same state, so later draws stay in step."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _random_weights(n, rng) == [ref.randrange(1, 1000) for _ in range(n)]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_budget_reaches_simplex_work(c5):
