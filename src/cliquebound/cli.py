@@ -284,7 +284,8 @@ def cmd_phi(args) -> int:
             lines.append(f"min_sampled_phi = {_rat(report.min_phi)} "
                          f"({_dec(report.min_phi)}) over "
                          f"{report.points_checked} points")
-            trace = descend_to_clique_support(index, t, SimplexPoint.uniform(g.n))
+            trace = descend_to_clique_support(index, t, SimplexPoint.uniform(g.n),
+                                              report.phi_uniform)
             lines.extend(trace.to_lines())
             end_phi = eval_phi(index, t, trace.end).phi
             lines.append(f"descent_end_phi = {_rat(end_phi)} ({_dec(end_phi)}) "

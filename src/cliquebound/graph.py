@@ -116,13 +116,17 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _trusted(cls, n: int, adjacency: tuple[int, ...]) -> "Graph":
+    def _trusted(cls, n: int, adjacency: tuple[int, ...], graph6: str | None) -> "Graph":
         """A graph from rows its caller built symmetric, loop-free and within
         range, one per vertex; ``__post_init__``'s checks are skipped. Only
-        the graph6 decoder, whose rows hold these by construction, uses it."""
+        the graph6 decoder, whose rows hold these by construction, uses it.
+        A ``graph6`` text, unless None, must be the one the encoder writes
+        for these rows: it is kept as the graph's ``to_graph6``."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adjacency", adjacency)
+        if graph6 is not None:
+            object.__setattr__(g, "_graph6", graph6)
         return g
 
     @classmethod
@@ -141,6 +145,12 @@ class Graph:
     def m(self) -> int:
         """Edge count; half the total popcount of the adjacency rows."""
         return sum(row.bit_count() for row in self.adjacency) // 2
+
+    @cached_property
+    def _graph6(self) -> str:
+        """The ``to_graph6`` text, encoded on first use unless the decoder
+        kept its canonical input line here."""
+        return _encode_graph6(self)
 
     @property
     def full_mask(self) -> int:
@@ -285,15 +295,36 @@ _GRAPH6_TO_B64 = bytes.maketrans(_GRAPH6_ALPHABET, _B64_ALPHABET)
 _GRAPH6_INVALID = re.compile(r"[^?-~]")
 
 
-def to_graph6(g: Graph) -> str:
-    """Encode a graph as a one-line graph6 string (nauty-compatible)."""
-    n = g.n
+def _graph6_header(n: int) -> str:
+    """The size field the encoder writes for n, as nauty's formats.txt puts
+    it: one character for n <= 62, "~" and three for n <= 258047, and "~~"
+    and six up to the cap. A three-character field of n >= 258048 would
+    begin with "~", so it would read as the start of the six-character one."""
     if n >= MAX_GRAPH6_N:
         raise GraphError(f"graph6 encoding capped at n < {MAX_GRAPH6_N}")
     if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = chr(126) + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
+        return chr(n + 63)
+    if n <= 258047:
+        return chr(126) + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
+    return chr(126) * 2 + "".join(chr((n >> shift & 0x3F) + 63) for shift in range(30, -1, -6))
+
+
+def to_graph6(g: Graph) -> str:
+    """The graph's one-line graph6 string (nauty-compatible): its size field
+    by ``_graph6_header``, then the upper triangle column by column, zero
+    padded to whole characters.
+
+    The text is encoded once per graph and kept on it; a graph that
+    ``parse_graph6`` read from this very text keeps that line and is never
+    encoded.
+    """
+    return g._graph6
+
+
+def _encode_graph6(g: Graph) -> str:
+    """``to_graph6``'s text, encoded from the adjacency rows."""
+    n = g.n
+    head = _graph6_header(n)
 
     # Column col holds rows 0..col-1, lowest row first: written last column
     # first, highest row first, then reversed once.
@@ -310,7 +341,15 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string."""
+    """Decode a one-line graph6 string, after an optional ">>graph6<<"
+    prefix and within surrounding whitespace.
+
+    Every size field form is read for every n, and padding bits past the
+    n(n-1)/2 pair bits are ignored. A line that is exactly what the encoder
+    writes for the graph, its size field by ``_graph6_header`` and its
+    padding bits zero, is kept on the graph as its ``to_graph6`` text; any
+    other spelling is encoded afresh when that text is first asked for.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -357,9 +396,11 @@ def parse_graph6(text: str) -> Graph:
     for col in range(1, n):
         lower[col] = int(bitstring[start : start + col][::-1], 2)
         start += col
+    canonical = s[:pos] == _graph6_header(n) and bitstring.find("1", need) < 0
     # Row v is its lower rows plus, by transpose, the columns above v that
     # hold v: symmetric, loop-free and within range by construction.
-    return Graph._trusted(n, tuple(map(int.__or__, lower, transpose(lower, n))))
+    return Graph._trusted(n, tuple(map(int.__or__, lower, transpose(lower, n))),
+                          s if canonical else None)
 
 
 # ---------------------------------------------------------------------------

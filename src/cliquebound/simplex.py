@@ -269,7 +269,8 @@ def _first_nonadjacent_pair(adj, support: int, a: int):
     return None
 
 
-def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> DescentTrace:
+def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint,
+                              phi0: Fraction | None = None) -> DescentTrace:
     """Shrink the support by full transfers until it induces a clique.
 
     Each round takes the lexicographically first non-adjacent support pair
@@ -284,15 +285,25 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint) -> D
 
     The point keeps its denominator D throughout, so the delta of a step
     is one integer over L D^(t-1) and phi one integer over L D^t; each step
-    builds only the three Fractions it prints.
+    builds only the three Fractions it prints. ``phi0``, when the caller
+    already holds phi(x0) (``verify_nonnegativity``'s ``phi_uniform``), is
+    the start value in place of a clique sum at x0; ValueError unless it is
+    an integer over L D^t.
     """
     a, lcd = _check(index, t, x0.n)
     adj = index.graph.adjacency
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
-    dot, b = _parts(index, t, a, nums)
-    phi, phi_den, delta_den = scale * dot - lcd * b, lcd * scale * den, lcd * scale
+    phi_den, delta_den = lcd * scale * den, lcd * scale
+    if phi0 is None:
+        dot, b = _parts(index, t, a, nums)
+        phi = scale * dot - lcd * b
+    else:
+        phi, rest = divmod(phi0.numerator * phi_den, phi0.denominator)
+        if rest:
+            raise ValueError(f"phi0 = {_rat(phi0)} is no integer over "
+                             f"L D^t = {phi_den}")
     s = [0] * x0.n
     fresh = 0  # vertices whose s_v is current
     steps = []

@@ -17,7 +17,12 @@ import cliquebound
 from cliquebound.cli import main
 from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import random_graph_name
-from cliquebound.graph import generate_complete_multipartite, parse_graph6, to_graph6
+from cliquebound.graph import (
+    generate_complete_multipartite,
+    generate_random,
+    parse_graph6,
+    to_graph6,
+)
 
 
 def run(capsys, *args):
@@ -218,15 +223,44 @@ def test_analyze_octahedron(tmp_path, capsys):
 
 
 def test_graph_hash_is_sha256_of_canonical_graph6(tmp_path, capsys):
-    # C5 in three spellings: an edge list, its canonical graph6 line "Dhc",
-    # and "Dhf", which differs from it only in the two padding bits.
+    # C5 in six spellings: an edge list, its canonical graph6 line "Dhc",
+    # that line after the ">>graph6<<" prefix, "Dhf", which differs from it
+    # only in the two padding bits, and n = 5 in the four- and the
+    # eight-character size field.
     (tmp_path / "c5.el").write_text("0 1\n1 2\n2 3\n3 4\n0 4\n")
     (tmp_path / "c5.g6").write_text("Dhc\n")
+    (tmp_path / "c5_prefixed.g6").write_text(">>graph6<<Dhc\n")
     (tmp_path / "c5_padded.g6").write_text("Dhf\n")
+    (tmp_path / "c5_size4.g6").write_text("~??Dhc\n")
+    (tmp_path / "c5_size8.g6").write_text("~~?????Dhc\n")
     code, out, _ = run(capsys, "analyze", str(tmp_path), "--t", "2")
     assert code == 0
     hashes = [json.loads(line)["graph_hash"] for line in out.splitlines()]
-    assert hashes == [hashlib.sha256(b"Dhc").hexdigest()[:16]] * 3
+    assert hashes == [hashlib.sha256(b"Dhc").hexdigest()[:16]] * 6
+
+
+def test_analyze_hashes_a_canonical_g6_line_as_read(tmp_path, capsys, monkeypatch):
+    # The canonical line is the graph's graph6 text, so it is never encoded
+    # again; a padded spelling is encoded once, for its hash.
+    import cliquebound.graph as graph_mod
+
+    encode_graph6 = graph_mod._encode_graph6
+    encoded = []
+
+    def encode(g):
+        encoded.append(g.n)
+        return encode_graph6(g)
+
+    line = encode_graph6(generate_random(90, Fraction(1, 15), 1))  # a four-character size field
+    (tmp_path / "gnp90.g6").write_text(line + "\n")
+    monkeypatch.setattr(graph_mod, "_encode_graph6", encode)
+    code, out, _ = run(capsys, "analyze", str(tmp_path / "gnp90.g6"), "--t", "3")
+    assert code == 0 and encoded == []
+    assert json.loads(out)["graph_hash"] == hashlib.sha256(line.encode()).hexdigest()[:16]
+    (tmp_path / "c5_padded.g6").write_text("Dhf\n")
+    code, out, _ = run(capsys, "analyze", str(tmp_path / "c5_padded.g6"), "--t", "2")
+    assert code == 0 and encoded == [5]
+    assert json.loads(out)["graph_hash"] == hashlib.sha256(b"Dhc").hexdigest()[:16]
 
 
 def test_analyze_c5_range(tmp_path, capsys):
@@ -753,16 +787,17 @@ def test_phi_budget_reaches_sampling(tmp_path, capsys):
 def test_phi_budget_caps_run_total(tmp_path, capsys):
     # K_{2x2x2} at t = 3 with 20 samples: the maximal-clique pass takes 15
     # nodes, the sampled phi values 9 (one walk for the uniform point and the
-    # 20 random ones; the six vertex points take none), the descent 23 and
-    # the phi at its end 3. The one budget of the run caps their 50 together.
+    # 20 random ones; the six vertex points take none), the descent 14 (it
+    # starts from the sampled phi(uniform), so it sums no B there) and the
+    # phi at its end 3. The one budget of the run caps their 41 together.
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     path = str(tmp_path / "multipartite_2x3.g6")
     code, out, err = run(capsys, "phi", path, "--t", "3", "--samples", "20",
-                         "--budget", "49")
+                         "--budget", "40")
     assert code == 3
     assert out == ""
-    assert err == f"error: {path}: clique enumeration exceeded work budget of 49 nodes\n"
-    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "50")
+    assert err == f"error: {path}: clique enumeration exceeded work budget of 40 nodes\n"
+    code, _, _ = run(capsys, "phi", path, "--t", "3", "--samples", "20", "--budget", "41")
     assert code == 0
 
 

@@ -28,14 +28,22 @@ from cliquebound.simplex import _rat
 from strategies import graphs, sparse_graphs
 
 
+def reference_graph6_header(n: int, form: int | None = None) -> str:
+    """Independent graph6 size field in the ``form`` of 1, 4 or 8
+    characters; by default the one nauty's formats.txt names for n."""
+    assert n < 1 << 18
+    if form is None:
+        form = 1 if n <= 62 else 4 if n <= 258047 else 8
+    if form == 1:
+        return chr(n + 63)
+    size = f"{n:0{36 if form == 8 else 18}b}"
+    return chr(126) * (form - len(size) // 6) + "".join(
+        chr(int(size[k : k + 6], 2) + 63) for k in range(0, len(size), 6))
+
+
 def reference_graph6(g: Graph) -> str:
     """Independent string-based graph6 encoder used only as a test oracle."""
-    assert g.n < 1 << 18
-    if g.n <= 62:
-        out = chr(g.n + 63)
-    else:
-        size = f"{g.n:018b}"
-        out = chr(126) + "".join(chr(int(size[k : k + 6], 2) + 63) for k in (0, 6, 12))
+    out = reference_graph6_header(g.n)
     bitstring = ""
     for col in range(1, g.n):
         for row in range(col):
@@ -44,6 +52,26 @@ def reference_graph6(g: Graph) -> str:
     for k in range(0, len(bitstring), 6):
         out += chr(int(bitstring[k : k + 6], 2) + 63)
     return out
+
+
+@st.composite
+def graph6_spellings(draw):
+    """A graph, one graph6 line for it and whether that line is the one the
+    encoder writes. The line takes any size field form that holds n, any
+    padding bits, an optional ">>graph6<<" prefix and surrounding whitespace."""
+    g = draw(st.one_of(graphs(max_n=12), sparse_graphs()))
+    canonical = reference_graph6(g)
+    form = draw(st.sampled_from([form for form in (1, 4, 8) if form > 1 or g.n <= 62]))
+    body = canonical[len(reference_graph6_header(g.n)):]
+    pad = -(g.n * (g.n - 1) // 2) % 6
+    fill = draw(st.integers(min_value=0, max_value=(1 << pad) - 1))
+    line = reference_graph6_header(g.n, form) + body
+    if fill:
+        line = line[:-1] + chr(ord(line[-1]) | fill)
+    prefix = draw(st.sampled_from(["", ">>graph6<<"]))
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    trail = draw(st.sampled_from(["", "\n", " \r\n"]))
+    return g, lead + prefix + line + trail, line == canonical
 
 
 class TestGraphInvariants:
@@ -293,6 +321,41 @@ class TestGraph6:
     def test_truncated_stream(self):
         with pytest.raises(ParseError, match="mismatch"):
             parse_graph6("D")
+
+    # formats.txt: one character up to n = 62, "~" and three up to 258047,
+    # "~~" and six beyond, since a three-character field of n >= 258048
+    # begins with "~" and would read as the start of the six-character one.
+    @pytest.mark.parametrize("n,header", [
+        (62, "}"), (63, "~??~"), (258047, "~}~~"), (258048, "~~???~??"), (262143, "~~???~~~"),
+    ])
+    def test_size_field_form_follows_n(self, n, header):
+        assert graph_mod._graph6_header(n) == reference_graph6_header(n) == header
+        # The bare size field reads back as n: only the missing body fails.
+        with pytest.raises(ParseError, match=rf"^graph6 bit stream length mismatch: "
+                                             rf"need {n * (n - 1) // 2} bits, got 0$"):
+            parse_graph6(header)
+
+    @pytest.mark.parametrize("n,text", [(0, "?"), (1, "@")])
+    def test_no_pair_bits(self, n, text):
+        g = Graph(n, (0,) * n)
+        assert to_graph6(g) == text
+        assert parse_graph6(text) == g and to_graph6(parse_graph6(text)) == text
+        assert to_graph6(parse_graph6("~??" + text)) == text
+
+    @given(graph6_spellings())
+    @example((cycle_graph(5), "Dhf", False))
+    @example((Graph.from_edges(2, [(0, 1)]), "~~?????A_", False))
+    @example((cycle_graph(5), " >>graph6<<Dhc\n", True))
+    def test_every_spelling_encodes_as_its_rows(self, spelling):
+        # Only the canonical line is kept on the decoded graph; any other
+        # spelling is encoded afresh, so to_graph6 never depends on the input.
+        g, text, canonical = spelling
+        decoded = parse_graph6(text)
+        assert ("_graph6" in vars(decoded)) == canonical
+        fresh = Graph(g.n, g.adjacency)
+        assert to_graph6(decoded) == graph_mod._encode_graph6(fresh) == reference_graph6(g)
+        # The kept text takes no part in equality or hashing.
+        assert decoded == fresh and hash(decoded) == hash(fresh)
 
     @given(st.one_of(graphs(max_n=8), sparse_graphs()))
     def test_round_trip(self, g):

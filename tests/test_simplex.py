@@ -291,6 +291,28 @@ class TestDescent:
 
     @given(graph_and_point(min_n=1), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60)
+    def test_start_value_replaces_the_walk_at_x0(self, gp, t):
+        # Given phi(x0), the descent takes the same steps and skips its one
+        # clique sum at x0: that and eval_phi's at x0 cost the plain descent.
+        g, x0 = gp
+        built = CliqueIndex(g).nodes  # the index's own pass
+        index = CliqueIndex(g)
+        trace = descend_to_clique_support(index, t, x0)
+        descent = index.nodes - built
+        index = CliqueIndex(g)
+        phi0 = eval_phi(index, t, x0).phi
+        assert descend_to_clique_support(index, t, x0, phi0) == trace
+        assert index.nodes - built == descent
+
+    def test_start_value_must_be_an_integer_over_its_denominator(self, c5):
+        # C5 at t = 2: every density term is 1/4, so L = 4, and D = 5 at the
+        # uniform point: phi there is an integer over L D^2 = 100.
+        index = CliqueIndex(c5)
+        with pytest.raises(ValueError, match=r"^phi0 = 1/3 is no integer over L D\^t = 100$"):
+            descend_to_clique_support(index, 2, SimplexPoint.uniform(5), Fraction(1, 3))
+
+    @given(graph_and_point(min_n=1), st.integers(min_value=2, max_value=4))
+    @settings(max_examples=60)
     def test_clique_support_floor(self, gp, t):
         # Maclaurin cap: on a k-clique support, B <= C(k,t)/k^t
         g, x0 = gp
