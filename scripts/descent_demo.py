@@ -59,9 +59,10 @@ def main():
     starts = [uniform] + [SimplexPoint.random_point(g.n, rng)
                           for _ in range(args.starts - 1)]
     for k, x0 in enumerate(starts):
-        trace = descend_to_clique_support(index, args.t, x0)
+        phi0 = eval_phi(index, args.t, x0).phi
+        trace = descend_to_clique_support(index, args.t, x0, phi0)
         label = "uniform" if k == 0 else f"random#{k}"
-        print(f"\nstart {label}: phi={eval_phi(index, args.t, x0).phi}")
+        print(f"\nstart {label}: phi={phi0}")
         for line in trace.to_lines():
             print("  " + line)
         end_phi = eval_phi(index, args.t, trace.end).phi

@@ -44,6 +44,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
     rational,
+    rational_text,
     to_graph6,
 )
 from .oracles import (
@@ -54,7 +55,6 @@ from .oracles import (
 from .simplex import (
     PhiNegativityError,
     SimplexPoint,
-    _rat,
     descend_to_clique_support,
     eval_phi,
     verify_nonnegativity,
@@ -123,13 +123,13 @@ def _report_record(path: Path, g_hash: str, rep: BoundReport) -> dict:
         "t": rep.t,
         "omega": rep.omega,
         "true_count": rep.true_count,
-        "localized_zykov": _rat(rep.localized_zykov),
+        "localized_zykov": rational_text(rep.localized_zykov),
         "localized_zykov_dec": _dec(rep.localized_zykov),
-        "zykov_classical": _rat(rep.zykov_classical),
-        "turan": _rat(rep.turan) if rep.turan is not None else None,
-        "edge_localized_sum": _rat(rep.edge_localized_sum),
+        "zykov_classical": rational_text(rep.zykov_classical),
+        "turan": rational_text(rep.turan) if rep.turan is not None else None,
+        "edge_localized_sum": rational_text(rep.edge_localized_sum),
         "vertex_localized_turan": rep.vertex_localized_turan,
-        "kirsch_nir_sum": _rat(rep.kirsch_nir_sum),
+        "kirsch_nir_sum": rational_text(rep.kirsch_nir_sum),
         "tight": rep.is_tight,
         "certificate": list(rep.extremal_certificate) if rep.extremal_certificate else None,
     }
@@ -279,16 +279,16 @@ def cmd_phi(args) -> int:
         else:
             report = verify_nonnegativity(index, t, args.samples, args.seed)
             tight = report.phi_uniform == 0
-            lines.append(f"phi_uniform = {_rat(report.phi_uniform)} "
+            lines.append(f"phi_uniform = {rational_text(report.phi_uniform)} "
                          f"({_dec(report.phi_uniform)})")
-            lines.append(f"min_sampled_phi = {_rat(report.min_phi)} "
+            lines.append(f"min_sampled_phi = {rational_text(report.min_phi)} "
                          f"({_dec(report.min_phi)}) over "
                          f"{report.points_checked} points")
             trace = descend_to_clique_support(index, t, SimplexPoint.uniform(g.n),
                                               report.phi_uniform)
             lines.extend(trace.to_lines())
             end_phi = eval_phi(index, t, trace.end).phi
-            lines.append(f"descent_end_phi = {_rat(end_phi)} ({_dec(end_phi)}) "
+            lines.append(f"descent_end_phi = {rational_text(end_phi)} ({_dec(end_phi)}) "
                          f"support_clique_order={trace.omega_end}")
     except BudgetExceeded as exc:
         print(f"error: {paths[0]}: {exc}", file=sys.stderr)

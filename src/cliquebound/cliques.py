@@ -17,12 +17,20 @@ candidates outside K: the pivot rule of Jain and Seshadhri, "The power of
 pivoting for exact clique counting" (WSDM 2020). So K_n is one node. The
 walk visits only nodes that the walk for one of those orders alone would
 visit, so it is charged at most the sum of theirs. The index also runs the
-simplex's integer-weighted clique sums, at one point or at many points in
-one walk per ``CHUNK`` points, so the sampled simplex points share one walk.
+simplex's integer-weighted clique sums, at one point by ``weight_sum`` or at
+every point of any iterable, a lazy stream included, by ``weight_sums``,
+which reads the points ``CHUNK`` at a time, sums each chunk in one walk and
+yields each point with its sum; so the sampled simplex points share one walk
+per chunk, and only the index knows the chunk size. The two sums keep their
+own kernels, ``_weight_rec`` and the batched ``_weight_sums_rec``: the
+descent's sums are at one point each, and running them as batches of one
+took the ``descent`` row of ``scripts/kernel_times.py --workload phi-simplex
+--seed 0 --reps 5`` from 23-32 ms to 37-38 ms (Python 3.11.7, 2 vCPUs), the
+cost of a column per vertex and a list per node.
 It counts its own work as ``nodes``: each kernel charges the index it serves
-one node per stack node of the pass or call of the others, a call of the
-batched sum once for all its points, and past ``budget`` nodes the work on
-one graph stops.
+one node per stack node of the pass or call of the others, a walk of the
+batched sum once for all the points of its chunk, and past ``budget`` nodes
+the work on one graph stops.
 Every function that does clique work takes the graph's ``CliqueIndex``; none
 builds its own.
 """
@@ -30,9 +38,10 @@ builds its own.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, transpose
 
@@ -200,12 +209,12 @@ class CliqueIndex:
     fills the histogram of every order asked for together, and the index
     keeps each one. The bound and simplex functions read the graph, ``c`` and
     ``omega`` from the index and run their clique sums through
-    ``weight_sum``, or through ``weight_sums`` at many points at once, as
+    ``weight_sum``, or through ``weight_sums`` over a stream of points, as
     the simplex's sampled points do. ``nodes`` counts the work done on the
     graph, in nodes: those of the pass, of each walk and of every weighted
-    clique sum, a node of a batched sum once for all its points, each
-    charged by ``tick``, which raises ``BudgetExceeded`` once ``nodes`` passes
-    ``budget``. So the budget caps the total work done on the graph. It
+    clique sum, a node of a batched walk once for all the points of its
+    chunk, each charged by ``tick``, which raises ``BudgetExceeded`` once
+    ``nodes`` passes ``budget``. So the budget caps the total work done on the graph. It
     defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
 
@@ -278,18 +287,23 @@ class CliqueIndex:
             raise ValueError(f"clique order must be >= 1, got {t}")
         return _weight_rec(self.graph.adjacency, mask, t, weights, self)
 
-    def weight_sums(self, mask: int, t: int, points: Sequence[Sequence[int]]) -> list[int]:
-        """``weight_sum(mask, t, p)`` for each p of ``points``, in order, from
-        one walk over the t-cliques of ``mask`` per ``CHUNK`` points: each
-        node of a walk is charged once for every point of its chunk."""
+    def weight_sums(self, mask: int, t: int,
+                    points: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], int]]:
+        """``(p, weight_sum(mask, t, p))`` for each p of ``points``, in order,
+        from one walk over the t-cliques of ``mask`` per ``CHUNK`` points:
+        each node of a walk is charged once for every point of its chunk.
+
+        ``points`` may be any iterable, a lazy stream included: it is read
+        ``CHUNK`` points at a time, as the pairs are asked for. ValueError on
+        t < 1 at the call, before any point is read."""
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
-        sums: list[int] = []
-        for start in range(0, len(points), CHUNK):
-            chunk = points[start:start + CHUNK]
-            sums += _weight_sums_rec(self.graph.adjacency, mask, t, list(zip(*chunk)),
-                                     [0] * len(chunk), self)
-        return sums
+        return self._weight_sums(mask, t, iter(points))
+
+    def _weight_sums(self, mask: int, t: int, points: Iterator[Sequence[int]]):
+        while chunk := list(islice(points, CHUNK)):
+            yield from zip(chunk, _weight_sums_rec(self.graph.adjacency, mask, t,
+                                                   list(zip(*chunk)), [0] * len(chunk), self))
 
 
 def count_cliques(index: CliqueIndex, t: int) -> int:

@@ -206,6 +206,12 @@ def rational(text: str) -> Fraction:
     return Fraction(integer(numerator), q)
 
 
+def rational_text(v: Fraction) -> str:
+    """The ``p/q`` text of ``v``, q >= 1 even for an integer, as every
+    report writes a rational; ``rational`` reads it back."""
+    return f"{v.numerator}/{v.denominator}"
+
+
 # ---------------------------------------------------------------------------
 # Edge-list format: UTF-8 lines "u v", "#" comments, optional "p edge n m" header.
 # ---------------------------------------------------------------------------
@@ -293,20 +299,24 @@ _GRAPH6_ALPHABET = bytes(range(63, 127))
 _B64_TO_GRAPH6 = bytes.maketrans(_B64_ALPHABET, _GRAPH6_ALPHABET)
 _GRAPH6_TO_B64 = bytes.maketrans(_GRAPH6_ALPHABET, _B64_ALPHABET)
 _GRAPH6_INVALID = re.compile(r"[^?-~]")
+# The size field forms of nauty's formats.txt: after k leading "~", n in
+# _GRAPH6_SIZE_DIGITS[k] 6-bit digits, most significant first, each written
+# as 63 + its value.
+_GRAPH6_SIZE_DIGITS = (1, 3, 6)
 
 
 def _graph6_header(n: int) -> str:
     """The size field the encoder writes for n, as nauty's formats.txt puts
-    it: one character for n <= 62, "~" and three for n <= 258047, and "~~"
-    and six up to the cap. A three-character field of n >= 258048 would
-    begin with "~", so it would read as the start of the six-character one."""
+    it: the first form of ``_GRAPH6_SIZE_DIGITS`` whose first digit stays
+    below 63, since a first digit of 63 is "~" and would read as one more
+    leading "~". So one character for n <= 62, "~" and three for n <= 258047,
+    and "~~" and six up to the cap."""
     if n >= MAX_GRAPH6_N:
         raise GraphError(f"graph6 encoding capped at n < {MAX_GRAPH6_N}")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return chr(126) + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
-    return chr(126) * 2 + "".join(chr((n >> shift & 0x3F) + 63) for shift in range(30, -1, -6))
+    tildes, digits = next((k, d) for k, d in enumerate(_GRAPH6_SIZE_DIGITS)
+                          if n >> 6 * (d - 1) < 63)
+    return "~" * tildes + "".join([chr((n >> shift & 0x3F) + 63)
+                                   for shift in range(6 * (digits - 1), -1, -6)])
 
 
 def to_graph6(g: Graph) -> str:
@@ -361,23 +371,13 @@ def parse_graph6(text: str) -> Graph:
             f"invalid graph6 character at byte offset {bad.start()}: {bad.group()!r}"
         )
 
-    if s[0] != chr(126):
-        n = ord(s[0]) - 63
-        pos = 1
-    elif len(s) >= 2 and s[1] != chr(126):
-        if len(s) < 4:
-            raise ParseError("truncated graph6 size field")
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 4
-    else:
-        if len(s) < 8:
-            raise ParseError("truncated graph6 size field")
-        n = 0
-        for ch in s[2:8]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 8
+    tildes = 0 if s[0] != "~" else 1 if s[1:2] != "~" else 2
+    pos = tildes + _GRAPH6_SIZE_DIGITS[tildes]
+    if len(s) < pos:
+        raise ParseError("truncated graph6 size field")
+    n = 0
+    for ch in s[tildes:pos]:
+        n = n << 6 | (ord(ch) - 63)
     if n >= MAX_GRAPH6_N:
         raise ParseError(f"graph6 decoding capped at n < {MAX_GRAPH6_N}")
 

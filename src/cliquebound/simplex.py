@@ -11,16 +11,18 @@ reads the graph and c(v), kept once as ``index.c``, from the index, and runs
 its clique sums through ``CliqueIndex.weight_sum``, which charges them to
 the index's own node count, so one budget caps all the work done on one
 graph. The nonnegativity check's uniform and random points all have full
-support, so they share one ``CliqueIndex.weight_sums`` walk per ``CHUNK``
-points, each node charged once for all of them.
+support, so it hands them to ``CliqueIndex.weight_sums`` as one lazy stream,
+which batches them into walks.
 
 A point is held as integer numerators w over one common denominator D, so
 the clique polynomial runs on integers: B is one integer clique sum b over
 D^t. Each call reads the density terms C(c(v), t)/c(v)^t once, as integers
 a[v] over their least common denominator L, so A is the integer a . w over
-L D, and phi is the one integer D^(t-1) (a . w) - L b over L D^t. The
-descent and the sampled points compare and add these numerators; a Fraction
-is built only for a value a function returns.
+L D, and phi is the one integer D^(t-1) (a . w) - L b over L D^t, written
+once, in ``_phi``, for ``eval_phi`` and the sampled points; the descent
+starts from ``eval_phi``'s value. The descent and the sampled points compare
+and add these numerators; a Fraction is built only for a value a function
+returns.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
 
 from .bounds import clique_density_term
-from .cliques import CHUNK, CliqueIndex
+from .cliques import CliqueIndex
+from .graph import rational_text
 
 
 class SimplexError(ValueError):
@@ -177,19 +180,22 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise SimplexError(f"need two distinct vertices of 0..{n - 1}, got {i} and {j}")
 
 
-def _parts(index: CliqueIndex, t: int, a: list[int], nums) -> tuple[int, int]:
-    """The integers a . w and b at the point with numerators w = ``nums``
-    over D: A = (a . w) / (L D) and B = b / D^t."""
-    return sum(map(mul, a, nums)), index.weight_sum(_support_mask(nums), t, nums)
+def _phi(t: int, a: list[int], lcd: int, nums, den: int, b: int) -> tuple[int, int]:
+    """phi at the point with numerators w = ``nums`` over D = ``den``, whose
+    t-clique sum is b, as the integer D^(t-1) (a . w) - L b over L D^t:
+    A = (a . w) / (L D) and B = b / D^t."""
+    scale = den ** (t - 1)
+    return scale * sum(map(mul, a, nums)) - lcd * b, lcd * scale * den
 
 
 def eval_phi(index: CliqueIndex, t: int, x: SimplexPoint) -> PhiEvaluation:
     """Exact (A, B, phi) at a point; B ranges over t-cliques in the support."""
     a, lcd = _check(index, t, x.n)
-    dot, b = _parts(index, t, a, x.nums)
-    scale = x.den ** (t - 1)
-    return PhiEvaluation(Fraction(dot, lcd * x.den), Fraction(b, scale * x.den),
-                         Fraction(scale * dot - lcd * b, lcd * scale * x.den))
+    b = index.weight_sum(x.support_mask, t, x.nums)
+    num, den = _phi(t, a, lcd, x.nums, x.den, b)
+    # A = phi + B, and B = L b over L D^t.
+    return PhiEvaluation(Fraction(num + lcd * b, den), Fraction(b, den // lcd),
+                         Fraction(num, den))
 
 
 def delta_ij(index: CliqueIndex, t: int, x: SimplexPoint, i: int, j: int) -> Fraction:
@@ -245,14 +251,10 @@ class DescentTrace:
         out = []
         for k, s in enumerate(self.steps):
             out.append(
-                f"step={k} i={s.i} j={s.j} eps={_rat(s.epsilon)} "
-                f"delta={_rat(s.delta_ij)} phi={_rat(s.phi_after)}"
+                f"step={k} i={s.i} j={s.j} eps={rational_text(s.epsilon)} "
+                f"delta={rational_text(s.delta_ij)} phi={rational_text(s.phi_after)}"
             )
         return out
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _first_nonadjacent_pair(adj, support: int, a: int):
@@ -285,25 +287,23 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint,
 
     The point keeps its denominator D throughout, so the delta of a step
     is one integer over L D^(t-1) and phi one integer over L D^t; each step
-    builds only the three Fractions it prints. ``phi0``, when the caller
-    already holds phi(x0) (``verify_nonnegativity``'s ``phi_uniform``), is
-    the start value in place of a clique sum at x0; ValueError unless it is
-    an integer over L D^t.
+    builds only the three Fractions it prints. The start value is ``phi0``,
+    phi(x0), which a caller that already holds it passes
+    (``verify_nonnegativity``'s ``phi_uniform``), else ``eval_phi`` at x0;
+    ValueError unless it is an integer over L D^t.
     """
     a, lcd = _check(index, t, x0.n)
+    if phi0 is None:
+        phi0 = eval_phi(index, t, x0).phi
     adj = index.graph.adjacency
     nums, den = list(x0.nums), x0.den
     scale = den ** (t - 1)
     support = x0.support_mask
     phi_den, delta_den = lcd * scale * den, lcd * scale
-    if phi0 is None:
-        dot, b = _parts(index, t, a, nums)
-        phi = scale * dot - lcd * b
-    else:
-        phi, rest = divmod(phi0.numerator * phi_den, phi0.denominator)
-        if rest:
-            raise ValueError(f"phi0 = {_rat(phi0)} is no integer over "
-                             f"L D^t = {phi_den}")
+    phi, rest = divmod(phi0.numerator * phi_den, phi0.denominator)
+    if rest:
+        raise ValueError(f"phi0 = {rational_text(phi0)} is no integer over "
+                         f"L D^t = {phi_den}")
     s = [0] * x0.n
     fresh = 0  # vertices whose s_v is current
     steps = []
@@ -357,12 +357,12 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     inequality, i.e. expose a bug).
 
     The vertex points are read in closed form, phi(e_v) = C(c(v), t)/c(v)^t,
-    with no clique sum. The other points are drawn ``CHUNK`` at a time, in
-    the order above, and B at all the points of a chunk comes from one
-    walk. Each phi is kept as its integer numerator over L D^t, D the sum
-    of the point's weights, and the running minimum is compared by
-    cross-multiplying, so Fractions are built only for phi(uniform), the
-    minimum and its point."""
+    with no clique sum. The other points are one lazy stream, in the order
+    above, which ``CliqueIndex.weight_sums`` reads in batches, B at every
+    point of a batch from one walk. Each phi is kept as its integer
+    numerator over L D^t, D the sum of the point's weights, and the running
+    minimum is compared by cross-multiplying, so Fractions are built only
+    for phi(uniform), the minimum and its point."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if seed < 0:
@@ -373,28 +373,24 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     a, lcd = _check(index, t, n)
     rng = random.Random(seed)
     points = chain([[1] * n], (_random_weights(n, rng) for _ in range(samples)))
-    full = index.graph.full_mask
+    sums = index.weight_sums(index.graph.full_mask, t, points)
+    best_w, b = next(sums)  # the uniform point
+    best, best_den = _phi(t, a, lcd, best_w, n, b)
+    phi_uniform = Fraction(best, best_den)
     # phi(e_v) = a[v] / L: one vertex holds no t-clique for t >= 2, so B(e_v) = 0.
     v = min(range(n), key=a.__getitem__)
-    phi_uniform = None
-    while chunk := list(islice(points, CHUNK)):
-        for weights, b in zip(chunk, index.weight_sums(full, t, chunk)):
-            total = sum(weights)
-            scale = total ** (t - 1)
-            num, den = scale * sum(map(mul, a, weights)) - lcd * b, lcd * scale * total
-            if phi_uniform is None:  # the uniform point comes first, then e_v
-                phi_uniform = Fraction(num, den)
-                best, best_den, best_w = num, den, weights
-                if a[v] * den < num * lcd:
-                    best, best_den, best_w = a[v], lcd, [int(u == v) for u in range(n)]
-            elif num * best_den < best * den:
-                best, best_den, best_w = num, den, weights
+    if a[v] * best_den < best * lcd:
+        best, best_den, best_w = a[v], lcd, [int(u == v) for u in range(n)]
+    for weights, b in sums:
+        num, den = _phi(t, a, lcd, weights, sum(weights), b)
+        if num * best_den < best * den:
+            best, best_den, best_w = num, den, weights
     argmin = SimplexPoint._from_ints(best_w, sum(best_w))
     min_phi = Fraction(best, best_den)
     if min_phi < 0:
         raise PhiNegativityError(
-            f"phi({', '.join(map(_rat, argmin.x))}) = {_rat(min_phi)} < 0 on a graph where it "
-            "must be >= 0"
+            f"phi({', '.join(map(rational_text, argmin.x))}) = {rational_text(min_phi)} "
+            "< 0 on a graph where it must be >= 0"
         )
     return NonnegativityReport(
         min_phi=min_phi, argmin=argmin, phi_uniform=phi_uniform,

@@ -919,7 +919,7 @@ def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
     real = CliqueIndex.weight_sums
 
     def shifted(self, mask, t, points):
-        return [b + 16 for b in real(self, mask, t, points)]
+        return ((p, b + 16) for p, b in real(self, mask, t, points))
 
     monkeypatch.setattr(CliqueIndex, "weight_sums", shifted)
     code, out, _ = run(capsys, "selfcheck")

@@ -459,10 +459,53 @@ class TestWeightSum:
             walk = one.nodes - before
             index = CliqueIndex(g)
             before = index.nodes
-            assert index.weight_sums(mask, t, points) == [
-                one.weight_sum(mask, t, p) for p in points]
+            pairs = list(index.weight_sums(mask, t, iter(points)))
+            # Each point itself, in order, with its own sum.
+            assert [p for p, _ in pairs] == points
+            assert all(p is q for (p, _), q in zip(pairs, points))
+            assert [b for _, b in pairs] == [one.weight_sum(mask, t, p) for p in points]
             # One walk per chunk, whatever the weights.
             assert index.nodes - before == -(-count // CHUNK) * walk
+
+    def test_stream_is_read_a_chunk_at_a_time(self, octa):
+        # 2 CHUNK + 1 points of a lazy stream: each chunk's points are drawn,
+        # and its one walk charged, only when its first pair is asked for.
+        drawn = []
+
+        def stream():
+            for k in range(2 * CHUNK + 1):
+                drawn.append(k)
+                yield [k + 1] * octa.n
+
+        walk = CliqueIndex(octa)
+        before = walk.nodes
+        walk.weight_sum(octa.full_mask, 3, [1] * octa.n)
+        walk = walk.nodes - before
+        index = CliqueIndex(octa)
+        before = index.nodes
+        pairs = index.weight_sums(octa.full_mask, 3, stream())
+        assert (drawn, index.nodes) == ([], before)
+        seen = [next(pairs)]
+        assert (len(drawn), index.nodes - before) == (CHUNK, walk)
+        seen += [next(pairs) for _ in range(CHUNK - 1)]  # the rest of the first chunk
+        assert (len(drawn), index.nodes - before) == (CHUNK, walk)
+        seen.append(next(pairs))
+        assert (len(drawn), index.nodes - before) == (2 * CHUNK, 2 * walk)
+        seen += pairs
+        assert (len(drawn), index.nodes - before) == (2 * CHUNK + 1, 3 * walk)
+        # Eight triangles of weight product (k + 1)^3 each.
+        assert seen == [([k + 1] * octa.n, 8 * (k + 1) ** 3) for k in range(2 * CHUNK + 1)]
+
+    def test_order_below_one_raises_before_any_point_is_read(self, k4):
+        def untouched():
+            raise AssertionError("a point was read")
+            yield
+
+        index = CliqueIndex(k4)
+        before = index.nodes
+        with pytest.raises(ValueError, match="^clique order must be >= 1, got 0$"):
+            index.weight_sums(k4.full_mask, 0, untouched())
+        assert index.nodes == before
 
 
 class TestEnumerationAndBudget:
