@@ -11,12 +11,16 @@ Example:
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
-from cliquebound.bounds import bound_report
-from cliquebound.cliques import CliqueIndex
-from cliquebound.corpus import named_small_graphs
-from cliquebound.graph import integer
-from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cliquebound.bounds import bound_report  # noqa: E402
+from cliquebound.cliques import CliqueIndex  # noqa: E402
+from cliquebound.corpus import named_small_graphs  # noqa: E402
+from cliquebound.graph import integer  # noqa: E402
+from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi  # noqa: E402
 
 
 def verdict(rep) -> tuple[str, str]:

@@ -15,15 +15,17 @@ do not depend on the machine; the milliseconds do.
 
 The corpus comes from ``perfbench/workloads.py``, read from this checkout,
 and the program timed is this checkout's ``src/``. Instead of a workload,
-one or more ``--graph`` specs time the same kernels at scale, one table per
-graph: ``gnp:N:P:SEED`` is the seeded G(N, P), P a fraction such as 1/2, and
-``multipartite:SxR`` is K_{SxR}, R parts of S vertices; their numbers are
-read by ``graph.integer`` and ``graph.rational``. A kernel whose work
+one or more ``--graph`` paths time the same kernels at scale, one table per
+graph file. Each path is a ``.g6`` or ``.el`` file or a directory of them,
+read as ``cliquebound analyze`` reads its inputs, so ``cliquebound
+generate`` writes the graphs; an unreadable or malformed file, or a path
+that holds no graph file, is a usage error with exit 2. A kernel whose work
 passes the default budget ends the run with one error line and exit 3, as
 the CLI does. Examples:
 
     python3 scripts/kernel_times.py --workload phi-simplex --seed 0 --reps 3
-    python3 scripts/kernel_times.py --graph multipartite:4x9 --graph gnp:140:1/2:1
+    PYTHONPATH=src python3 -m cliquebound generate multipartite --parts 7,7,6 --out turan
+    python3 scripts/kernel_times.py --graph turan/multipartite_7x2-6x1.g6
 """
 
 import argparse
@@ -36,14 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from cliquebound.cli import collect_inputs, load_graph_file  # noqa: E402
 from cliquebound.cliques import BudgetExceeded, CliqueIndex  # noqa: E402
-from cliquebound.graph import (  # noqa: E402
-    Graph,
-    generate_complete_multipartite,
-    generate_random,
-    integer,
-    rational,
-)
+from cliquebound.graph import GraphError, integer  # noqa: E402
 from cliquebound.simplex import (  # noqa: E402
     SimplexPoint,
     descend_to_clique_support,
@@ -88,21 +85,6 @@ def time_graph(g) -> dict[str, tuple[float, int]]:
     return times
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    """The graph that a ``--graph`` spec names; ValueError if it is malformed."""
-    kind, _, rest = spec.partition(":")
-    fields = rest.split(":")
-    if kind == "gnp" and len(fields) == 3:
-        n, p, seed = integer(fields[0]), rational(fields[1]), integer(fields[2])
-        if n >= 1:
-            return generate_random(n, p, seed)
-    if kind == "multipartite" and len(fields) == 1:
-        s, x, r = fields[0].partition("x")
-        if x and integer(r) >= 1:
-            return generate_complete_multipartite([integer(s)] * integer(r))
-    raise ValueError("expected gnp:N:P:SEED with N >= 1 or multipartite:SxR with R >= 1")
-
-
 def time_corpus(graphs, reps: int) -> tuple[dict[str, float], dict[str, int]]:
     """Best-of-``reps`` seconds and the work nodes of each kernel, summed over
     ``graphs``."""
@@ -123,8 +105,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     source = ap.add_mutually_exclusive_group(required=True)
     source.add_argument("--workload", choices=sorted(WORKLOADS))
-    source.add_argument("--graph", action="append", metavar="SPEC",
-                        help="gnp:N:P:SEED or multipartite:SxR; repeatable")
+    source.add_argument("--graph", action="append", metavar="PATH",
+                        help="a .g6 or .el file, or a directory of them; repeatable")
     ap.add_argument("--seed", type=integer, default=0)
     ap.add_argument("--reps", type=integer, default=3)
     args = ap.parse_args()
@@ -138,12 +120,16 @@ def main():
                    f"{python}", graphs)]
     else:
         tables = []
-        for spec in args.graph:
-            try:
-                g = parse_graph_spec(spec)
-            except ValueError as e:
-                ap.error(f"--graph {spec}: {e}")
-            tables.append((f"graph {spec}", f"n {g.n}, m {g.m}, {python}", [g]))
+        for arg in args.graph:
+            paths = collect_inputs([arg])
+            if not paths:
+                ap.error(f"--graph {arg}: no .g6 or .el file")
+            for path in paths:
+                try:
+                    g = load_graph_file(path)
+                except (OSError, GraphError) as e:
+                    ap.error(f"--graph {path}: {e}")
+                tables.append((f"graph {path.name}", f"n {g.n}, m {g.m}, {python}", [g]))
 
     for k, (title, details, graphs) in enumerate(tables):
         try:

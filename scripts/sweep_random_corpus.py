@@ -6,13 +6,17 @@ Example:
 """
 
 import argparse
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from cliquebound.bounds import bound_reports
-from cliquebound.cliques import CliqueIndex
-from cliquebound.corpus import seeded_random_corpus
-from cliquebound.graph import integer
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cliquebound.bounds import bound_reports  # noqa: E402
+from cliquebound.cliques import CliqueIndex  # noqa: E402
+from cliquebound.corpus import seeded_random_corpus  # noqa: E402
+from cliquebound.graph import integer  # noqa: E402
 
 
 def main():

@@ -103,14 +103,16 @@ def _weight_sums_rec(adj: Sequence[int], cand: int, r: int, columns: Sequence[Se
     return list(map(sum, zip(*terms))) if terms else zero
 
 
-def _maximal_cliques(adj: Sequence[int], mask: int, index: CliqueIndex) -> list[int]:
-    """The maximal cliques on ``mask`` as bitmasks in the order found, none if it
-    is empty: one Tomita-pivoted Bron-Kerbosch search, worst-case optimal alone,
-    over an explicit stack of (r, p, x) nodes, so its depth is not bounded by
-    the Python call stack. Every node is charged once; a child whose p is
-    empty is a leaf, charged and settled at once instead of pushed."""
+def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
+    """The maximal cliques of ``g`` as bitmasks in the order found, none if it
+    has no vertex: one Tomita-pivoted Bron-Kerbosch search, worst-case optimal
+    alone, over an explicit stack of (r, p, x) nodes, so its depth is not
+    bounded by the Python call stack. Every node is charged once; a child
+    whose p is empty is a leaf, charged and settled at once instead of
+    pushed."""
+    adj = g.adjacency
     out: list[int] = []
-    stack = [(0, mask, 0)] if mask else []
+    stack = [(0, g.full_mask, 0)] if g.n else []
     while stack:
         r, p, x = stack.pop()
         index.tick()
@@ -225,7 +227,7 @@ class CliqueIndex:
         self.nodes = 0
         self.budget = budget
         self.graph = g
-        cliques = _maximal_cliques(g.adjacency, g.full_mask, self)
+        cliques = _maximal_cliques(g, self)
         # By mask, then stably by order: smallest first, equal orders by mask.
         cliques.sort()
         cliques.sort(key=int.bit_count)

@@ -77,12 +77,7 @@ def seeded_random_corpus(count: int, ns, ps, base_seed: int) -> list[tuple[str, 
     return out
 
 
-def regular_multipartite_family(part_sizes=(1, 2, 3), part_counts=(2, 3, 4),
-                                max_n: int = 12) -> list[tuple[str, Graph]]:
-    """Every K_{s x r} with s in part_sizes, r in part_counts, s*r <= max_n."""
-    out = []
-    for s in part_sizes:
-        for r in part_counts:
-            if s * r <= max_n:
-                out.append((f"K_{s}x{r}", generate_complete_multipartite([s] * r)))
-    return out
+def regular_multipartite_family() -> list[tuple[str, Graph]]:
+    """The nine K_{s x r} with s in 1..3 and r in 2..4, as (name, graph)."""
+    return [(f"K_{s}x{r}", generate_complete_multipartite([s] * r))
+            for s in (1, 2, 3) for r in (2, 3, 4)]

@@ -100,7 +100,11 @@ class SimplexPoint:
 
     @property
     def support_mask(self) -> int:
-        return _support_mask(self.nums)
+        mask = 0
+        for v, a in enumerate(self.nums):
+            if a:
+                mask |= 1 << v
+        return mask
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexPoint":
@@ -130,14 +134,6 @@ class SimplexPoint:
             raise SimplexError("random point needs n >= 1")
         weights = _random_weights(n, rng)
         return cls._from_ints(weights, sum(weights))
-
-
-def _support_mask(nums) -> int:
-    mask = 0
-    for v, a in enumerate(nums):
-        if a:
-            mask |= 1 << v
-    return mask
 
 
 def _random_weights(n: int, rng: random.Random) -> list[int]:

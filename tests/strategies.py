@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for small random graphs and simplex points."""
+"""Shared hypothesis strategies for small random graphs and simplex points,
+and the blow-up of a graph by integer vertex weights."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import hypothesis.strategies as st
 
@@ -43,3 +44,21 @@ def simplex_points(draw, n):
 def graph_and_point(draw, min_n=1, max_n=8):
     g = draw(graphs(min_n=min_n, max_n=max_n))
     return g, draw(simplex_points(g.n))
+
+
+@st.composite
+def graph_and_weights(draw):
+    """A graph on 1..7 vertices and an integer weight in 1..3 for each vertex:
+    its blow-up has at most 3^7 maximal cliques."""
+    g = draw(graphs(min_n=1, max_n=7))
+    return g, draw(st.lists(st.integers(min_value=1, max_value=3),
+                            min_size=g.n, max_size=g.n))
+
+
+def blow_up(g, w):
+    """G[w]: each vertex v of ``g`` becomes ``w[v]`` pairwise non-adjacent
+    copies, each adjacent to every copy of each neighbour of v."""
+    first = list(accumulate(w, initial=0))  # copies of v: first[v]..first[v + 1] - 1
+    return Graph.from_edges(first[-1], [
+        (a, b) for u, v in g.edges()
+        for a in range(first[u], first[u + 1]) for b in range(first[v], first[v + 1])])

@@ -1,6 +1,8 @@
-"""Every module of the package and every script reads each name it imports."""
+"""Every module of the package and every script reads each name it imports,
+and every function the benchmark traces exists under the name it traces."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,16 @@ def test_unused_imports_are_named():
         "    return list(chain(os.sep))\n"
     )
     assert unused_imports(source) == ["system", "islice", "CHUNK"]
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py swaps each (module, function) of TRACED by name, so
+    # a rename in the package would leave its span reading 0.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = [f"{module}.{name}" for module, name, _ in spans.TRACED
+               if not callable(getattr(importlib.import_module(f"cliquebound.{module}"),
+                                       name, None))]
+    assert missing == []

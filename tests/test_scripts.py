@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cliquebound.cli import main
 from cliquebound.cliques import CliqueIndex
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +31,12 @@ def run_in_process(monkeypatch, capsys, script, args, patch=None):
     return exc.value.code, captured.out, captured.err
 
 
+def generate(capsys, out_dir, *argv):
+    """Write graph files with ``cliquebound generate``; the paths it wrote."""
+    assert main(["generate", *argv, "--out", str(out_dir)]) == 0
+    return capsys.readouterr().out.split()
+
+
 @pytest.mark.parametrize("script,args,expected", [
     ("descent_demo.py", ["--graph", "octahedron", "--t", "3", "--starts", "2"],
      "verdict: tight, certificate (2, 2, 2)"),
@@ -40,10 +47,11 @@ def run_in_process(monkeypatch, capsys, script, args, patch=None):
      "verdict: vacuous, t = 3 > omega = 2"),
 ])
 def test_script_runs(script, args, expected):
+    # Each script finds src/ itself, so it runs from a checkout as written.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout.splitlines()
@@ -56,26 +64,15 @@ def test_script_runs(script, args, expected):
     ("sweep_random_corpus.py", ["--count", "0"]),
     ("descent_demo.py", ["--t", "1"]),
     ("descent_demo.py", ["--starts", "0"]),
-    ("kernel_times.py", ["--graph", "gnp:140:1/2"]),
-    ("kernel_times.py", ["--graph", "gnp:10:3/2:1"]),
-    ("kernel_times.py", ["--graph", "gnp:10:1/0:1"]),
-    ("kernel_times.py", ["--graph", "gnp:-1:1/2:1"]),
-    ("kernel_times.py", ["--graph", "gnp:0:1/2:1"]),
-    ("kernel_times.py", ["--graph", "multipartite:4"]),
-    ("kernel_times.py", ["--graph", "multipartite:0x3"]),
-    ("kernel_times.py", ["--graph", "multipartite:3x0"]),
-    ("kernel_times.py", ["--graph", "kn:5"]),
     # Random(-s) seeds like Random(s), so a negative seed is refused.
     ("descent_demo.py", ["--seed", "-1"]),
     ("sweep_random_corpus.py", ["--seed", "-1"]),
-    ("kernel_times.py", ["--graph", "gnp:10:1/2:-1"]),
 ])
 def test_script_rejects_bad_arguments(script, args):
     # A usage error: exit 2 and one error line, no traceback and no records.
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert result.returncode == 2
     assert result.stdout == ""
@@ -105,41 +102,39 @@ def test_script_refuses_loose_integer(monkeypatch, capsys, script, args, token):
                                     f"invalid integer value: {token!r}")
 
 
-@pytest.mark.parametrize("spec,field", [
-    *((template.format(token), token)
-      for template in ("gnp:{}:1/2:1", "gnp:10:{}/2:1", "gnp:10:1/{}:1", "gnp:10:1/2:{}",
-                       "multipartite:{}x2", "multipartite:2x{}")
-      for token in ("1_0", "+2", " 2", "\u0663", "0x1")
-      if (template, token) != ("multipartite:{}x2", "0x1")),
-    # S and R are split at the first "x", so R reads "1x2" here.
-    ("multipartite:0x1x2", "1x2"),
-    ("gnp:10:0.5:1", "0.5"),
-    ("gnp:10:1e-1:1", "1e-1"),
-])
-def test_graph_spec_refuses_loose_number(monkeypatch, capsys, spec, field):
-    code, out, err = run_in_process(monkeypatch, capsys, "kernel_times.py",
-                                    ["--graph", spec])
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        f"kernel_times.py: error: --graph {spec}: not an integer: {field!r}")
+@pytest.mark.parametrize("name,content,message", [
+    ("missing.g6", None, "[Errno 2] No such file or directory: '{path}'"),
+    ("bad.g6", "C~~\n", "graph6 bit stream length mismatch: need 6 bits, got 12"),
+    ("graph.txt", "0 1\n", "unknown extension (expected .g6 or .el)"),
+    ("empty", "", "no .g6 or .el file"),
+], ids=["missing", "malformed-g6", "unknown-extension", "empty-directory"])
+def test_kernel_times_refuses_bad_graph_file(tmp_path, name, content, message):
+    # A usage error before any table, as analyze's: exit 2 and one error line.
+    path = tmp_path / name
+    if name == "empty":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content, encoding="ascii")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_times.py"), "--graph", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    errors = [line for line in result.stderr.splitlines() if "error" in line]
+    assert errors == [f"kernel_times.py: error: --graph {path}: "
+                      + message.format(path=path)]
+    assert "Traceback" not in result.stderr
 
 
-def test_graph_spec_refuses_zero_denominator(monkeypatch, capsys):
-    code, out, err = run_in_process(monkeypatch, capsys, "kernel_times.py",
-                                    ["--graph", "gnp:10:1/0:1"])
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == ("kernel_times.py: error: --graph gnp:10:1/0:1: "
-                                    "denominator must be >= 1, got '1/0'")
-
-
-def test_kernel_times_budget_hit_is_one_error_line(monkeypatch, capsys):
+def test_kernel_times_budget_hit_is_one_error_line(monkeypatch, capsys, tmp_path):
     # K_{2x2x2}'s maximal-clique pass takes 15 work nodes, past a budget of
     # 10; the script's own default budget would take seconds to reach.
+    [path] = generate(capsys, tmp_path, "multipartite", "--parts", "2,2,2")
     code, out, err = run_in_process(
-        monkeypatch, capsys, "kernel_times.py", ["--graph", "multipartite:2x3", "--reps", "1"],
+        monkeypatch, capsys, "kernel_times.py", ["--graph", path, "--reps", "1"],
         patch={"CliqueIndex": functools.partial(CliqueIndex, budget=10)})
     assert (code, out) == (3, "")
-    assert err == ("kernel_times.py: error: graph multipartite:2x3: clique enumeration "
+    assert err == ("kernel_times.py: error: graph multipartite_2x3.g6: clique enumeration "
                    "exceeded work budget of 10 nodes\n")
 
 
@@ -168,19 +163,21 @@ def test_kernel_times_reports_every_kernel(workload, graphs, nodes):
     assert all(float(ms) >= 0 for ms, _ in rows.values())
 
 
-def test_kernel_times_on_graph_specs():
+def test_kernel_times_on_graph_specs(capsys, tmp_path):
     # K_{2x2x2} and the seeded G(12, 1/2) of the budget-unit test in
-    # test_cliques.py: the pass and the single-order walks charge the same
-    # nodes here.
+    # test_cliques.py, as generate writes them: the pass and the single-order
+    # walks charge the same nodes here.
+    [multipartite] = generate(capsys, tmp_path / "a", "multipartite", "--parts", "2,2,2")
+    generate(capsys, tmp_path / "b", "random", "--n", "12", "--p", "1/2", "--seed", "5")
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "kernel_times.py"),
-         "--graph", "multipartite:2x3", "--graph", "gnp:12:1/2:5", "--reps", "1"],
+         "--graph", multipartite, "--graph", str(tmp_path / "b"), "--reps", "1"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     tables = [table.splitlines() for table in result.stdout.split("\n\n")]
     assert [table[0].split(", best of")[0] for table in tables] == [
-        "graph multipartite:2x3, n 6, m 12", "graph gnp:12:1/2:5, n 12, m 38"]
+        "graph multipartite_2x3.g6, n 6, m 12", "graph random_n12_p1-2_seed5.g6, n 12, m 38"]
     nodes = [{line[:22].strip(): int(line[22:].split()[1]) for line in table[2:]}
              for table in tables]
     assert [[table[kernel] for kernel in _KERNELS[:3]] for table in nodes] == [

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from cliquebound.bounds import clique_density_term
+from cliquebound.bounds import bound_reports, clique_density_term
 from cliquebound.cliques import CHUNK, BudgetExceeded, CliqueIndex
 from cliquebound.corpus import empty_graph, path_graph, paw_graph
-from cliquebound.graph import Graph, generate_random
+from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.simplex import (
     SimplexPoint,
     SimplexError,
@@ -22,7 +22,7 @@ from cliquebound.simplex import (
     transfer,
     verify_nonnegativity,
 )
-from strategies import graph_and_point, graphs
+from strategies import blow_up, graph_and_point, graph_and_weights, graphs
 
 
 def reference_phi(g, t, c, x):
@@ -167,6 +167,28 @@ class TestEvalPhi:
         a, b = reference_phi(g, t, index.c, x)
         assert (ev.a, ev.b) == (a, b)
         assert ev.phi == ev.a - ev.b
+
+
+class TestBlowUp:
+    """phi at a rational point w/W is the localized bound on the blow-up G[w]:
+    a clique of G[w] takes at most one copy of each vertex, so c is kept and
+    the t-cliques of G[w] number W^t B(w/W), while its localized bound is
+    W^t A(w/W). So W^t phi(w/W) = localized(G[w]) - N(G[w], K_t)."""
+
+    def test_blow_up_of_triangle_is_k222(self):
+        assert blow_up(generate_complete_multipartite([1, 1, 1]), [2, 2, 2]).adjacency == (
+            generate_complete_multipartite([2, 2, 2]).adjacency)
+
+    @given(graph_and_weights(), st.integers(min_value=2, max_value=5))
+    @example((generate_complete_multipartite([1, 1, 1]), [2, 2, 2]), 3)
+    @settings(max_examples=80)
+    def test_phi_is_the_bound_on_the_blow_up(self, gw, t):
+        g, w = gw
+        phi = eval_phi(CliqueIndex(g), t, SimplexPoint.from_weights(w)).phi
+        [rep] = bound_reports(CliqueIndex(blow_up(g, w)), [t])
+        assert sum(w) ** t * phi == rep.localized_zykov - rep.true_count
+        if t <= rep.omega:
+            assert (phi == 0) == rep.is_tight
 
 
 class TestDelta:
