@@ -8,6 +8,9 @@ For each graph it checks, with an exact ``==``:
   sorted, against ``brute_maximal_cliques``;
 - ``member``: bit i of ``member[v]`` is set exactly when v lies in
   ``cliques[i]``;
+- the pass's work: the built index's ``nodes`` against the nodes of
+  ``tomita_maximal_cliques``, the plain pivoted search that defines the
+  budget unit;
 - ``histograms(1..n+1)``, one counting walk for every order, and
   ``histogram(t)`` on a fresh index, one walk for order t alone, against
   ``brute_alpha_histogram`` at each order t = 1..n+1;
@@ -39,6 +42,7 @@ from cliquebound.oracles import (  # noqa: E402
     brute_alpha_histogram,
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
+    tomita_maximal_cliques,
 )
 
 SHOWN_FAILURES = 10
@@ -55,6 +59,8 @@ def check_graph(g: Graph) -> list[str]:
     """What the index gets wrong on ``g``, one line per failed check."""
     index = CliqueIndex(g)
     failures = []
+    if index.nodes != tomita_maximal_cliques(g)[1]:
+        failures.append("pass nodes")
     oracle_cliques = brute_maximal_cliques(g)
     if index.sizes != sorted(map(len, oracle_cliques)):
         failures.append("sizes")

@@ -28,9 +28,11 @@ took the ``descent`` row of ``scripts/kernel_times.py --workload phi-simplex
 --seed 0 --reps 5`` from 23-32 ms to 37-38 ms (Python 3.11.7, 2 vCPUs), the
 cost of a column per vertex and a list per node.
 It counts its own work as ``nodes``: each kernel charges the index it serves
-one node per stack node of the pass or call of the others, a walk of the
-batched sum once for all the points of its chunk, and past ``budget`` nodes
-the work on one graph stops.
+one node per call of the others, a walk of the batched sum once for all the
+points of its chunk, and, for the pass, one per node of the plain pivoted
+search (``oracles.tomita_maximal_cliques``), whether the pass expands it or
+settles it where it finds it; past ``budget`` nodes the work on one graph
+stops.
 Every function that does clique work takes the graph's ``CliqueIndex``; none
 builds its own.
 """
@@ -107,15 +109,57 @@ def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
     """The maximal cliques of ``g`` as bitmasks in the order found, none if it
     has no vertex: one Tomita-pivoted Bron-Kerbosch search, worst-case optimal
     alone, over an explicit stack of (r, p, x) nodes, so its depth is not
-    bounded by the Python call stack. Every node is charged once; a child
-    whose p is empty is a leaf, charged and settled at once instead of
-    pushed."""
+    bounded by the Python call stack.
+
+    The pass charges every node of the plain search, in which each node,
+    a leaf (p empty) included, is one node: the root, and each child
+    (r + v, p & N(v), x & N(v)) of a node that branches on v. A child with at
+    most two candidates is not pushed but settled where it is found, and
+    charged the nodes that the plain search expands below it. With p' its
+    candidates, x' its excluded, xa = x' & N(a) and xb = x' & N(b):
+
+    ==============  =================================  =====================
+    p'              cliques emitted                    nodes charged
+    ==============  =================================  =====================
+    empty           r' iff x' is empty                 1
+    {a}             r' + a iff xa is empty             2 if xa is empty,
+                                                       else 1
+    {a, b}, a ~ b   r' + a + b iff xa & xb is empty    3 if xa & xb is
+                                                       empty, else 1
+    {a, b}, a !~ b  r' + a iff xa is empty,            1 if xa & xb is not
+                    r' + b iff xb is empty             empty; 3 if xa and xb
+                                                       are empty; else 2
+    ==============  =================================  =====================
+
+    Each row follows from the pivot rule, the first vertex of p' | x' with
+    the most neighbours in p'; the node branches on the candidates that are
+    not the pivot's neighbours, and a candidate is not its own neighbour.
+    A vertex of x' adjacent to every candidate is the pivot if there is one,
+    and leaves no branch: the node alone, and no clique (each row's 1).
+    Otherwise, with p' = {a}, no vertex has two neighbours in p', the pivot
+    is not adjacent to a, and the node branches on a, to the leaf r' + a.
+    With a ~ b, the pivot is adjacent to exactly one of a and b, so the node
+    branches on the other alone, to a child with the one candidate left and
+    no excluded vertex adjacent to it, which emits r' + a + b at its leaf.
+    With a !~ b, the pivot is the first vertex of x' adjacent to one of
+    them if there is one, say to a, and the node branches on b alone, to the
+    leaf r' + b, maximal iff xb is empty; if xa and xb are both empty,
+    the pivot is adjacent to neither, and the node branches on a and then
+    b, two leaves, r' + a iff xa and r' + b iff xb is empty (a is excluded
+    at b's, but is not b's neighbour).
+
+    The pass keeps its count of nodes in a local, and writes it back to
+    ``index.nodes`` and checks it once per popped node, after the node's
+    children: it raises ``BudgetExceeded`` exactly when ``tick`` at every
+    node would, when the total passes the budget.
+    """
     adj = g.adjacency
     out: list[int] = []
+    nodes, budget = index.nodes, index.budget
     stack = [(0, g.full_mask, 0)] if g.n else []
     while stack:
         r, p, x = stack.pop()
-        index.tick()
+        nodes += 1
         # Tomita pivot: the first vertex of p | x with the most neighbours in p.
         pivot, best = -1, -1
         scan = p | x
@@ -131,15 +175,45 @@ def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
             low = branch & -branch
             v = low.bit_length() - 1
             branch ^= low
-            sub = p & adj[v]
-            if sub:
-                stack.append((r | low, sub, x & adj[v]))
-            else:
-                index.tick()
-                if not x & adj[v]:
-                    out.append(r | low)
+            near = adj[v]
+            sub = p & near
             p ^= low
+            xs = x & near
             x |= low
+            if not sub:
+                nodes += 1
+                if not xs:
+                    out.append(r | low)
+            elif sub.bit_count() > 2:
+                stack.append((r | low, sub, xs))
+            else:
+                # Settled here, by the table above; a and b are bits.
+                b = sub & (sub - 1)
+                a = sub ^ b
+                xa = xs & adj[a.bit_length() - 1]
+                if not b:
+                    if xa:
+                        nodes += 1
+                    else:
+                        nodes += 2
+                        out.append(r | low | a)
+                else:
+                    near = adj[b.bit_length() - 1]
+                    xb = xs & near
+                    if xa & xb:
+                        nodes += 1
+                    elif near & a:
+                        nodes += 3
+                        out.append(r | low | sub)
+                    else:
+                        nodes += 2 if xa or xb else 3
+                        if not xa:
+                            out.append(r | low | a)
+                        if not xb:
+                            out.append(r | low | b)
+        index.nodes = nodes
+        if nodes > budget:
+            raise BudgetExceeded(budget)
     return out
 
 
@@ -215,9 +289,11 @@ class CliqueIndex:
     the simplex's sampled points do. ``nodes`` counts the work done on the
     graph, in nodes: those of the pass, of each walk and of every weighted
     clique sum, a node of a batched walk once for all the points of its
-    chunk, each charged by ``tick``, which raises ``BudgetExceeded`` once
-    ``nodes`` passes ``budget``. So the budget caps the total work done on the graph. It
-    defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
+    chunk. The walks and sums charge each node by ``tick``, which raises
+    ``BudgetExceeded`` once ``nodes`` passes ``budget``; the pass keeps its
+    own count and checks it the same way after each node it expands. So
+    the budget caps the total work done on the graph. It defaults to
+    ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
 
     __slots__ = ("nodes", "budget", "graph", "cliques", "sizes", "member", "c", "omega",

@@ -1,8 +1,11 @@
 """Brute-force reference implementations for small graphs.
 
 These deliberately share no code with the fast paths, and import only
-``graph`` of this package: everything here is plain subset enumeration over
-vertex tuples with pairwise adjacency tests. A hard n <= 20 guard caps cost.
+``graph`` of this package: everything here but ``tomita_maximal_cliques`` is
+plain subset enumeration over vertex tuples with pairwise adjacency tests,
+and a hard n <= 20 guard caps its cost. ``tomita_maximal_cliques`` is the
+plain pivoted search that defines the maximal-clique pass's unit of work,
+one call per node, over vertex sets.
 """
 
 from __future__ import annotations
@@ -73,6 +76,38 @@ def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             ):
                 out.append(combo)
     return out
+
+
+def tomita_maximal_cliques(g: Graph) -> tuple[list[int], int]:
+    """The maximal cliques of ``g`` as vertex bitmasks, in the order found,
+    and the nodes of the search that found them: Bron-Kerbosch with Tomita
+    pivoting, one recursive call per node (r, p, x), from (empty, V, empty)
+    if ``g`` has a vertex. A node with no candidate is a leaf, a clique if
+    nothing is excluded; any other takes as pivot the first vertex of p | x
+    with the most neighbours in p and branches, in increasing order, on the
+    candidates that are not the pivot's neighbours, each branch vertex then
+    moving from p to x. No size guard: it is a search, not an enumeration
+    of subsets."""
+    neighbours = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    cliques: list[int] = []
+    nodes = 0
+
+    def expand(r: set, p: set, x: set):
+        nonlocal nodes
+        nodes += 1
+        if not p:
+            if not x:
+                cliques.append(sum(1 << v for v in r))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(neighbours[u] & p))
+        for v in sorted(p - neighbours[pivot]):
+            expand(r | {v}, p & neighbours[v], x & neighbours[v])
+            p = p - {v}
+            x = x | {v}
+
+    if g.n:
+        expand(set(), set(range(g.n)), set())
+    return cliques, nodes
 
 
 def brute_kirsch_nir_alpha(g: Graph, copy) -> int:

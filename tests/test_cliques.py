@@ -25,6 +25,7 @@ from cliquebound.oracles import (
     brute_count_cliques,
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
+    tomita_maximal_cliques,
 )
 from strategies import graphs, sparse_graphs
 
@@ -122,6 +123,39 @@ class TestMaximalCliques:
         # Each oracle clique exactly once, and nothing else.
         assert sorted(index.cliques) == sorted(sum(1 << v for v in clique) for clique in oracle)
         assert index.sizes == sorted(map(len, oracle))
+
+    # The pass settles a child with one or two candidates where it finds
+    # it: one example graph per row of its table and per case of xa and xb.
+    @given(st.one_of(graphs(), sparse_graphs(),
+                     st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6)
+                     .map(generate_complete_multipartite)))
+    # p' = {a}: xa empty, then not.
+    @example(Graph.from_edges(2, [(0, 1)]))
+    @example(Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]))
+    # p' = {a, b}, a ~ b: xa & xb empty, then not.
+    @example(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+    @example(Graph.from_edges(8, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (2, 4), (2, 5),
+                                  (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]))
+    # p' = {a, b}, a !~ b: xa & xb not empty; xa and xb empty; only xa
+    # empty; only xb empty; neither empty, but disjoint.
+    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3),
+                                  (2, 4)]))
+    @example(Graph.from_edges(3, [(0, 1), (0, 2)]))
+    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4)]))
+    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4)]))
+    @example(Graph.from_edges(8, [(0, 5), (0, 7), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6),
+                                  (2, 7), (3, 4), (3, 5), (4, 6), (5, 7), (6, 7)]))
+    def test_pass_charges_the_plain_search(self, g):
+        # The budget unit is a node of the plain pivoted search: the pass
+        # finds its cliques, charges its nodes, and raises past them.
+        cliques, nodes = tomita_maximal_cliques(g)
+        index = CliqueIndex(g)
+        assert sorted(index.cliques) == sorted(cliques)
+        assert index.nodes == nodes
+        if nodes:
+            with pytest.raises(BudgetExceeded):
+                CliqueIndex(g, budget=nodes - 1)
+        assert CliqueIndex(g, budget=nodes).nodes == nodes
 
 
 def _member_by_definition(index):

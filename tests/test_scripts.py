@@ -11,6 +11,7 @@ import pytest
 
 from cliquebound.cli import main
 from cliquebound.cliques import CliqueIndex
+from cliquebound.oracles import tomita_maximal_cliques
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +68,13 @@ def test_script_runs(script, args, expected):
     # Random(-s) seeds like Random(s), so a negative seed is refused.
     ("descent_demo.py", ["--seed", "-1"]),
     ("sweep_random_corpus.py", ["--seed", "-1"]),
+], ids=[
+    # Explicit, so that adding or removing a case renames no other case;
+    # these are the names the suite already records for these cases.
+    "sweep_random_corpus.py-args0", "sweep_random_corpus.py-args1",
+    "sweep_random_corpus.py-args2", "sweep_random_corpus.py-args3",
+    "descent_demo.py-args4", "descent_demo.py-args5",
+    "descent_demo.py-args6", "sweep_random_corpus.py-args7",
 ])
 def test_script_rejects_bad_arguments(script, args):
     # A usage error: exit 2 and one error line, no traceback and no records.
@@ -197,3 +205,17 @@ def test_exhaustive_small_graphs_up_to_five_vertices():
         ["0", "1", "0", "0"], ["1", "1", "1", "0"], ["2", "2", "2", "0"],
         ["3", "8", "2", "0"], ["4", "64", "5", "0"], ["5", "1024", "2", "0"]]
     assert lines[-1] == "1100 graphs with n <= 5, 0 failed"
+
+
+def test_exhaustive_small_graphs_checks_pass_nodes(monkeypatch, capsys):
+    # A pass one node off the plain search fails every graph, named by the
+    # check.
+    def one_more(g):
+        cliques, nodes = tomita_maximal_cliques(g)
+        return cliques, nodes + 1
+
+    code, out, err = run_in_process(monkeypatch, capsys, "exhaustive_small_graphs.py",
+                                    ["--max-n", "2"], patch={"tomita_maximal_cliques": one_more})
+    assert code == 1
+    assert out.splitlines()[-1] == "4 graphs with n <= 2, 4 failed"
+    assert [line.split(": ")[1] for line in err.splitlines()] == ["pass nodes"] * 4
