@@ -15,6 +15,10 @@ For each graph it checks, with an exact ``==``:
   ``histogram(t)`` on a fresh index, one walk for order t alone, against
   ``brute_alpha_histogram`` at each order t = 1..n+1;
 - ``c`` and ``omega`` against ``brute_vertex_clique_numbers``;
+- the weighted clique sums on the full mask at t = 1..4: ``weight_sum`` at
+  weights v + 1, and ``weight_sums`` at that point and at weights n - v, in
+  one walk, against ``plain_weight_sum``, the plain recursion that defines
+  their budget unit, sums and nodes alike;
 - for 2 <= t <= omega, that the bound is tight (N(G, K_t) equals the
   localized bound) exactly when the graph is regular complete multipartite.
 
@@ -42,6 +46,7 @@ from cliquebound.oracles import (  # noqa: E402
     brute_alpha_histogram,
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
+    plain_weight_sum,
     tomita_maximal_cliques,
 )
 
@@ -80,6 +85,18 @@ def check_graph(g: Graph) -> list[str]:
             failures.append(f"histogram({t})")
     if (index.c, index.omega) != brute_vertex_clique_numbers(g):
         failures.append("c(v)")
+    # Weights v + 1, and n - v at the second point of the batched sum.
+    weights, second = [v + 1 for v in range(g.n)], [g.n - v for v in range(g.n)]
+    for t in range(1, 5):
+        oracle, nodes = plain_weight_sum(g, g.full_mask, t, weights)
+        before = index.nodes
+        if (index.weight_sum(g.full_mask, t, weights), index.nodes - before) != (oracle, nodes):
+            failures.append(f"weight_sum(t = {t})")
+        expected = [oracle, plain_weight_sum(g, g.full_mask, t, second)[0]]
+        before = index.nodes
+        sums = [b for _, b in index.weight_sums(g.full_mask, t, [weights, second])]
+        if (sums, index.nodes - before) != (expected, nodes):
+            failures.append(f"weight_sums(t = {t})")
     regular = is_regular_complete_multipartite(g) is not None
     for t in range(2, index.omega + 1):
         if (hists[t].total() == localized_zykov_bound(index, t)) != regular:

@@ -25,14 +25,15 @@ per chunk, and only the index knows the chunk size. The two sums keep their
 own kernels, ``_weight_rec`` and the batched ``_weight_sums_rec``: the
 descent's sums are at one point each, and running them as batches of one
 took the ``descent`` row of ``scripts/kernel_times.py --workload phi-simplex
---seed 0 --reps 5`` from 23-32 ms to 37-38 ms (Python 3.11.7, 2 vCPUs), the
-cost of a column per vertex and a list per node.
-It counts its own work as ``nodes``: each kernel charges the index it serves
-one node per call of the others, a walk of the batched sum once for all the
-points of its chunk, and, for the pass, one per node of the plain pivoted
-search (``oracles.tomita_maximal_cliques``), whether the pass expands it or
-settles it where it finds it; past ``budget`` nodes the work on one graph
-stops.
+--seed 0 --reps 5`` from 15.5-15.8 ms to 26.7-27.1 ms (Python 3.11.7, 2
+vCPUs), the cost of a column per vertex and a list per node.
+It counts its own work as ``nodes``: each kernel charges the index it serves,
+the walk one node per call, the sums one per call of the plain recursion
+(``oracles.plain_weight_sum``), a walk of the batched sum once for all the
+points of its chunk, and the pass one per node of the plain pivoted search
+(``oracles.tomita_maximal_cliques``); the sums and the pass charge a node
+whether they make the call or settle it where they find it. Past ``budget``
+nodes the work on one graph stops.
 Every function that does clique work takes the graph's ``CliqueIndex``; none
 builds its own.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, transpose
@@ -62,6 +63,16 @@ class BudgetExceeded(RuntimeError):
 
 def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
                 index: CliqueIndex) -> int:
+    """The sum over the r-cliques within ``cand`` of their weights' product:
+    each candidate v, in increasing order, times the (r - 1)-cliques among
+    the later candidates adjacent to v, a child that is a node of its own
+    when it has at least r - 1 candidates (``oracles.plain_weight_sum``).
+
+    A node at r = 2 settles each child, a leaf that sums its candidates'
+    weights, where it finds it, and charges it its one node: it keeps the
+    count in a local, and raises ``BudgetExceeded`` at the leaf where
+    ``tick`` would, with ``index.nodes`` at budget + 1, as ``tick`` leaves
+    it."""
     index.tick()
     total = 0
     if r == 1:
@@ -69,6 +80,26 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
             low = cand & -cand
             total += weights[low.bit_length() - 1]
             cand ^= low
+        return total
+    if r == 2:
+        nodes, budget = index.nodes, index.budget
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            sub = cand & adj[v]
+            if sub:
+                nodes += 1
+                if nodes > budget:
+                    index.nodes = nodes
+                    raise BudgetExceeded(budget)
+                leaf = 0
+                while sub:
+                    low = sub & -sub
+                    leaf += weights[low.bit_length() - 1]
+                    sub ^= low
+                total += weights[v] * leaf
+        index.nodes = nodes
         return total
     while cand:
         low = cand & -cand
@@ -80,29 +111,76 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
     return total
 
 
-def _weight_sums_rec(adj: Sequence[int], cand: int, r: int, columns: Sequence[Sequence[int]],
-                     zero: Sequence[int], index: CliqueIndex) -> Sequence[int]:
+def _lane_sum(rows: list) -> list:
+    """The lane-by-lane sum of ``rows``, at least one, as a list: nested
+    ``map(add, ...)`` for up to three rows, one tuple per lane only past
+    that."""
+    if len(rows) > 3:
+        return list(map(sum, zip(*rows)))
+    if len(rows) == 1:
+        return list(rows[0])
+    if len(rows) == 2:
+        return list(map(add, *rows))
+    a, b, c = rows
+    return list(map(add, map(add, a, b), c))
+
+
+def _leaf_sum(sub: int, columns: Sequence[list[int]]) -> list[int]:
+    """The lane-by-lane sum of the columns of the vertices of ``sub``, which
+    is not empty: the column itself if there is one vertex."""
+    low = sub & -sub
+    if sub == low:
+        return columns[low.bit_length() - 1]
+    rows = []
+    while sub:
+        low = sub & -sub
+        rows.append(columns[low.bit_length() - 1])
+        sub ^= low
+    return _lane_sum(rows)
+
+
+def _weight_sums_rec(adj: Sequence[int], cand: int, r: int, columns: Sequence[list[int]],
+                     zero: list[int], index: CliqueIndex) -> list[int]:
     """``_weight_rec`` at several points in one walk, each node charged once
     for all of them: ``columns[v]`` holds v's weight at each point, and the
-    result is the sum at each point, ``zero`` if there is no r-clique."""
+    result is the sum at each point, ``zero`` if there is no r-clique.
+
+    It walks and charges as ``_weight_rec`` does, settling the leaves at
+    r = 2 in place. A node adds its terms lane by lane, by ``_lane_sum``,
+    so it builds no tuple for up to three of them, and a leaf with one
+    candidate returns that candidate's column itself. Every node returns a
+    list, never a lazy iterator, and its own lazy iterators nest at most
+    three deep, whatever its number of candidates: a deep chain of
+    ``map(add, ...)`` would overflow the C stack when it is read (a 200,000
+    deep one crashes CPython 3.11.7 with an 8 MB stack)."""
     index.tick()
     if r == 1:
-        rows = []
+        return _leaf_sum(cand, columns) if cand else zero
+    terms = []
+    if r == 2:
+        nodes, budget = index.nodes, index.budget
         while cand:
             low = cand & -cand
-            rows.append(columns[low.bit_length() - 1])
+            v = low.bit_length() - 1
             cand ^= low
-        return list(map(sum, zip(*rows))) if rows else zero
-    terms = []
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        sub = cand & adj[v]
-        if sub.bit_count() >= r - 1:
-            terms.append(map(mul, columns[v],
-                             _weight_sums_rec(adj, sub, r - 1, columns, zero, index)))
-    return list(map(sum, zip(*terms))) if terms else zero
+            sub = cand & adj[v]
+            if sub:
+                nodes += 1
+                if nodes > budget:
+                    index.nodes = nodes
+                    raise BudgetExceeded(budget)
+                terms.append(map(mul, columns[v], _leaf_sum(sub, columns)))
+        index.nodes = nodes
+    else:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            sub = cand & adj[v]
+            if sub.bit_count() >= r - 1:
+                terms.append(map(mul, columns[v],
+                                 _weight_sums_rec(adj, sub, r - 1, columns, zero, index)))
+    return _lane_sum(terms) if terms else zero
 
 
 def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
@@ -290,8 +368,9 @@ class CliqueIndex:
     graph, in nodes: those of the pass, of each walk and of every weighted
     clique sum, a node of a batched walk once for all the points of its
     chunk. The walks and sums charge each node by ``tick``, which raises
-    ``BudgetExceeded`` once ``nodes`` passes ``budget``; the pass keeps its
-    own count and checks it the same way after each node it expands. So
+    ``BudgetExceeded`` once ``nodes`` passes ``budget``; the sums check the
+    leaves they settle in place the same way, one at a time, and the pass
+    keeps its own count and checks it after each node it expands. So
     the budget caps the total work done on the graph. It defaults to
     ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
@@ -381,7 +460,8 @@ class CliqueIndex:
     def _weight_sums(self, mask: int, t: int, points: Iterator[Sequence[int]]):
         while chunk := list(islice(points, CHUNK)):
             yield from zip(chunk, _weight_sums_rec(self.graph.adjacency, mask, t,
-                                                   list(zip(*chunk)), [0] * len(chunk), self))
+                                                   list(map(list, zip(*chunk))),
+                                                   [0] * len(chunk), self))
 
 
 def count_cliques(index: CliqueIndex, t: int) -> int:

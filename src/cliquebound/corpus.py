@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .graph import Graph, generate_complete_multipartite, generate_random
 
@@ -43,6 +44,15 @@ def petersen_graph() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+def blow_up(g: Graph, w) -> Graph:
+    """G[w]: each vertex v of ``g`` becomes ``w[v]`` pairwise non-adjacent
+    copies, each adjacent to every copy of each neighbour of v."""
+    first = list(accumulate(w, initial=0))  # copies of v: first[v]..first[v + 1] - 1
+    return Graph.from_edges(first[-1], [
+        (a, b) for u, v in g.edges()
+        for a in range(first[u], first[u + 1]) for b in range(first[v], first[v + 1])])
 
 
 def named_small_graphs() -> dict[str, Graph]:

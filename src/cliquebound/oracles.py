@@ -1,11 +1,12 @@
 """Brute-force reference implementations for small graphs.
 
 These deliberately share no code with the fast paths, and import only
-``graph`` of this package: everything here but ``tomita_maximal_cliques`` is
-plain subset enumeration over vertex tuples with pairwise adjacency tests,
-and a hard n <= 20 guard caps its cost. ``tomita_maximal_cliques`` is the
-plain pivoted search that defines the maximal-clique pass's unit of work,
-one call per node, over vertex sets.
+``graph`` of this package: everything here but ``tomita_maximal_cliques``
+and ``plain_weight_sum`` is plain subset enumeration over vertex tuples
+with pairwise adjacency tests, and a hard n <= 20 guard caps its cost.
+Those two are the plain recursions that define the unit of work of the
+maximal-clique pass and of the weighted clique sums, one call per node,
+over vertex sets.
 """
 
 from __future__ import annotations
@@ -108,6 +109,35 @@ def tomita_maximal_cliques(g: Graph) -> tuple[list[int], int]:
     if g.n:
         expand(set(), set(range(g.n)), set())
     return cliques, nodes
+
+
+def plain_weight_sum(g: Graph, mask: int, t: int, weights) -> tuple[int, int]:
+    """The sum over the t-cliques within ``mask`` of their vertex weights'
+    product, and the nodes of the recursion that found it: one call per
+    node (r, cand), from (t, the vertices of ``mask``). A node at r = 1 sums
+    its candidates' weights; any other adds, for each candidate v in
+    increasing order, ``weights[v]`` times the sum of its child, the
+    (r - 1)-cliques among the later candidates adjacent to v, calling the
+    child only when it has at least r - 1 candidates. No size guard: the
+    recursion visits cliques, not every vertex subset."""
+    if t < 1:
+        raise ValueError(f"clique order must be >= 1, got {t}")
+    neighbours = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    nodes = 0
+
+    def expand(r: int, cand: list[int]) -> int:
+        nonlocal nodes
+        nodes += 1
+        if r == 1:
+            return sum(weights[v] for v in cand)
+        total = 0
+        for i, v in enumerate(cand):
+            sub = [u for u in cand[i + 1:] if u in neighbours[v]]
+            if len(sub) >= r - 1:
+                total += weights[v] * expand(r - 1, sub)
+        return total
+
+    return expand(t, [v for v in range(g.n) if mask >> v & 1]), nodes
 
 
 def brute_kirsch_nir_alpha(g: Graph, copy) -> int:

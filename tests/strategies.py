@@ -1,8 +1,8 @@
-"""Shared hypothesis strategies for small random graphs and simplex points,
-and the blow-up of a graph by integer vertex weights."""
+"""Shared hypothesis strategies for small random graphs, simplex points and
+integer vertex weights."""
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import hypothesis.strategies as st
 
@@ -54,11 +54,3 @@ def graph_and_weights(draw):
     return g, draw(st.lists(st.integers(min_value=1, max_value=3),
                             min_size=g.n, max_size=g.n))
 
-
-def blow_up(g, w):
-    """G[w]: each vertex v of ``g`` becomes ``w[v]`` pairwise non-adjacent
-    copies, each adjacent to every copy of each neighbour of v."""
-    first = list(accumulate(w, initial=0))  # copies of v: first[v]..first[v + 1] - 1
-    return Graph.from_edges(first[-1], [
-        (a, b) for u, v in g.edges()
-        for a in range(first[u], first[u + 1]) for b in range(first[v], first[v + 1])])

@@ -13,18 +13,20 @@ from cliquebound import cliques as cliques_mod, graph as graph_mod
 from cliquebound.bounds import bound_reports
 from cliquebound.cliques import (
     CHUNK,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CliqueIndex,
     count_cliques,
     vertex_clique_numbers,
 )
-from cliquebound.corpus import petersen_graph
+from cliquebound.corpus import complete_graph, empty_graph, petersen_graph
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
     brute_alpha_histogram,
     brute_count_cliques,
     brute_maximal_cliques,
     brute_vertex_clique_numbers,
+    plain_weight_sum,
     tomita_maximal_cliques,
 )
 from strategies import graphs, sparse_graphs
@@ -540,6 +542,78 @@ class TestWeightSum:
         with pytest.raises(ValueError, match="^clique order must be >= 1, got 0$"):
             index.weight_sums(k4.full_mask, 0, untouched())
         assert index.nodes == before
+
+
+def _charged(index, call):
+    """What ``call()`` returns and the nodes it charged to ``index``."""
+    before = index.nodes
+    return call(), index.nodes - before
+
+
+class TestWeightSumNodes:
+    """The sums charge one node per call of the plain recursion,
+    ``oracles.plain_weight_sum``, whether the kernel makes the call or
+    settles it where it finds it, and raise past the budget at the node
+    where ``tick`` would, leaving ``nodes`` at budget + 1."""
+
+    @given(weighted_graphs(), st.integers(min_value=1, max_value=5))
+    # The node that crosses the budget is a leaf settled in place: the last
+    # leaf below the root at t = 2, and below the last r = 2 node at t = 3.
+    @example((complete_graph(3), (1, 2, 3), 0b011), 2)
+    @example((complete_graph(4), (1, 2, 3, 2 ** 70), 0b1011), 3)
+    # Roots at t = 1 and t = 2, the latter with no edge below it.
+    @example((empty_graph(3), (1, 2, 3), 0b101), 1)
+    @example((empty_graph(3), (1, 2, 3), 0b101), 2)
+    def test_sums_charge_the_plain_recursion(self, gws, t):
+        g, weights, sub = gws
+        second = tuple(w + 1 for w in weights)
+        # Two chunks, the two weight rows alternating.
+        points = [(weights, second)[k % 2] for k in range(CHUNK + 1)]
+        for mask in (g.full_mask, sub):
+            total, nodes = plain_weight_sum(g, mask, t, weights)
+            other = plain_weight_sum(g, mask, t, second)[0]
+            index = CliqueIndex(g)
+            assert _charged(index, lambda: index.weight_sum(mask, t, weights)) == (total, nodes)
+            # Each chunk's walk is charged the recursion's nodes once.
+            pairs = index.weight_sums(mask, t, points)
+            assert _charged(index, lambda: next(pairs)) == ((weights, total), nodes)
+            assert _charged(index, lambda: list(pairs)) == (
+                [(p, (total, other)[k % 2]) for k, p in enumerate(points[1:], 1)], nodes)
+            for run in (lambda index: index.weight_sum(mask, t, weights),
+                        lambda index: next(index.weight_sums(mask, t, points))):
+                index = CliqueIndex(g)
+                index.budget = index.nodes + nodes - 1
+                with pytest.raises(BudgetExceeded):
+                    run(index)
+                assert index.nodes == index.budget + 1
+                index = CliqueIndex(g)
+                index.budget = index.nodes + nodes
+                run(index)
+                assert index.nodes == index.budget
+
+    def test_a_node_with_200000_candidates(self):
+        # The star K_{1,200000}, centre 0, as a bare adjacency list: at r = 2
+        # the centre's child, a leaf settled in place, has 200,000
+        # candidates. Its sums must not nest a lazy iterator per candidate,
+        # which would overflow the C stack when read.
+        n = 200_001
+        adj = [(1 << n) - 2] + [1] * (n - 1)
+        columns = [[2, 3]] + [[v, 1] for v in range(1, n)]
+        leaves = n * (n - 1) // 2
+
+        class Meter:
+            nodes, budget = 0, DEFAULT_BUDGET
+
+            def tick(self):
+                self.nodes += 1
+
+        meter = Meter()
+        assert cliques_mod._weight_sums_rec(adj, (1 << n) - 1, 2, columns, [0, 0], meter) == [
+            2 * leaves, 3 * (n - 1)]
+        assert meter.nodes == 2
+        weights = [column[0] for column in columns]
+        assert cliques_mod._weight_rec(adj, (1 << n) - 1, 2, weights, meter) == 2 * leaves
+        assert meter.nodes == 4
 
 
 class TestEnumerationAndBudget:

@@ -13,6 +13,7 @@ from cliquebound.oracles import (
     brute_count_cliques,
     brute_kirsch_nir_alpha,
     brute_vertex_clique_numbers,
+    plain_weight_sum,
 )
 
 
@@ -69,6 +70,16 @@ def test_alpha_histogram_paw(paw):
 def test_alpha_rejects_non_clique(octa):
     with pytest.raises(ValueError):
         brute_kirsch_nir_alpha(octa, (0, 1))  # same part, non-adjacent
+
+
+def test_plain_weight_sum_k4(k4):
+    # The edges of K_4 at unit weight: the root and one leaf below each of
+    # 0, 1 and 2; 3 has no later neighbour.
+    assert plain_weight_sum(k4, k4.full_mask, 2, (1,) * 4) == (6, 4)
+    # Weights 1..4 on the triangles within {0, 1, 3}: one, of product 8.
+    assert plain_weight_sum(k4, 0b1011, 3, (1, 2, 3, 4)) == (8, 3)
+    with pytest.raises(ValueError, match="clique order must be >= 1, got 0"):
+        plain_weight_sum(k4, k4.full_mask, 0, (1,) * 4)
 
 
 def test_size_guard_is_hard_error():

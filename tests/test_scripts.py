@@ -11,7 +11,7 @@ import pytest
 
 from cliquebound.cli import main
 from cliquebound.cliques import CliqueIndex
-from cliquebound.oracles import tomita_maximal_cliques
+from cliquebound.oracles import plain_weight_sum, tomita_maximal_cliques
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -219,3 +219,18 @@ def test_exhaustive_small_graphs_checks_pass_nodes(monkeypatch, capsys):
     assert code == 1
     assert out.splitlines()[-1] == "4 graphs with n <= 2, 4 failed"
     assert [line.split(": ")[1] for line in err.splitlines()] == ["pass nodes"] * 4
+
+
+def test_exhaustive_small_graphs_checks_sum_nodes(monkeypatch, capsys):
+    # Sums one node off the plain recursion fail every graph, at each order
+    # and in both kernels.
+    def one_more(g, mask, t, weights):
+        total, nodes = plain_weight_sum(g, mask, t, weights)
+        return total, nodes + 1
+
+    code, out, err = run_in_process(monkeypatch, capsys, "exhaustive_small_graphs.py",
+                                    ["--max-n", "2"], patch={"plain_weight_sum": one_more})
+    assert code == 1
+    assert out.splitlines()[-1] == "4 graphs with n <= 2, 4 failed"
+    assert [line.split(": ")[1] for line in err.splitlines()] == [", ".join(
+        f"{kernel}(t = {t})" for t in range(1, 5) for kernel in ("weight_sum", "weight_sums"))] * 4

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from cliquebound.bounds import bound_reports, clique_density_term
 from cliquebound.cliques import CHUNK, BudgetExceeded, CliqueIndex
-from cliquebound.corpus import empty_graph, path_graph, paw_graph
+from cliquebound.corpus import blow_up, empty_graph, path_graph, paw_graph
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.simplex import (
     SimplexPoint,
@@ -22,7 +22,7 @@ from cliquebound.simplex import (
     transfer,
     verify_nonnegativity,
 )
-from strategies import blow_up, graph_and_point, graph_and_weights, graphs
+from strategies import graph_and_point, graph_and_weights, graphs
 
 
 def reference_phi(g, t, c, x):
@@ -189,6 +189,23 @@ class TestBlowUp:
         assert sum(w) ** t * phi == rep.localized_zykov - rep.true_count
         if t <= rep.omega:
             assert (phi == 0) == rep.is_tight
+
+    # G(n, 1/2) at the phi-simplex workload's sizes, past brute force: the
+    # weighted sums against the counting walk on the blow-up.
+    @pytest.mark.parametrize("t", [3, 4])
+    @pytest.mark.parametrize("n", [16, 22, 28])
+    def test_phi_is_the_bound_on_the_blow_up_at_scale(self, n, t):
+        g = generate_random(n, Fraction(1, 2), seed=n)
+        rng = random.Random(n)
+        w = [rng.randint(1, 3) for _ in range(n)]
+        index = CliqueIndex(g)
+        phi = eval_phi(index, t, SimplexPoint.from_weights(w)).phi
+        [rep] = bound_reports(CliqueIndex(blow_up(g, w)), [t])
+        assert sum(w) ** t * phi == rep.localized_zykov - rep.true_count
+        # The t-cliques of G[w] and of G, as batched clique sums.
+        assert [b for _, b in index.weight_sums(g.full_mask, t, [w, [1] * n])] == [
+            rep.true_count, index.histogram(t).total()]
+        assert rep.true_count > 0
 
 
 class TestDelta:
