@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from cliquebound.bounds import bound_report  # noqa: E402
 from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.corpus import named_small_graphs  # noqa: E402
-from cliquebound.graph import integer  # noqa: E402
+from cliquebound.graph import integer, rational_text  # noqa: E402
 from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi  # noqa: E402
 
 
@@ -30,9 +30,9 @@ def verdict(rep) -> tuple[str, str]:
                 "N = localized bound = 0, so phi(uniform) = 0 certifies nothing")
     if rep.outcome == "tight":
         return (f"tight, certificate {rep.extremal_certificate}",
-                f"N = localized bound = {rep.localized_zykov}, "
+                f"N = localized bound = {rational_text(rep.localized_zykov)}, "
                 "so phi(uniform) = 0 is the minimum of phi")
-    return (f"strict, N = {rep.true_count} < localized bound {rep.localized_zykov}",
+    return (f"strict, N = {rep.true_count} < localized bound {rational_text(rep.localized_zykov)}",
             "phi(uniform) = (localized bound - N) / n^t > 0")
 
 
@@ -58,20 +58,20 @@ def main():
     uniform = SimplexPoint.uniform(g.n)
     phi_u = eval_phi(index, args.t, uniform).phi
     print(f"{args.graph}: n={g.n} m={g.m} omega={report.omega} "
-          f"phi(uniform)={phi_u}")
+          f"phi(uniform)={rational_text(phi_u)}")
 
     starts = [uniform] + [SimplexPoint.random_point(g.n, rng)
                           for _ in range(args.starts - 1)]
     for k, x0 in enumerate(starts):
-        phi0 = eval_phi(index, args.t, x0).phi
+        phi0 = phi_u if k == 0 else eval_phi(index, args.t, x0).phi
         trace = descend_to_clique_support(index, args.t, x0, phi0)
         label = "uniform" if k == 0 else f"random#{k}"
-        print(f"\nstart {label}: phi={phi0}")
+        print(f"\nstart {label}: phi={rational_text(phi0)}")
         for line in trace.to_lines():
             print("  " + line)
         end_phi = eval_phi(index, args.t, trace.end).phi
         print(f"  end: support={sorted(trace.end.support)} "
-              f"clique_order={trace.omega_end} phi={end_phi}")
+              f"clique_order={trace.omega_end} phi={rational_text(end_phi)}")
 
     outcome, reason = verdict(report)
     print(f"\nverdict: {outcome}\n  {reason}")

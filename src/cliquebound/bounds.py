@@ -151,6 +151,19 @@ def outcome(t: int, omega: int, tight: bool) -> str:
     return "tight" if tight else "strict"
 
 
+def check_tightness(t: int, omega: int, tight: bool,
+                    certificate: tuple[int, ...] | None) -> None:
+    """Raise ``TightnessInvariantError`` if, at t <= omega, the bound's
+    tightness flag at order t disagrees with the equality certificate. For
+    t > omega both sides of the bound are 0, so the flag there is vacuous
+    and not checked."""
+    if t <= omega and tight != (certificate is not None):
+        raise TightnessInvariantError(
+            f"tightness flag {tight} contradicts certificate {certificate} "
+            f"for t={t}, omega={omega}", t
+        )
+
+
 def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     """``bound_report`` for each t of ``ts``, in order, from the graph's
     clique index.
@@ -177,11 +190,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
         true_count = count_cliques(index, t)
         localized = localized_zykov_bound(index, t)
         tight = Fraction(true_count) == localized
-        if t <= index.omega and tight != (certificate is not None):
-            raise TightnessInvariantError(
-                f"tightness flag {tight} contradicts certificate {certificate} "
-                f"for t={t}, omega={index.omega}", t
-            )
+        check_tightness(t, index.omega, tight, certificate)
         reports.append(BoundReport(
             t=t,
             n=g.n,

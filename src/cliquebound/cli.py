@@ -30,7 +30,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundReport, TightnessInvariantError, bound_reports, outcome
+from .bounds import (
+    BoundReport,
+    TightnessInvariantError,
+    bound_reports,
+    check_tightness,
+    is_regular_complete_multipartite,
+    outcome,
+)
 from .cliques import DEFAULT_BUDGET, BudgetExceeded, CliqueIndex
 from .corpus import named_small_graphs, random_graph_name, seeded_random_corpus
 from .graph import (
@@ -279,6 +286,7 @@ def cmd_phi(args) -> int:
         else:
             report = verify_nonnegativity(index, t, args.samples, args.seed)
             tight = report.phi_uniform == 0
+            check_tightness(t, index.omega, tight, is_regular_complete_multipartite(g))
             lines.append(f"phi_uniform = {rational_text(report.phi_uniform)} "
                          f"({_dec(report.phi_uniform)})")
             lines.append(f"min_sampled_phi = {rational_text(report.min_phi)} "
@@ -293,7 +301,7 @@ def cmd_phi(args) -> int:
     except BudgetExceeded as exc:
         print(f"error: {paths[0]}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PhiNegativityError as exc:
+    except (PhiNegativityError, TightnessInvariantError) as exc:
         print(f"error: {paths[0]}: t={t}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if not _write_output("\n".join(lines) + "\n", args.out):
@@ -357,6 +365,7 @@ def run_selfcheck(budget: int = DEFAULT_BUDGET, seed: int = 0):
                and rep2.localized_zykov - rep2.vertex_localized_turan < 1,
                f"floor={rep2.vertex_localized_turan}, pre={rep2.localized_zykov}")
         if g.n >= 1:
+            uniform = SimplexPoint.uniform(g.n)
             for t in (2, 3):
                 seed = rng.randrange(1 << 30)
                 try:  # a negative phi raises
@@ -364,6 +373,12 @@ def run_selfcheck(budget: int = DEFAULT_BUDGET, seed: int = 0):
                 except PhiNegativityError as exc:
                     ok, detail = False, str(exc)
                 yield f"phi_nonneg[{name},t={t}]", ok, detail
+                # The bound's slack is phi at the uniform point, scaled by n^t:
+                # the one-point kernel against the walk that counts N.
+                scaled = g.n**t * eval_phi(index, t, uniform).phi
+                slack = reports[t].localized_zykov - reports[t].true_count
+                yield (f"phi_uniform[{name},t={t}]", scaled == slack,
+                       f"n^t phi(uniform)={scaled}, localized-N={slack}")
 
 
 def cmd_selfcheck(args) -> int:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-import cliquebound
 from cliquebound.cli import main
 from cliquebound.cliques import CliqueIndex
 from cliquebound.corpus import random_graph_name
@@ -851,6 +850,20 @@ def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
     assert "Fraction(" not in err
 
 
+def test_phi_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
+    # phi(uniform) = 0 on K_{2x3} at t = 3 says tight; a certificate that
+    # never matches contradicts it, so phi writes no report.
+    import cliquebound.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "is_regular_complete_multipartite", lambda g: None)
+    run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
+    code, out, err = run(capsys, "phi", str(tmp_path / "multipartite_2x3.g6"), "--t", "3")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {tmp_path / 'multipartite_2x3.g6'}: t=3: tightness flag True "
+                   "contradicts certificate None for t=3, omega=3\n")
+
+
 def test_phi_single_vertex(tmp_path, capsys):
     (tmp_path / "k1.g6").write_text("@\n")
     code, out, _ = run(capsys, "phi", str(tmp_path / "k1.g6"), "--t", "2")
@@ -931,6 +944,20 @@ def test_selfcheck_reports_phi_negativity_error(capsys, monkeypatch):
     assert out.endswith(f"selfcheck: {len(fails)} failures\n")
 
 
+def test_selfcheck_reports_phi_uniform_mismatch(capsys, monkeypatch):
+    # The one-point kernel alone is off by one: n^t phi(uniform) no longer
+    # equals the localized bound less N, and only that check sees it.
+    real = CliqueIndex.weight_sum
+    monkeypatch.setattr(CliqueIndex, "weight_sum",
+                        lambda self, mask, t, weights: real(self, mask, t, weights) + 1)
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails
+    assert all(line.startswith("FAIL phi_uniform[") for line in fails)
+    assert out.endswith(f"selfcheck: {len(fails)} failures\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "g.g6", "--seed", "1"],
     ["analyze", "g.g6", "--samples", "5"],
@@ -951,10 +978,12 @@ def test_option_not_read_by_subcommand_rejected(argv, capsys):
 
 def _count_calls(monkeypatch, calls, *names):
     """Patch a counting wrapper of each named function into every cliquebound
-    module that holds it, as a tracer would."""
+    module that holds it, as a tracer would. Each original is the function
+    as the module that defines it holds it."""
     modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "cliquebound"]
     for name in names:
-        original = getattr(cliquebound, name)
+        [original] = [getattr(m, name) for m in modules
+                      if getattr(getattr(m, name, None), "__module__", None) == m.__name__]
 
         def wrapper(*args, _name=name, _original=original):
             calls[_name] += 1

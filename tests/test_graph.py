@@ -103,6 +103,9 @@ class TestGraphInvariants:
             Graph(2, (0,))
         assert (exc.type, str(exc.value)) == (GraphError,
                                               "adjacency must have one row per vertex")
+        with pytest.raises(GraphError) as exc:
+            Graph(-1, ())
+        assert (exc.type, str(exc.value)) == (GraphError, "vertex count must be nonnegative")
 
     @pytest.mark.parametrize("edge, message", [
         ((1, 1), "self-loop at vertex 1"),
@@ -118,6 +121,9 @@ class TestGraphInvariants:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.m == 3
         assert g.m == sum(row.bit_count() for row in g.adjacency) // 2
+        # Each edge of the path is a clique, but no three of its vertices are.
+        assert g.induces_clique(0b0110)
+        assert not g.induces_clique(0b0111)
 
     @given(graphs())
     def test_constructed_graphs_validate(self, g):

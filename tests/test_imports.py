@@ -1,8 +1,12 @@
 """Every module of the package and every script reads each name it imports,
-and every function the benchmark traces exists under the name it traces."""
+each module loads only the layers below it, and every function the benchmark
+traces exists under the name it traces."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +61,32 @@ def test_unused_imports_are_named():
         "    return list(chain(os.sep))\n"
     )
     assert unused_imports(source) == ["system", "islice", "CHUNK"]
+
+
+# The package modules each one loads: graph, then cliques, bounds and simplex
+# above it; the oracles and the corpus beside them on graph alone; and the CLI
+# over all of them.
+LOADS = {
+    "graph": {"graph"},
+    "cliques": {"graph", "cliques"},
+    "bounds": {"graph", "cliques", "bounds"},
+    "simplex": {"graph", "cliques", "bounds", "simplex"},
+    "oracles": {"graph", "oracles"},
+    "corpus": {"graph", "corpus"},
+    "cli": {"graph", "cliques", "bounds", "simplex", "oracles", "corpus", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_module_loads_only_its_layers(module):
+    # A fresh interpreter, so no module an earlier test imported counts.
+    code = (f"import sys, cliquebound.{module}; "
+            "print(*(key.partition('.')[2] for key in sys.modules "
+            "if key.startswith('cliquebound.')))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env=env, check=True)
+    assert set(result.stdout.split()) == LOADS[module]
 
 
 def test_traced_functions_exist():

@@ -27,6 +27,8 @@ def test_octahedron_triangles_frozen():
 
 def test_p3_has_no_triangle():
     assert brute_count_cliques(path_graph(3), 3) == 0
+    with pytest.raises(ValueError, match="clique order must be >= 1, got 0"):
+        brute_count_cliques(path_graph(3), 0)
 
 
 def test_paw_profile_frozen(paw):
@@ -65,11 +67,15 @@ def test_alpha_histogram_paw(paw):
     assert brute_alpha_histogram(paw, 2) == Counter({3: 3, 2: 1})
     assert brute_alpha_histogram(paw, 3) == Counter({3: 1})
     assert brute_alpha_histogram(paw, 4) == Counter()
+    with pytest.raises(ValueError, match="clique order must be >= 1, got 0"):
+        brute_alpha_histogram(paw, 0)
 
 
 def test_alpha_rejects_non_clique(octa):
     with pytest.raises(ValueError):
         brute_kirsch_nir_alpha(octa, (0, 1))  # same part, non-adjacent
+    with pytest.raises(ValueError, match="clique copy contains duplicates"):
+        brute_kirsch_nir_alpha(octa, (0, 2, 0))
 
 
 def test_plain_weight_sum_k4(k4):
