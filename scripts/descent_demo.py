@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cliquebound.bounds import bound_report  # noqa: E402
+from cliquebound.cli import MAX_T  # noqa: E402
 from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.corpus import named_small_graphs  # noqa: E402
 from cliquebound.graph import integer, rational_text  # noqa: E402
@@ -43,8 +44,8 @@ def main():
     ap.add_argument("--starts", type=integer, default=3)
     ap.add_argument("--seed", type=integer, default=0)
     args = ap.parse_args()
-    if args.t < 2:
-        ap.error(f"--t must be >= 2, got {args.t}")
+    if not 2 <= args.t <= MAX_T:
+        ap.error(f"--t must satisfy 2 <= t <= {MAX_T}, got {args.t}")
     if args.starts < 1:
         ap.error(f"--starts must be >= 1, got {args.starts}")
     if args.seed < 0:  # Random(-s) seeds like Random(s)

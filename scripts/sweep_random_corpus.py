@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cliquebound.bounds import bound_reports  # noqa: E402
+from cliquebound.cli import MAX_T  # noqa: E402
 from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.corpus import seeded_random_corpus  # noqa: E402
 from cliquebound.graph import integer  # noqa: E402
@@ -30,8 +31,8 @@ def main():
         ap.error(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:  # Random(-s) seeds like Random(s)
         ap.error(f"--seed must be >= 0, got {args.seed}")
-    if not 2 <= args.t <= args.t_max <= 16:
-        ap.error(f"--t and --t-max must satisfy 2 <= t <= t_max <= 16, "
+    if not 2 <= args.t <= args.t_max <= MAX_T:
+        ap.error(f"--t and --t-max must satisfy 2 <= t <= t_max <= {MAX_T}, "
                  f"got {args.t} and {args.t_max}")
 
     corpus = seeded_random_corpus(

@@ -76,6 +76,10 @@ EXIT_STRICT = 4
 # The longest file name, in bytes, that common file systems accept.
 NAME_MAX = 255
 
+# The largest clique order t that a command or an experiment script takes;
+# the smallest is 2.
+MAX_T = 16
+
 CSV_COLUMNS = ["file", "n", "m", "t", "N", "localized_bound", "zykov_bound",
                "tight", "certificate"]
 
@@ -456,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 def usage_error(args) -> str | None:
     """The first out-of-range or missing option of ``args``, as the message of
     the one ``error: `` line to print, or None."""
-    if "t" in args and not 2 <= args.t <= args.t_max <= 16:
-        return f"t range must satisfy 2 <= t <= t_max <= 16, got [{args.t}, {args.t_max}]"
+    if "t" in args and not 2 <= args.t <= args.t_max <= MAX_T:
+        return f"t range must satisfy 2 <= t <= t_max <= {MAX_T}, got [{args.t}, {args.t_max}]"
     if "seed" in args and args.seed < 0:  # Random(-s) seeds like Random(s)
         return f"seed must be >= 0, got {args.seed}"
     if "samples" in args and args.samples < 1:

@@ -32,8 +32,9 @@ the walk one node per call, the sums one per call of the plain recursion
 (``oracles.plain_weight_sum``), a walk of the batched sum once for all the
 points of its chunk, and the pass one per node of the plain pivoted search
 (``oracles.tomita_maximal_cliques``); the sums and the pass charge a node
-whether they make the call or settle it where they find it. Past ``budget``
-nodes the work on one graph stops.
+whether they make the call or settle it where they find it. Every kernel
+charges through ``CliqueIndex.charge``, which alone stops the work on one
+graph past ``budget`` nodes.
 Every function that does clique work takes the graph's ``CliqueIndex``; none
 builds its own.
 """
@@ -69,37 +70,32 @@ def _weight_rec(adj: Sequence[int], cand: int, r: int, weights: Sequence[int],
     when it has at least r - 1 candidates (``oracles.plain_weight_sum``).
 
     A node at r = 2 settles each child, a leaf that sums its candidates'
-    weights, where it finds it, and charges it its one node: it keeps the
-    count in a local, and raises ``BudgetExceeded`` at the leaf where
-    ``tick`` would, with ``index.nodes`` at budget + 1, as ``tick`` leaves
-    it."""
-    index.tick()
+    weights, where it finds it, and charges itself and its leaves by one
+    ``charge`` after its loop."""
     total = 0
-    if r == 1:
-        while cand:
-            low = cand & -cand
-            total += weights[low.bit_length() - 1]
-            cand ^= low
-        return total
     if r == 2:
-        nodes, budget = index.nodes, index.budget
+        leaves = 0
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
             sub = cand & adj[v]
             if sub:
-                nodes += 1
-                if nodes > budget:
-                    index.nodes = nodes
-                    raise BudgetExceeded(budget)
+                leaves += 1
                 leaf = 0
                 while sub:
                     low = sub & -sub
                     leaf += weights[low.bit_length() - 1]
                     sub ^= low
                 total += weights[v] * leaf
-        index.nodes = nodes
+        index.charge(1 + leaves)
+        return total
+    index.charge(1)
+    if r == 1:
+        while cand:
+            low = cand & -cand
+            total += weights[low.bit_length() - 1]
+            cand ^= low
         return total
     while cand:
         low = cand & -cand
@@ -153,25 +149,20 @@ def _weight_sums_rec(adj: Sequence[int], cand: int, r: int, columns: Sequence[li
     three deep, whatever its number of candidates: a deep chain of
     ``map(add, ...)`` would overflow the C stack when it is read (a 200,000
     deep one crashes CPython 3.11.7 with an 8 MB stack)."""
-    index.tick()
-    if r == 1:
-        return _leaf_sum(cand, columns) if cand else zero
     terms = []
     if r == 2:
-        nodes, budget = index.nodes, index.budget
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
             sub = cand & adj[v]
             if sub:
-                nodes += 1
-                if nodes > budget:
-                    index.nodes = nodes
-                    raise BudgetExceeded(budget)
                 terms.append(map(mul, columns[v], _leaf_sum(sub, columns)))
-        index.nodes = nodes
+        index.charge(1 + len(terms))
     else:
+        index.charge(1)
+        if r == 1:
+            return _leaf_sum(cand, columns) if cand else zero
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
@@ -226,18 +217,15 @@ def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
     b, two leaves, r' + a iff xa and r' + b iff xb is empty (a is excluded
     at b's, but is not b's neighbour).
 
-    The pass keeps its count of nodes in a local, and writes it back to
-    ``index.nodes`` and checks it once per popped node, after the node's
-    children: it raises ``BudgetExceeded`` exactly when ``tick`` at every
-    node would, when the total passes the budget.
+    Each popped node is charged with the children it settles by one
+    ``charge`` after its loop.
     """
     adj = g.adjacency
     out: list[int] = []
-    nodes, budget = index.nodes, index.budget
     stack = [(0, g.full_mask, 0)] if g.n else []
     while stack:
         r, p, x = stack.pop()
-        nodes += 1
+        nodes = 1
         # Tomita pivot: the first vertex of p | x with the most neighbours in p.
         pivot, best = -1, -1
         scan = p | x
@@ -289,9 +277,7 @@ def _maximal_cliques(g: Graph, index: CliqueIndex) -> list[int]:
                             out.append(r | low | a)
                         if not xb:
                             out.append(r | low | b)
-        index.nodes = nodes
-        if nodes > budget:
-            raise BudgetExceeded(budget)
+        index.charge(nodes)
     return out
 
 
@@ -322,7 +308,7 @@ def _count(adj: Sequence[int], member: Sequence[int], cliques: Sequence[int],
     requested order above d alone, and with one order requested the calls
     are exactly that walk's.
     """
-    index.tick()
+    index.charge(1)
     bulk, hist, target = plan[depth]
     top = shared.bit_length() - 1
     inside = cand & cliques[top]
@@ -367,12 +353,10 @@ class CliqueIndex:
     the simplex's sampled points do. ``nodes`` counts the work done on the
     graph, in nodes: those of the pass, of each walk and of every weighted
     clique sum, a node of a batched walk once for all the points of its
-    chunk. The walks and sums charge each node by ``tick``, which raises
-    ``BudgetExceeded`` once ``nodes`` passes ``budget``; the sums check the
-    leaves they settle in place the same way, one at a time, and the pass
-    keeps its own count and checks it after each node it expands. So
-    the budget caps the total work done on the graph. It defaults to
-    ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
+    chunk. Every kernel charges its work by ``charge``, which raises
+    ``BudgetExceeded`` once ``nodes`` passes ``budget``, leaving ``nodes``
+    at budget + 1. So the budget caps the total work done on the graph. It
+    defaults to ``DEFAULT_BUDGET``, as does the CLI's ``--budget``.
     """
 
     __slots__ = ("nodes", "budget", "graph", "cliques", "sizes", "member", "c", "omega",
@@ -393,10 +377,12 @@ class CliqueIndex:
         self.omega = max(self.c, default=0)
         self._histograms: dict[int, Counter] = {}
 
-    def tick(self):
-        """Charge one node; BudgetExceeded once ``nodes`` passes ``budget``."""
-        self.nodes += 1
+    def charge(self, k: int):
+        """Charge ``k`` nodes: past ``budget``, leave ``nodes`` at budget + 1
+        and raise ``BudgetExceeded``."""
+        self.nodes += k
         if self.nodes > self.budget:
+            self.nodes = self.budget + 1
             raise BudgetExceeded(self.budget)
 
     def histograms(self, ts: Iterable[int]) -> dict[int, Counter]:

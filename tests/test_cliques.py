@@ -128,26 +128,28 @@ class TestMaximalCliques:
 
     # The pass settles a child with one or two candidates where it finds
     # it: one example graph per row of its table and per case of xa and xb.
+    # ``pick`` draws a budget below the pass's nodes.
     @given(st.one_of(graphs(), sparse_graphs(),
                      st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6)
-                     .map(generate_complete_multipartite)))
+                     .map(generate_complete_multipartite)),
+           st.integers(min_value=0))
     # p' = {a}: xa empty, then not.
-    @example(Graph.from_edges(2, [(0, 1)]))
-    @example(Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]))
+    @example(Graph.from_edges(2, [(0, 1)]), 0)
+    @example(Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]), 0)
     # p' = {a, b}, a ~ b: xa & xb empty, then not.
-    @example(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+    @example(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 0)
     @example(Graph.from_edges(8, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (2, 4), (2, 5),
-                                  (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]))
+                                  (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]), 0)
     # p' = {a, b}, a !~ b: xa & xb not empty; xa and xb empty; only xa
     # empty; only xb empty; neither empty, but disjoint.
     @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3),
-                                  (2, 4)]))
-    @example(Graph.from_edges(3, [(0, 1), (0, 2)]))
-    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4)]))
-    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4)]))
+                                  (2, 4)]), 0)
+    @example(Graph.from_edges(3, [(0, 1), (0, 2)]), 0)
+    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4)]), 0)
+    @example(Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4)]), 0)
     @example(Graph.from_edges(8, [(0, 5), (0, 7), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6),
-                                  (2, 7), (3, 4), (3, 5), (4, 6), (5, 7), (6, 7)]))
-    def test_pass_charges_the_plain_search(self, g):
+                                  (2, 7), (3, 4), (3, 5), (4, 6), (5, 7), (6, 7)]), 0)
+    def test_pass_charges_the_plain_search(self, g, pick):
         # The budget unit is a node of the plain pivoted search: the pass
         # finds its cliques, charges its nodes, and raises past them.
         cliques, nodes = tomita_maximal_cliques(g)
@@ -157,6 +159,13 @@ class TestMaximalCliques:
         if nodes:
             with pytest.raises(BudgetExceeded):
                 CliqueIndex(g, budget=nodes - 1)
+            # Past the budget the pass stops as every kernel does, with
+            # ``nodes`` at budget + 1, on a fresh meter.
+            meter = CliqueIndex.__new__(CliqueIndex)
+            meter.nodes, meter.budget = 0, pick % nodes
+            with pytest.raises(BudgetExceeded):
+                cliques_mod._maximal_cliques(g, meter)
+            assert meter.nodes == meter.budget + 1
         assert CliqueIndex(g, budget=nodes).nodes == nodes
 
 
@@ -553,8 +562,8 @@ def _charged(index, call):
 class TestWeightSumNodes:
     """The sums charge one node per call of the plain recursion,
     ``oracles.plain_weight_sum``, whether the kernel makes the call or
-    settles it where it finds it, and raise past the budget at the node
-    where ``tick`` would, leaving ``nodes`` at budget + 1."""
+    settles it where it finds it, and raise past the budget by
+    ``CliqueIndex.charge``, leaving ``nodes`` at budget + 1."""
 
     @given(weighted_graphs(), st.integers(min_value=1, max_value=5))
     # The node that crosses the budget is a leaf settled in place: the last
@@ -604,8 +613,8 @@ class TestWeightSumNodes:
         class Meter:
             nodes, budget = 0, DEFAULT_BUDGET
 
-            def tick(self):
-                self.nodes += 1
+            def charge(self, k):
+                self.nodes += k
 
         meter = Meter()
         assert cliques_mod._weight_sums_rec(adj, (1 << n) - 1, 2, columns, [0, 0], meter) == [

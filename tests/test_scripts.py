@@ -68,6 +68,8 @@ def test_script_runs(script, args, expected):
     # Random(-s) seeds like Random(s), so a negative seed is refused.
     ("descent_demo.py", ["--seed", "-1"]),
     ("sweep_random_corpus.py", ["--seed", "-1"]),
+    # The CLI's cap on t holds in the scripts too.
+    ("descent_demo.py", ["--t", "17"]),
 ], ids=[
     # Explicit, so that adding or removing a case renames no other case;
     # these are the names the suite already records for these cases.
@@ -75,6 +77,7 @@ def test_script_runs(script, args, expected):
     "sweep_random_corpus.py-args2", "sweep_random_corpus.py-args3",
     "descent_demo.py-args4", "descent_demo.py-args5",
     "descent_demo.py-args6", "sweep_random_corpus.py-args7",
+    "descent_demo.py-t-17",
 ])
 def test_script_rejects_bad_arguments(script, args):
     # A usage error: exit 2 and one error line, no traceback and no records.
