@@ -2,8 +2,8 @@
 
 Vertices are dense integers 0..n-1. Each adjacency row is a Python int used
 as a bitset over [n], so neighborhood intersection is a single ``&``.
-``transpose`` is the one bit-matrix transpose, shared by the graph6 decoder
-and the clique index.
+``transpose`` is the one bit-matrix transpose, shared by the graph6 decoder,
+the G(n, p) generator and the clique index.
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ class Graph:
     @classmethod
     def _trusted(cls, n: int, adjacency: tuple[int, ...], graph6: str | None) -> "Graph":
         """A graph from rows its caller built symmetric, loop-free and within
-        range, one per vertex; ``__post_init__``'s checks are skipped. Only
-        the graph6 decoder, whose rows hold these by construction, uses it.
+        range, one per vertex, for an n >= 0; ``__post_init__``'s checks are
+        skipped. The graph6 decoder, whose n is never negative, and
+        ``generate_random``, which refuses a negative n, use it; the rows of
+        both hold these by construction.
         A ``graph6`` text, unless None, must be the one the encoder writes
         for these rows: it is kept as the graph's ``to_graph6``."""
         g = object.__new__(cls)
@@ -446,13 +448,42 @@ def generate_random(n: int, p: Fraction, seed: int) -> Graph:
     as getrandbits(64) < ceil(p * 2^64), since an integer lies below a
     rational exactly when it lies below that rational's ceiling. Identical
     seeds reproduce identical graphs.
+
+    Evaluation: row u takes the draws of its k = n - u - 1 pairs (u, v > u)
+    in one getrandbits(64 * k) call, which CPython fills 32 bits at a time
+    from the least significant end, so it is those k getrandbits(64) draws
+    with draw i at bits [64i, 64i + 64): its big-endian bytes hold the draws
+    last first, each in 8 big-endian bytes. A draw whose top byte is below
+    the threshold's is an edge, above it a non-edge; only a tie, about one
+    draw in 256, is settled by the full comparison. The row's marks, last
+    draw first, are then its bits, most significant first.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise GraphError(f"edge probability must lie in [0, 1], got {p}")
     if seed < 0:
         raise GraphError(f"seed must be >= 0, got {seed}")
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     draw = random.Random(seed).getrandbits
     threshold = math.ceil(p * (1 << 64))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(64) < threshold]
-    return Graph.from_edges(n, edges)
+    top = threshold >> 56  # 256 at p = 1, which no byte ties
+    # A draw's top byte as its pair's mark: "1" edge, "0" none, "t" a tie.
+    marks = b"".join(b"1" if b < top else b"t" if b == top else b"0" for b in range(256))
+    rows = [0] * n  # row u's neighbours above u, until the union below
+    for u in range(n - 1):
+        k = n - u - 1
+        raw = draw(64 * k).to_bytes(8 * k, "big")
+        row = bytearray(raw[::8].translate(marks))
+        i = row.find(b"t")
+        while i >= 0:
+            edge = int.from_bytes(raw[8 * i:8 * i + 8], "big") < threshold
+            row[i:i + 1] = b"1" if edge else b"0"
+            i = row.find(b"t", i + 1)
+        rows[u] = int(row, 2) << (u + 1)
+    # Row v gains, by transpose, the rows below v that hold v: symmetric,
+    # loop-free and within range by construction. The union is taken in
+    # place, so no third list of rows is held at the peak.
+    for v, below in enumerate(transpose(rows, n)):
+        rows[v] |= below
+    return Graph._trusted(n, tuple(rows), None)

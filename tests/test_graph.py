@@ -470,22 +470,44 @@ class TestGenerators:
         with pytest.raises(GraphError):
             generate_random(5, Fraction(3, 2), 1)
 
+    def test_random_rejects_negative_n(self):
+        with pytest.raises(GraphError) as exc:
+            generate_random(-1, Fraction(1, 2), 0)
+        assert (exc.type, str(exc.value)) == (GraphError, "vertex count must be nonnegative")
+
+    @given(
+        n=st.integers(0, 70),
+        p=st.integers(1, 64).flatmap(lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_generated_rows_pass_the_full_check(self, n, p, seed):
+        # The generator skips __post_init__'s checks; its rows must pass them.
+        g = generate_random(n, p, seed)
+        assert Graph(g.n, g.adjacency) == g
+
     def test_random_rejects_negative_seed(self):
         # Random(-s) seeds like Random(s), so seed -3 would repeat seed 3.
         with pytest.raises(GraphError, match="seed must be >= 0, got -3"):
             generate_random(5, Fraction(1, 2), -3)
 
     @given(
-        n=st.integers(0, 12),
+        n=st.integers(0, 40),
         p=st.integers(1, 1 << 80).flatmap(
             lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
         seed=st.integers(0, 1 << 64),
     )
-    @example(n=12, p=Fraction(0), seed=0)
-    @example(n=12, p=Fraction(1), seed=0)
+    @example(n=0, p=Fraction(1, 2), seed=0)
+    @example(n=1, p=Fraction(1, 2), seed=0)
+    @example(n=40, p=Fraction(0), seed=0)
+    @example(n=40, p=Fraction(1), seed=0)  # threshold 2^64: top byte 256 never ties
     @example(n=12, p=Fraction(1, 2), seed=3)  # p * 2^64 is an integer
     @example(n=12, p=Fraction(1, 1 << 64), seed=0)
     @example(n=12, p=1 - Fraction(1, 1 << 65), seed=0)
+    # Draws whose top byte ties the threshold's, three at p = 3/256, whose
+    # threshold has its low 56 bits zero, so a tie is never an edge; five at
+    # p = 7/512, between 3/256 and 4/256, where ties fall both ways.
+    @example(n=40, p=Fraction(3, 256), seed=0)
+    @example(n=40, p=Fraction(7, 512), seed=1)
     # The one pair of n = 2 at p = r / 2^64 and at p = (r + 1/2) / 2^64, r
     # the draw: no edge and an edge, the rule's two sides at its boundary.
     @example(n=2, p=Fraction(_SEED_0_DRAW, 1 << 64), seed=0)
@@ -503,6 +525,8 @@ class TestGenerators:
          "12c0d20bff285a891ee34964befd070248a5c2c9547eae56fabaecf9c20bae32"),
         (48, Fraction(1, 2), 5,
          "7662f28d647f76f0c44d1631d0b884e28d3cddce535d7b27663580977402a7d0"),
+        (2000, Fraction(3, 1000), 1,
+         "60dfa8d658a82d66fdb1b409e0ce453c84910a70c2710b90dd811bd96cf29fdd"),
     ])
     def test_random_graph6_pinned(self, n, p, seed, sha256):
         # Pins the draw order across Python versions and generator rewrites.
