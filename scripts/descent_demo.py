@@ -16,12 +16,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cliquebound.bounds import bound_report  # noqa: E402
+from cliquebound.bounds import InvariantError, bound_report  # noqa: E402
 from cliquebound.cli import MAX_T  # noqa: E402
 from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.corpus import named_small_graphs  # noqa: E402
 from cliquebound.graph import integer, rational_text  # noqa: E402
-from cliquebound.simplex import SimplexPoint, descend_to_clique_support, eval_phi  # noqa: E402
+from cliquebound.simplex import (  # noqa: E402
+    SimplexPoint,
+    descend_to_clique_support,
+    descent_end_phi,
+    eval_phi,
+)
 
 
 def verdict(rep) -> tuple[str, str]:
@@ -50,7 +55,14 @@ def main():
         ap.error(f"--starts must be >= 1, got {args.starts}")
     if args.seed < 0:  # Random(-s) seeds like Random(s)
         ap.error(f"--seed must be >= 0, got {args.seed}")
+    try:
+        run(args)
+    except InvariantError as e:  # a broken relation: exit 1, as the CLI does
+        ap.exit(1, f"{ap.prog}: error: {args.graph}: t={e.t}: {e}\n")
 
+
+def run(args):
+    """Print the descents from ``args.starts`` points and the verdict."""
     g = named_small_graphs()[args.graph]
     index = CliqueIndex(g)
     report = bound_report(index, args.t)
@@ -70,7 +82,7 @@ def main():
         print(f"\nstart {label}: phi={rational_text(phi0)}")
         for line in trace.to_lines():
             print("  " + line)
-        end_phi = eval_phi(index, args.t, trace.end).phi
+        end_phi = descent_end_phi(index, args.t, trace, phi0)
         print(f"  end: support={sorted(trace.end.support)} "
               f"clique_order={trace.omega_end} phi={rational_text(end_phi)}")
 

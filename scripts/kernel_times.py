@@ -20,8 +20,9 @@ graph file. Each path is a ``.g6`` or ``.el`` file or a directory of them,
 read as ``cliquebound analyze`` reads its inputs, so ``cliquebound
 generate`` writes the graphs; an unreadable or malformed file, or a path
 that holds no graph file, is a usage error with exit 2. A kernel whose work
-passes the default budget ends the run with one error line and exit 3, as
-the CLI does. Examples:
+passes the default budget ends the run with one error line and exit 3, and
+a broken invariant (a negative phi) with one error line and exit 1, as the
+CLI does. Examples:
 
     python3 scripts/kernel_times.py --workload phi-simplex --seed 0 --reps 3
     PYTHONPATH=src python3 -m cliquebound generate multipartite --parts 7,7,6 --out turan
@@ -38,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from cliquebound.bounds import InvariantError  # noqa: E402
 from cliquebound.cli import collect_inputs, load_graph_file  # noqa: E402
 from cliquebound.cliques import BudgetExceeded, CliqueIndex  # noqa: E402
 from cliquebound.graph import GraphError, integer  # noqa: E402
@@ -136,6 +138,8 @@ def main():
             best, nodes = time_corpus(graphs, args.reps)
         except BudgetExceeded as e:  # exit 3, as the CLI does
             ap.exit(3, f"{ap.prog}: error: {title}: {e}\n")
+        except InvariantError as e:  # a broken relation: exit 1, as the CLI does
+            ap.exit(1, f"{ap.prog}: error: {title}: t={e.t}: {e}\n")
         if k:
             print()
         print(f"{title}, {details}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cliquebound.bounds import bound_reports  # noqa: E402
+from cliquebound.bounds import InvariantError, bound_reports  # noqa: E402
 from cliquebound.cli import MAX_T  # noqa: E402
 from cliquebound.cliques import CliqueIndex  # noqa: E402
 from cliquebound.corpus import seeded_random_corpus  # noqa: E402
@@ -44,7 +44,11 @@ def main():
           f"{'classical':>12s} {'gap%':>7s}")
     kinds = Counter()
     for name, g in corpus:
-        for rep in bound_reports(CliqueIndex(g), range(args.t, args.t_max + 1)):
+        try:
+            reports = bound_reports(CliqueIndex(g), range(args.t, args.t_max + 1))
+        except InvariantError as e:  # a broken relation: exit 1, as the CLI does
+            ap.exit(1, f"{ap.prog}: error: {name}: t={e.t}: {e}\n")
+        for rep in reports:
             kinds[rep.outcome] += 1
             if rep.localized_zykov > 0:
                 gap = 100 * (1 - Fraction(rep.true_count) / rep.localized_zykov)

@@ -13,15 +13,20 @@ from math import comb, floor
 from typing import Iterable
 
 from .cliques import CliqueIndex, count_cliques
-from .graph import Graph
+from .graph import Graph, rational_text
 
 
-class TightnessInvariantError(AssertionError):
-    """Tightness flag disagrees with the structural certificate at order t."""
+class InvariantError(AssertionError):
+    """A computed value breaks a relation the paper proves, at order t:
+    one of the bound family's inequalities (``check_report``), the
+    tightness flag against the equality certificate, phi >= 0, or the end
+    of a descent (``simplex.descent_end_phi``). Any of these means a bug.
+    ``relation`` names the relation that failed."""
 
-    def __init__(self, message: str, t: int):
+    def __init__(self, message: str, t: int, relation: str):
         super().__init__(message)
         self.t = t
+        self.relation = relation
 
 
 def clique_density_term(c: int, t: int) -> Fraction:
@@ -153,15 +158,54 @@ def outcome(t: int, omega: int, tight: bool) -> str:
 
 def check_tightness(t: int, omega: int, tight: bool,
                     certificate: tuple[int, ...] | None) -> None:
-    """Raise ``TightnessInvariantError`` if, at t <= omega, the bound's
-    tightness flag at order t disagrees with the equality certificate. For
-    t > omega both sides of the bound are 0, so the flag there is vacuous
-    and not checked."""
+    """Raise ``InvariantError`` if, at t <= omega, the bound's tightness
+    flag at order t disagrees with the equality certificate. For t > omega
+    both sides of the bound are 0, so the flag there is vacuous and not
+    checked."""
     if t <= omega and tight != (certificate is not None):
-        raise TightnessInvariantError(
+        raise InvariantError(
             f"tightness flag {tight} contradicts certificate {certificate} "
-            f"for t={t}, omega={omega}", t
+            f"for t={t}, omega={omega}", t, "tightness"
         )
+
+
+def check_report(rep: BoundReport) -> None:
+    """Raise ``InvariantError``, naming the first relation that fails, unless
+    ``rep`` satisfies every relation of the bound family:
+
+    - N <= localized <= zykov: the theorem and its Zykov corollary;
+    - kirsch_nir_sum <= n^t and edge_localized_sum <= n^2 / 2;
+    - m <= vertex_localized_turan, and at t = 2 vertex_localized_turan =
+      floor(localized);
+    - the tightness flag against the equality certificate
+      (``check_tightness``).
+
+    Each relation is stated here alone; every command reads it from here."""
+    t, n, localized = rep.t, rep.n, rep.localized_zykov
+
+    def broken(relation: str, values: str) -> InvariantError:
+        return InvariantError(f"{relation} fails: {values}", t, relation)
+
+    if not rep.true_count <= localized:
+        raise broken("N <= localized",
+                     f"N = {rep.true_count}, localized = {rational_text(localized)}")
+    if not localized <= rep.zykov_classical:
+        raise broken("localized <= zykov", f"localized = {rational_text(localized)}, "
+                     f"zykov = {rational_text(rep.zykov_classical)}")
+    if not rep.kirsch_nir_sum <= n**t:
+        raise broken("kirsch_nir_sum <= n^t",
+                     f"kirsch_nir_sum = {rational_text(rep.kirsch_nir_sum)}, n^t = {n**t}")
+    if not 2 * rep.edge_localized_sum <= n * n:
+        raise broken("edge_localized_sum <= n^2/2",
+                     f"edge_localized_sum = {rational_text(rep.edge_localized_sum)}, n = {n}")
+    if not rep.m <= rep.vertex_localized_turan:
+        raise broken("m <= vertex_localized_turan",
+                     f"m = {rep.m}, vertex_localized_turan = {rep.vertex_localized_turan}")
+    if t == 2 and rep.vertex_localized_turan != floor(localized):
+        raise broken("vertex_localized_turan = floor(localized)",
+                     f"vertex_localized_turan = {rep.vertex_localized_turan}, "
+                     f"localized = {rational_text(localized)}")
+    check_tightness(t, rep.omega, rep.is_tight, rep.extremal_certificate)
 
 
 def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
@@ -175,6 +219,9 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     orders it leaves in the index give the clique counts, the Kirsch-Nir sums
     and the edge sum. The index's budget caps the total work. The empty
     graph takes the same path: its walk is the root alone, and all is 0.
+
+    Each report passes ``check_report`` before it is returned, so a report
+    that breaks a relation of the bound family raises ``InvariantError``.
     """
     ts = list(ts)
     for t in ts:
@@ -189,9 +236,7 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
     for t in ts:
         true_count = count_cliques(index, t)
         localized = localized_zykov_bound(index, t)
-        tight = Fraction(true_count) == localized
-        check_tightness(t, index.omega, tight, certificate)
-        reports.append(BoundReport(
+        rep = BoundReport(
             t=t,
             n=g.n,
             m=g.m,
@@ -203,18 +248,21 @@ def bound_reports(index: CliqueIndex, ts: Iterable[int]) -> list[BoundReport]:
             edge_localized_sum=edge_sum,
             vertex_localized_turan=vertex_turan,
             kirsch_nir_sum=kirsch_nir_sum(index, t),
-            is_tight=tight,
+            is_tight=Fraction(true_count) == localized,
             extremal_certificate=certificate,
-        ))
+        )
+        check_report(rep)
+        reports.append(rep)
     return reports
 
 
 def bound_report(index: CliqueIndex, t: int) -> BoundReport:
     """Evaluate every bound at t exactly and certify the equality case.
 
-    For t <= omega the tightness flag is cross-checked against the
+    The report passes ``check_report``: its inequalities hold, and for
+    t <= omega its tightness flag agrees with the
     regular-complete-multipartite certificate; for t > omega both sides of
     the localized bound can vanish, so tightness there is vacuous and not
-    cross-checked.
+    cross-checked. ``InvariantError`` otherwise.
     """
     return bound_reports(index, [t])[0]

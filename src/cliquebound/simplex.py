@@ -35,7 +35,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .bounds import clique_density_term
+from .bounds import InvariantError, clique_density_term
 from .cliques import CliqueIndex
 from .graph import rational_text
 
@@ -333,8 +333,26 @@ def descend_to_clique_support(index: CliqueIndex, t: int, x0: SimplexPoint,
     )
 
 
-class PhiNegativityError(AssertionError):
-    """A sampled phi value was negative, which the bound theorem forbids."""
+def descent_end_phi(index: CliqueIndex, t: int, trace: DescentTrace,
+                    phi0: Fraction) -> Fraction:
+    """phi at the end point of ``trace``, a descent that started at phi0.
+
+    ``eval_phi`` at the end point is checked against the descent's own
+    bookkeeping: it must equal the last step's ``phi_after`` (phi0 when
+    there is no step), be >= 0, as phi is on the whole simplex, and sit on a
+    clique support. ``InvariantError`` otherwise."""
+    end_phi = eval_phi(index, t, trace.end).phi
+    last = trace.steps[-1].phi_after if trace.steps else phi0
+    if end_phi != last:
+        raise InvariantError(f"descent end phi {rational_text(end_phi)} differs from the "
+                             f"last step's phi {rational_text(last)}", t,
+                             "end phi = last phi_after")
+    if end_phi < 0:
+        raise InvariantError(f"descent end phi {rational_text(end_phi)} < 0", t, "phi >= 0")
+    if not trace.end_support_is_clique:
+        raise InvariantError(f"descent ends on support {sorted(trace.end.support)}, "
+                             "which is no clique", t, "end support is a clique")
+    return end_phi
 
 
 @dataclass(frozen=True)
@@ -349,8 +367,8 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
                          seed: int) -> NonnegativityReport:
     """Minimum of phi over the uniform point, all vertex-concentrated points,
     and ``samples`` seeded random interior points, the first minimum in that
-    order. Raises if any value is negative (that would falsify the
-    inequality, i.e. expose a bug).
+    order. Raises ``InvariantError`` if any value is negative (that would
+    falsify the inequality, i.e. expose a bug).
 
     The vertex points are read in closed form, phi(e_v) = C(c(v), t)/c(v)^t,
     with no clique sum. The other points are one lazy stream, in the order
@@ -384,9 +402,9 @@ def verify_nonnegativity(index: CliqueIndex, t: int, samples: int,
     argmin = SimplexPoint._from_ints(best_w, sum(best_w))
     min_phi = Fraction(best, best_den)
     if min_phi < 0:
-        raise PhiNegativityError(
+        raise InvariantError(
             f"phi({', '.join(map(rational_text, argmin.x))}) = {rational_text(min_phi)} "
-            "< 0 on a graph where it must be >= 0"
+            "< 0 on a graph where it must be >= 0", t, "phi >= 0"
         )
     return NonnegativityReport(
         min_phi=min_phi, argmin=argmin, phi_uniform=phi_uniform,

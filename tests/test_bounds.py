@@ -1,6 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +9,10 @@ import hypothesis.strategies as st
 
 from cliquebound.bounds import (
     BoundReport,
+    InvariantError,
     bound_report,
     bound_reports,
+    check_report,
     clique_density_term,
     complete_multipartite_parts,
     edge_localized_turan_sum,
@@ -22,7 +25,12 @@ from cliquebound.bounds import (
     zykov_bound,
 )
 from cliquebound.cliques import CliqueIndex, count_cliques
-from cliquebound.corpus import complete_graph, empty_graph, star_graph
+from cliquebound.corpus import (
+    complete_graph,
+    empty_graph,
+    regular_multipartite_family,
+    star_graph,
+)
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
 from cliquebound.oracles import (
     brute_count_cliques,
@@ -334,3 +342,88 @@ def test_localizations_are_independent_fixture():
     rep = bound_report(CliqueIndex(g), t)
     assert rep.is_tight  # both sides vanish: no K_3 and c(v) = 2 < t
     assert rep.kirsch_nir_sum < g.n**t
+
+
+# One corruption per relation: (t, field, the corrupted value from the real
+# report, the relation named). The octahedron K_{2x3} meets every relation
+# with equality at t = 2 (N = localized = zykov = 12, Kirsch-Nir = n^2 = 36,
+# edge sum = n^2/2 = 18, m = vertex_localized_turan = 12), so a nudge of one
+# field past its bound breaks that relation alone. The m relation is broken
+# at t = 3, where vertex_localized_turan is not held to the floor of the
+# bound at t.
+CORRUPTIONS = [
+    (2, "true_count", lambda r: r.true_count + 1, "N <= localized"),
+    (3, "true_count", lambda r: floor(r.localized_zykov) + 1, "N <= localized"),
+    (2, "zykov_classical", lambda r: r.localized_zykov - Fraction(1, 3),
+     "localized <= zykov"),
+    (3, "kirsch_nir_sum", lambda r: Fraction(r.n**3 + 1), "kirsch_nir_sum <= n^t"),
+    (2, "edge_localized_sum", lambda r: r.edge_localized_sum + Fraction(1, 7),
+     "edge_localized_sum <= n^2/2"),
+    (3, "vertex_localized_turan", lambda r: r.m - 1, "m <= vertex_localized_turan"),
+    (2, "vertex_localized_turan", lambda r: r.vertex_localized_turan + 1,
+     "vertex_localized_turan = floor(localized)"),
+    (2, "extremal_certificate", lambda r: None, "tightness"),
+    (3, "is_tight", lambda r: False, "tightness"),
+]
+
+
+class TestCheckReport:
+    @pytest.mark.parametrize("t,field,corrupt,relation", CORRUPTIONS,
+                             ids=[f"{c[1]}-t{c[0]}" for c in CORRUPTIONS])
+    def test_each_corruption_names_its_relation(self, octa, t, field, corrupt, relation):
+        rep = bound_report(CliqueIndex(octa), t)
+        check_report(rep)
+        with pytest.raises(InvariantError) as exc:
+            check_report(replace(rep, **{field: corrupt(rep)}))
+        assert (exc.value.t, exc.value.relation) == (t, relation)
+        assert str(exc.value).startswith(relation)
+
+    def test_message_gives_the_values(self, octa):
+        rep = bound_report(CliqueIndex(octa), 3)
+        with pytest.raises(InvariantError,
+                           match=r"^N <= localized fails: N = 1000008, localized = 8/1$"):
+            check_report(replace(rep, true_count=rep.true_count + 10**6))
+
+    def test_relations_hold_with_equality_on_the_octahedron(self, octa):
+        # The corruptions above nudge each value just past its bound; this
+        # holds the premise that the real values sit on it.
+        rep = bound_report(CliqueIndex(octa), 2)
+        assert (rep.true_count, rep.localized_zykov, rep.zykov_classical) == (12, 12, 12)
+        assert (rep.kirsch_nir_sum, rep.edge_localized_sum) == (36, 18)
+        assert rep.m == rep.vertex_localized_turan == floor(rep.localized_zykov)
+
+    def test_is_an_assertion_error(self):
+        # A caller that catches AssertionError, as a test runner does, sees it.
+        assert issubclass(InvariantError, AssertionError)
+
+    @given(graphs(), st.integers(min_value=2, max_value=6))
+    @settings(max_examples=80)
+    def test_no_false_positive(self, g, t):
+        for rep in bound_reports(CliqueIndex(g), range(2, t + 1)):
+            check_report(rep)
+
+    @pytest.mark.parametrize("g", [empty_graph(0), complete_graph(1)], ids=["empty", "K1"])
+    def test_no_false_positive_without_edges(self, g):
+        for rep in bound_reports(CliqueIndex(g), range(2, 7)):
+            check_report(rep)
+            assert rep.true_count == rep.localized_zykov == rep.kirsch_nir_sum == 0
+
+    def test_no_false_positive_above_omega(self, c5):
+        # C5 has omega = 2: from t = 3 on, N = localized = 0 and the
+        # tightness flag is vacuous.
+        for rep in bound_reports(CliqueIndex(c5), range(3, 7)):
+            check_report(rep)
+            assert rep.outcome == "vacuous"
+
+    @pytest.mark.parametrize("name,g", regular_multipartite_family(),
+                             ids=[name for name, _ in regular_multipartite_family()])
+    def test_no_false_positive_at_equality(self, name, g):
+        # On K_{s x r} both sides of the bound meet for t <= r, and the edge
+        # sum is exactly n^2/2: each relation holds with equality.
+        reports = bound_reports(CliqueIndex(g), range(2, 7))
+        for rep in reports:
+            check_report(rep)
+            assert rep.true_count == rep.localized_zykov
+            assert rep.edge_localized_sum == Fraction(g.n**2, 2)
+        assert [rep.outcome for rep in reports] == [
+            "tight" if t <= reports[0].omega else "vacuous" for t in range(2, 7)]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -36,6 +37,12 @@ def run(capsys, *args):
 # analyze's stderr summary when its one input fails to load.
 ONE_FAILED = ("analyzed 0 graphs, 0 records, 0 tight, 0 strict, 0 vacuous, "
               "1 failed to load, 0 over budget\n")
+
+
+def generate_files(capsys, out_dir, *argv):
+    """Write graph files with ``generate``; the paths it wrote."""
+    assert main(["generate", *argv, "--out", str(out_dir)]) == 0
+    return capsys.readouterr().out.split()
 
 
 def error_line(err):
@@ -822,10 +829,12 @@ def test_analyze_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_tightness_error_prints_the_part_sizes(tmp_path, capsys, monkeypatch):
+    # One clique fewer keeps N below the bound, so of all the relations only
+    # the tightness flag, now False, contradicts the certificate.
     import cliquebound.bounds as bounds_mod
 
-    real = bounds_mod.localized_zykov_bound
-    monkeypatch.setattr(bounds_mod, "localized_zykov_bound", lambda index, t: real(index, t) + 1)
+    real = bounds_mod.count_cliques
+    monkeypatch.setattr(bounds_mod, "count_cliques", lambda index, t: real(index, t) - 1)
     run(capsys, "generate", "multipartite", "--parts", "2,2,2", "--out", str(tmp_path))
     code, out, err = run(capsys, "analyze", str(tmp_path))
     assert code == 1
@@ -833,6 +842,23 @@ def test_analyze_tightness_error_prints_the_part_sizes(tmp_path, capsys, monkeyp
     assert err == (f"error: {tmp_path / 'multipartite_2x3.g6'}: t=2: tightness flag False "
                    "contradicts certificate (2, 2, 2) for t=2, omega=3\n")
     assert "PartSpec(" not in err
+
+
+def test_analyze_count_above_the_bound_exits_1(tmp_path, capsys, monkeypatch):
+    # A million cliques too many break the theorem, N <= localized: one error
+    # line, exit 1 and no report, where a strict record used to be written.
+    import cliquebound.bounds as bounds_mod
+
+    real = bounds_mod.count_cliques
+    monkeypatch.setattr(bounds_mod, "count_cliques", lambda index, t: real(index, t) + 10**6)
+    [path] = generate_files(capsys, tmp_path, "random", "--n", "12", "--p", "1/2",
+                            "--seed", "3")
+    out_file = tmp_path / "report.jsonl"
+    code, out, err = run(capsys, "analyze", path, "--t", "3", "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: t=3: N <= localized fails: N = 1000018, "
+                   "localized = 247/3\n")
+    assert not out_file.exists()
 
 
 def test_phi_negativity_exits_1(tmp_path, capsys, monkeypatch):
@@ -864,6 +890,26 @@ def test_phi_tightness_invariant_exits_1(tmp_path, capsys, monkeypatch):
                    "contradicts certificate None for t=3, omega=3\n")
 
 
+def test_phi_descent_end_off_its_steps_exits_1(tmp_path, capsys, monkeypatch):
+    # A descent that reports its start point as its end, on a support that
+    # is no clique: phi there is not the last step's, so phi exits 1 with
+    # one error line and writes no report.
+    import cliquebound.cli as cli_mod
+
+    real = cli_mod.descend_to_clique_support
+
+    def stuck(index, t, x0, phi0=None):
+        return replace(real(index, t, x0, phi0), end=x0, end_support_is_clique=False)
+
+    monkeypatch.setattr(cli_mod, "descend_to_clique_support", stuck)
+    [path] = generate_files(capsys, tmp_path, "random", "--n", "12", "--p", "1/2",
+                            "--seed", "3")
+    code, out, err = run(capsys, "phi", path, "--t", "3")
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: t=3: descent end phi 193/5184 differs from the "
+                   "last step's phi 11/864\n")
+
+
 def test_phi_single_vertex(tmp_path, capsys):
     (tmp_path / "k1.g6").write_text("@\n")
     code, out, _ = run(capsys, "phi", str(tmp_path / "k1.g6"), "--t", "2")
@@ -893,21 +939,18 @@ def test_selfcheck_one_maximal_clique_pass_per_graph(capsys, maximal_clique_pass
 
 
 def test_selfcheck_detects_corrupted_bound(capsys, monkeypatch):
-    # deliberately break the bound evaluation; the named invariant must FAIL
-    import cliquebound.cli as cli_mod
+    # Deliberately break the bound evaluation: a localized bound one too low
+    # falls below N on every tight graph, and the shared check in
+    # bound_reports names that relation.
+    import cliquebound.bounds as bounds_mod
 
-    real = cli_mod.bound_reports
-
-    def corrupted(index, ts):
-        reports = real(index, ts)
-        for rep in reports:
-            object.__setattr__(rep, "localized_zykov", rep.localized_zykov - 1)
-        return reports
-
-    monkeypatch.setattr(cli_mod, "bound_reports", corrupted)
+    real = bounds_mod.localized_zykov_bound
+    monkeypatch.setattr(bounds_mod, "localized_zykov_bound",
+                        lambda index, t: real(index, t) - 1)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
-    assert any(line.startswith("FAIL soundness[") for line in out.splitlines())
+    fails = [line for line in out.splitlines() if line.startswith("FAIL invariant[")]
+    assert fails[0] == "FAIL invariant[K4,t=2]: N <= localized fails: N = 6, localized = 5/1"
 
 
 def test_selfcheck_reports_tightness_invariant_error(capsys, monkeypatch):
@@ -919,9 +962,9 @@ def test_selfcheck_reports_tightness_invariant_error(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fails[0] == ("FAIL tightness[K4,t=2]: tightness flag True contradicts "
+    assert fails[0] == ("FAIL invariant[K4,t=2]: tightness flag True contradicts "
                         "certificate None for t=2, omega=4")
-    assert all(line.startswith("FAIL tightness[") for line in fails)
+    assert all(line.startswith("FAIL invariant[") for line in fails)
     assert out.endswith(f"selfcheck: {len(fails)} failures\n")
 
 

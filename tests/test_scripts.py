@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs."""
 
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -237,3 +238,52 @@ def test_exhaustive_small_graphs_checks_sum_nodes(monkeypatch, capsys):
     assert out.splitlines()[-1] == "4 graphs with n <= 2, 4 failed"
     assert [line.split(": ")[1] for line in err.splitlines()] == [", ".join(
         f"{kernel}(t = {t})" for t in range(1, 5) for kernel in ("weight_sum", "weight_sums"))] * 4
+
+
+def test_sweep_random_corpus_invariant_error_is_one_error_line(monkeypatch, capsys):
+    # A million cliques too many break N <= localized in the first report.
+    import cliquebound.bounds as bounds_mod
+
+    real = bounds_mod.count_cliques
+    monkeypatch.setattr(bounds_mod, "count_cliques", lambda index, t: real(index, t) + 10**6)
+    code, out, err = run_in_process(monkeypatch, capsys, "sweep_random_corpus.py",
+                                    ["--count", "1", "--t", "3", "--t-max", "3"])
+    assert code == 1
+    assert len(out.splitlines()) == 1  # the table's header, and no record
+    assert err == ("sweep_random_corpus.py: error: random_n8_p1-4_seed2000: t=3: "
+                   "N <= localized fails: N = 1000002, localized = 320/27\n")
+
+
+def test_descent_demo_invariant_error_is_one_error_line(monkeypatch, capsys):
+    # A descent that reports its start point as its end, on a support that
+    # is no clique.
+    from cliquebound.simplex import descend_to_clique_support
+
+    def stuck(index, t, x0, phi0=None):
+        trace = descend_to_clique_support(index, t, x0, phi0)
+        return dataclasses.replace(trace, end=x0, end_support_is_clique=False)
+
+    code, out, err = run_in_process(monkeypatch, capsys, "descent_demo.py",
+                                    ["--graph", "C5", "--t", "2", "--starts", "1"],
+                                    patch={"descend_to_clique_support": stuck})
+    assert code == 1
+    assert "verdict" not in out
+    assert err == ("descent_demo.py: error: C5: t=2: descent end phi 1/20 differs from "
+                   "the last step's phi 1/100\n")
+
+
+def test_kernel_times_invariant_error_is_one_error_line(monkeypatch, capsys, tmp_path):
+    # Adding 16 to every batched B sum makes phi negative at the uniform
+    # point of K_{2x2x2}, where it is 0 at t = 3.
+    [path] = generate(capsys, tmp_path, "multipartite", "--parts", "2,2,2")
+    real = CliqueIndex.weight_sums
+
+    def shifted(self, mask, t, points):
+        return ((p, b + 16) for p, b in real(self, mask, t, points))
+
+    monkeypatch.setattr(CliqueIndex, "weight_sums", shifted)
+    code, out, err = run_in_process(monkeypatch, capsys, "kernel_times.py",
+                                    ["--graph", path, "--reps", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("kernel_times.py: error: graph multipartite_2x3.g6: t=3: phi(1/6, 1/6, "
+                   "1/6, 1/6, 1/6, 1/6) = -2/27 < 0 on a graph where it must be >= 0\n")

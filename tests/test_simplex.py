@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from cliquebound.bounds import bound_reports, clique_density_term
+import cliquebound.simplex as simplex_mod
+from cliquebound.bounds import InvariantError, bound_reports, clique_density_term
 from cliquebound.cliques import CHUNK, BudgetExceeded, CliqueIndex
 from cliquebound.corpus import blow_up, empty_graph, path_graph, paw_graph
 from cliquebound.graph import Graph, generate_complete_multipartite, generate_random
@@ -18,6 +20,7 @@ from cliquebound.simplex import (
     _random_weights,
     delta_ij,
     descend_to_clique_support,
+    descent_end_phi,
     eval_phi,
     transfer,
     verify_nonnegativity,
@@ -363,6 +366,59 @@ class TestDescent:
         assert ev.b <= cap
         if all(trace.end.x[v] == Fraction(1, k) for v in trace.end.support):
             assert ev.b == cap
+
+
+class TestDescentEndPhi:
+    @given(graph_and_point(min_n=1), st.integers(min_value=2, max_value=4))
+    @settings(max_examples=60)
+    def test_is_phi_at_the_end(self, gp, t):
+        g, x0 = gp
+        index = CliqueIndex(g)
+        phi0 = eval_phi(index, t, x0).phi
+        trace = descend_to_clique_support(index, t, x0, phi0)
+        end_phi = descent_end_phi(index, t, trace, phi0)
+        assert end_phi == eval_phi(index, t, trace.end).phi >= 0
+        assert end_phi == (trace.steps[-1].phi_after if trace.steps else phi0)
+
+    def test_end_off_the_last_step(self, c5):
+        # The start point as the end: phi there is the start value, not the
+        # last step's.
+        index, x0 = CliqueIndex(c5), SimplexPoint.uniform(5)
+        phi0 = eval_phi(index, 2, x0).phi
+        trace = descend_to_clique_support(index, 2, x0, phi0)
+        with pytest.raises(InvariantError) as exc:
+            descent_end_phi(index, 2, replace(trace, end=x0), phi0)
+        assert (exc.value.t, exc.value.relation) == (2, "end phi = last phi_after")
+        assert str(exc.value) == ("descent end phi 1/20 differs from the last step's "
+                                  "phi 1/100")
+
+    def test_no_step_is_held_to_the_start_value(self, k4):
+        index, x0 = CliqueIndex(k4), SimplexPoint.uniform(4)
+        trace = descend_to_clique_support(index, 2, x0, Fraction(0))
+        assert descent_end_phi(index, 2, trace, Fraction(0)) == 0
+        with pytest.raises(InvariantError, match="differs from the last step's phi 1/8"):
+            descent_end_phi(index, 2, trace, Fraction(1, 8))
+
+    def test_negative_end(self, k4, monkeypatch):
+        # Zero A-terms leave phi = -B: on K4 the descent takes no step and
+        # ends where it starts, at phi = -3/8, which only the sign catches.
+        monkeypatch.setattr(simplex_mod, "clique_density_term", lambda c, t: Fraction(0))
+        index, x0 = CliqueIndex(k4), SimplexPoint.uniform(4)
+        phi0 = eval_phi(index, 2, x0).phi
+        trace = descend_to_clique_support(index, 2, x0, phi0)
+        with pytest.raises(InvariantError, match=r"^descent end phi -3/8 < 0$") as exc:
+            descent_end_phi(index, 2, trace, phi0)
+        assert exc.value.relation == "phi >= 0"
+
+    def test_end_support_not_a_clique(self, c5):
+        index, x0 = CliqueIndex(c5), SimplexPoint.uniform(5)
+        phi0 = eval_phi(index, 2, x0).phi
+        trace = descend_to_clique_support(index, 2, x0, phi0)
+        with pytest.raises(InvariantError) as exc:
+            descent_end_phi(index, 2, replace(trace, end_support_is_clique=False), phi0)
+        assert exc.value.relation == "end support is a clique"
+        assert str(exc.value) == (f"descent ends on support {sorted(trace.end.support)}, "
+                                  "which is no clique")
 
 
 class TestNonnegativity:
